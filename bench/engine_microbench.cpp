@@ -52,6 +52,34 @@ void BM_QueueScheduleCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_QueueScheduleCancelChurn)->Arg(100000);
 
+// The packet path: a NIC-PE barrier between the two NICs of a 2-node
+// cluster, posted straight to the firmware (no host processes, and a port
+// with no event queue, so the completion DMA is the last stage). Each side
+// sends one barrier packet SEND -> link -> switch -> link -> RECV ->
+// firmware; items are packets.
+void BM_PacketPath(benchmark::State& state) {
+  host::ClusterParams cp;
+  cp.nodes = 2;
+  host::Cluster cluster(cp);
+  constexpr nic::PortId kPort = 2;
+  for (net::NodeId n = 0; n < 2; ++n) cluster.nic(n).open_port(kPort, nullptr);
+  std::uint32_t epoch = 0;
+  for (auto _ : state) {
+    for (net::NodeId n = 0; n < 2; ++n) {
+      nic::BarrierToken token;
+      token.src_port = kPort;
+      token.epoch = epoch;
+      token.peers = {nic::Endpoint{static_cast<net::NodeId>(1 - n), kPort}};
+      cluster.nic(n).post_barrier_token(std::move(token));
+    }
+    cluster.sim().run();
+    ++epoch;
+  }
+  benchmark::DoNotOptimize(cluster.nic(1).stats().barrier_packets_received);
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_PacketPath);
+
 void BM_EventScheduling(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator sim;

@@ -39,7 +39,7 @@ Cluster::Cluster(ClusterParams params) : params_(std::move(params)) {
     auto n = std::make_unique<Node>(lane, params_.host_cpus, id);
     n->nic = std::make_unique<nic::Nic>(lane, *net_, id, params_.nic, n->pci);
     nic::Nic* nic_ptr = n->nic.get();
-    net_->set_deliver(id, [nic_ptr](net::Packet p) { nic_ptr->rx_packet(std::move(p)); });
+    net_->set_deliver(id, [nic_ptr](net::PacketPtr p) { nic_ptr->rx_packet(std::move(p)); });
     nodes_.push_back(std::move(n));
   }
   if (params_.telemetry != nullptr) {

@@ -1,7 +1,6 @@
 #include "net/link.hpp"
 
 #include <cassert>
-#include <memory>
 
 #include "sim/causal.hpp"
 #include "sim/check.hpp"
@@ -23,7 +22,7 @@ sim::Duration Link::down_time_total() const {
   return down_total_ + (sim_->now() - down_since_);
 }
 
-sim::SimTime Link::transmit(Packet p) {
+sim::SimTime Link::transmit(PacketPtr p) {
   assert(deliver_ && "link has no receiver attached");
   if (down_) {
     // Unplugged cable: the packet vanishes without even occupying the wire.
@@ -32,8 +31,8 @@ sim::SimTime Link::transmit(Packet p) {
     return sim_->now();
   }
   ++sent_;
-  bytes_sent_ += p.wire_bytes(params_.header_bytes);
-  bool drop = (drop_prob_ > 0.0 && rng_.chance(drop_prob_)) || (drop_pred_ && drop_pred_(p));
+  bytes_sent_ += p->wire_bytes(params_.header_bytes);
+  bool drop = (drop_prob_ > 0.0 && rng_.chance(drop_prob_)) || (drop_pred_ && drop_pred_(*p));
   if (burst_enter_ > 0.0) {
     if (burst_bad_ ? burst_rng_.chance(burst_exit_) : burst_rng_.chance(burst_enter_)) {
       burst_bad_ = !burst_bad_;
@@ -41,42 +40,39 @@ sim::SimTime Link::transmit(Packet p) {
     const double loss = burst_bad_ ? burst_loss_bad_ : burst_loss_good_;
     if (loss > 0.0 && burst_rng_.chance(loss)) drop = true;
   }
-  const sim::Duration occupy = wire_time(p);
+  const sim::Duration occupy = wire_time(*p);
   if (drop) {
     ++dropped_;
     const sim::SimTime done = wire_.submit(occupy);
     if (trace_sink_ != nullptr) {
       trace_sink_->duration(trace_track_, "drop", done - occupy, occupy, "net",
-                            sim::TraceCategory::kNet, p.id);
+                            sim::TraceCategory::kNet, p->id);
     }
     if (causal_ != nullptr) {
       // Terminal span: the packet's chain ends here; a retransmission starts
       // a fresh SEND span from the sender's stored record.
-      causal_->record(sim::causal::Segment::kWire, p.dst_node, "wire_drop", done - occupy,
-                      done, p.causal, 0, p.id);
+      causal_->record(sim::causal::Segment::kWire, p->dst_node, "wire_drop", done - occupy,
+                      done, p->causal, 0, p->id);
     }
     // The wire is still burned for the packet's duration; nothing arrives.
     return done;
   }
   const sim::Duration prop = params_.propagation;
   if (corrupt_prob_ > 0.0 && corrupt_rng_.chance(corrupt_prob_)) {
-    p.corrupted = true;
+    p->corrupted = true;
     ++corrupted_;
   }
-  // Capture by shared copy: the closure outlives this stack frame.
-  auto packet = std::make_shared<Packet>(std::move(p));
   const sim::SimTime done = wire_.submit(occupy);
   if (trace_sink_ != nullptr) {
-    trace_sink_->duration(trace_track_, to_string(packet->type), done - occupy, occupy, "net",
-                          sim::TraceCategory::kNet, packet->id);
+    trace_sink_->duration(trace_track_, to_string(p->type), done - occupy, occupy, "net",
+                          sim::TraceCategory::kNet, p->id);
   }
   if (causal_ != nullptr) {
     // One span per directed hop, covering serialisation and propagation:
     // [done - occupy, done + prop]. Queueing behind earlier packets on this
     // wire shows up as the gap between the parent's end and done - occupy.
-    packet->causal =
-        causal_->record(sim::causal::Segment::kWire, packet->dst_node, "wire",
-                        done - occupy, done + prop, packet->causal, 0, packet->id);
+    p->causal = causal_->record(sim::causal::Segment::kWire, p->dst_node, "wire",
+                                done - occupy, done + prop, p->causal, 0, p->id);
   }
   in_flight_.fetch_add(1, std::memory_order_relaxed);
   // Deliveries are *keyed*: at the arrival instant they fire in
@@ -88,10 +84,10 @@ sim::SimTime Link::transmit(Packet p) {
   const sim::EventKey key{static_cast<std::uint64_t>(done.ps()),
                           (static_cast<std::uint64_t>(uid_) << 32) | delivery_seq_++};
   const sim::SimTime arrive = done + prop;
-  sim::EventQueue::Action deliver = [this, packet]() mutable {
+  sim::EventQueue::Action deliver = [this, p = std::move(p)]() mutable {
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
     delivered_.fetch_add(1, std::memory_order_relaxed);
-    deliver_(std::move(*packet));
+    deliver_(std::move(p));
   };
   if (remote_post_) {
     // Receiving end lives in another partition: hand off via the channel

@@ -32,7 +32,7 @@ struct LinkParams {
 
 class Link {
  public:
-  using DeliverFn = std::function<void(Packet)>;
+  using DeliverFn = std::function<void(PacketPtr)>;
   /// Cross-partition delivery hook: (arrival time, ordering key, delivery
   /// closure) is posted to the PDES channel matrix instead of this lane's
   /// queue. See sim/sync.hpp for the handoff convention.
@@ -42,8 +42,14 @@ class Link {
   Link(sim::Simulator& sim, LinkParams params, std::string name)
       : sim_(&sim), params_(params), wire_(sim, std::move(name)) {}
 
-  /// Sets the receiver; must be called before any transmit.
+  /// Sets the receiver; must be called before any transmit. The receiver
+  /// takes ownership of the delivered packet handle.
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
+  /// By-value receiver, for callers that only inspect packets (the unit
+  /// tests): `fn` gets a copy, and the handle is recycled when it returns.
+  void set_deliver(std::function<void(Packet)> fn) {
+    deliver_ = [fn = std::move(fn)](PacketPtr p) { fn(*p); };
+  }
 
   /// Re-points the link (and its wire server) at the Simulator lane that
   /// owns its transmitting end. Only legal before the simulation runs.
@@ -67,8 +73,10 @@ class Link {
 
   /// Queues `p` for transmission. Returns the time serialisation finishes
   /// (the sender's transmit channel frees up); delivery happens one
-  /// propagation delay later.
-  sim::SimTime transmit(Packet p);
+  /// propagation delay later. The handle travels in the delivery event and
+  /// is handed to the receiver; a dropped packet is recycled here.
+  sim::SimTime transmit(PacketPtr p);
+  sim::SimTime transmit(const Packet& p) { return transmit(make_packet(p)); }
 
   /// Fault injection: drop each packet with probability `prob`.
   void set_drop_probability(double prob, std::uint64_t seed = 1) {

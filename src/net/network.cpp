@@ -49,11 +49,11 @@ void Network::connect_terminal(NodeId terminal, int switch_id, std::size_t port)
 
   // Uplink delivers into the switch; downlink hangs off the switch port.
   Switch* swp = &sw;
-  t.up->set_deliver([swp](Packet p) { swp->accept(std::move(p)); });
+  t.up->set_deliver([swp](PacketPtr p) { swp->accept(std::move(p)); });
   sw.attach_out(port, t.down);
   NodeId tid = terminal;
   Network* self = this;
-  t.down->set_deliver([self, tid](Packet p) {
+  t.down->set_deliver([self, tid](PacketPtr p) {
     Terminal& dst = self->terminals_.at(tid);
     if (dst.deliver) dst.deliver(std::move(p));
   });
@@ -75,8 +75,8 @@ void Network::connect_switches(int switch_a, std::size_t port_a, int switch_b,
   b.attach_out(port_b, ba);
   Switch* bp = &b;
   Switch* ap = &a;
-  ab->set_deliver([bp](Packet p) { bp->accept(std::move(p)); });
-  ba->set_deliver([ap](Packet p) { ap->accept(std::move(p)); });
+  ab->set_deliver([bp](PacketPtr p) { bp->accept(std::move(p)); });
+  ba->set_deliver([ap](PacketPtr p) { ap->accept(std::move(p)); });
 
   switch_adj_[static_cast<std::size_t>(switch_a)].push_back(
       SwitchEdge{switch_b, static_cast<std::uint8_t>(port_a)});
@@ -182,15 +182,15 @@ sim::Duration Network::path_time(NodeId src, NodeId dst, std::int64_t payload_by
   return t;
 }
 
-sim::SimTime Network::inject(Packet p) {
+sim::SimTime Network::inject(PacketPtr p) {
   assert(finalized_);
-  Terminal& t = terminals_.at(p.src_node);
-  p.route = route(p.src_node, p.dst_node);
-  p.hop = 0;
+  Terminal& t = terminals_.at(p->src_node);
+  p->route = route(p->src_node, p->dst_node);
+  p->hop = 0;
   // The uplink is bound to the injecting node's lane, so its clock — not
   // the build lane's — is the packet's entry timestamp.
-  p.injected_at = t.up->sim().now();
-  if (p.id == 0) p.id = allocate_packet_id(p.src_node);
+  p->injected_at = t.up->sim().now();
+  if (p->id == 0) p->id = allocate_packet_id(p->src_node);
   injected_.fetch_add(1, std::memory_order_relaxed);
   return t.up->transmit(std::move(p));
 }

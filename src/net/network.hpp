@@ -36,7 +36,7 @@ struct PartitionMap {
 
 class Network {
  public:
-  using DeliverFn = std::function<void(Packet)>;
+  using DeliverFn = std::function<void(PacketPtr)>;
 
   explicit Network(sim::Simulator& sim, LinkParams link_params = {},
                    SwitchParams switch_params = {})
@@ -65,14 +65,24 @@ class Network {
 
   // --- Use -------------------------------------------------------------------
 
+  /// Sets `terminal`'s receiver; it takes ownership of each delivered
+  /// packet handle (the one the sender injected).
   void set_deliver(NodeId terminal, DeliverFn fn);
+  /// By-value receiver, for callers that only inspect packets (the unit
+  /// tests): `fn` gets a copy, and the handle is recycled when it returns.
+  void set_deliver(NodeId terminal, std::function<void(Packet)> fn) {
+    set_deliver(terminal, DeliverFn([fn = std::move(fn)](PacketPtr p) { fn(*p); }));
+  }
 
-  /// Injects `p` from its src_node terminal: stamps the route and id, then
-  /// transmits on the terminal's uplink. Returns the time the sender's
-  /// transmit channel frees up.
-  sim::SimTime inject(Packet p);
+  /// Injects `p` from its src_node terminal: points it at the route entry,
+  /// stamps the id, then transmits the handle on the terminal's uplink.
+  /// Returns the time the sender's transmit channel frees up.
+  sim::SimTime inject(PacketPtr p);
+  sim::SimTime inject(const Packet& p) { return inject(make_packet(p)); }
 
-  /// The precomputed route (switch output ports) from src to dst.
+  /// The precomputed route (switch output ports) from src to dst. The entry
+  /// is immutable and keeps its address for the Network's lifetime, so
+  /// packets carry a view of it rather than a copy.
   [[nodiscard]] const std::vector<std::uint8_t>& route(NodeId src, NodeId dst) const;
 
   /// Number of switch hops between two terminals.

@@ -1,14 +1,16 @@
 // Wire packet model.
 //
 // Myrinet is source-routed: the sending NIC prepends one routing byte per
-// switch hop and each switch strips its byte and forwards. We keep the route
-// as an explicit vector of output-port indices plus a hop cursor. Packets are
-// small value objects passed by move through the fabric.
+// switch hop and each switch strips its byte and forwards. A packet views
+// the fabric's immutable route entry (output-port indices) and carries a hop
+// cursor. Packets are trivially copyable values; on the simulated fabric
+// they travel in a uniquely owned, recycled PacketPtr (see make_packet).
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "sim/time.hpp"
 
@@ -117,7 +119,10 @@ struct Packet {
   bool rma_ok = true;
 
   // Source route: output port to take at each switch, plus the hop cursor.
-  std::vector<std::uint8_t> route;
+  // A view of the Network's route entry, which is immutable and address-
+  // stable once computed (the all-pairs table or a route-cache node), so
+  // stamping a packet copies no bytes.
+  std::span<const std::uint8_t> route;
   std::size_t hop = 0;
 
   sim::SimTime injected_at{0};  // set by the fabric when the packet enters
@@ -141,5 +146,21 @@ struct Packet {
 
   [[nodiscard]] std::string describe() const;
 };
+
+/// Returns a packet's storage to the releasing thread's free list.
+struct PacketRecycler {
+  void operator()(Packet* p) const noexcept;
+};
+
+/// Uniquely owned, recycled packet: the handle one packet's trip SEND ->
+/// links/switches -> RECV -> firmware is carried in, moved from closure to
+/// closure, so no stage copies or allocates. Free lists are thread_local
+/// (lanes of a partitioned run never contend); a packet released on another
+/// thread than it was taken on simply joins that thread's list.
+using PacketPtr = std::unique_ptr<Packet, PacketRecycler>;
+
+/// A recycled handle holding a copy of `p` (a blank packet by default).
+/// Allocates only when the calling thread's free list is empty.
+[[nodiscard]] PacketPtr make_packet(const Packet& p = Packet{});
 
 }  // namespace nicbar::net

@@ -1,19 +1,17 @@
 #include "net/xswitch.hpp"
 
-#include <memory>
-
 #include "sim/causal.hpp"
 #include "sim/check.hpp"
 
 namespace nicbar::net {
 
-void Switch::accept(Packet p) {
+void Switch::accept(PacketPtr p) {
   ++accepted_;
-  if (p.hop >= p.route.size()) {
+  if (p->hop >= p->route.size()) {
     ++misrouted_;  // ran out of route bytes: drop (would be a CRC error on hw)
     return;
   }
-  const std::uint8_t port = p.route[p.hop++];
+  const std::uint8_t port = p->route[p->hop++];
   if (port >= out_.size() || out_[port] == nullptr) {
     ++misrouted_;
     return;
@@ -24,17 +22,15 @@ void Switch::accept(Packet p) {
   }
   ++forwarded_;
   Link* link = out_[port];
-  auto packet = std::make_shared<Packet>(std::move(p));
   if (causal_ != nullptr) {
-    packet->causal =
-        causal_->record(sim::causal::Segment::kSwitch, packet->dst_node, "route",
-                        sim_->now(), sim_->now() + params_.routing_latency, packet->causal,
-                        0, packet->id);
+    p->causal = causal_->record(sim::causal::Segment::kSwitch, p->dst_node, "route",
+                                sim_->now(), sim_->now() + params_.routing_latency, p->causal,
+                                0, p->id);
   }
   ++in_pipeline_;
-  sim_->schedule_in(params_.routing_latency, [this, link, packet]() mutable {
+  sim_->schedule_in(params_.routing_latency, [this, link, p = std::move(p)]() mutable {
     --in_pipeline_;
-    link->transmit(std::move(*packet));
+    link->transmit(std::move(p));
   });
 }
 

@@ -45,8 +45,9 @@ class Switch {
 
   [[nodiscard]] Link* out_link(std::size_t port) const { return out_.at(port); }
 
-  /// A packet's head has arrived: consume the next route byte and forward.
-  void accept(Packet p);
+  /// A packet's head has arrived: consume the next route byte and forward
+  /// the handle to the output link after the routing latency.
+  void accept(PacketPtr p);
 
   /// Attaches a causal tracer: every forwarded packet gains a kSwitch span
   /// covering the routing latency. Nullptr detaches (default, zero-cost).

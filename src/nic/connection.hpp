@@ -9,9 +9,12 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
+#include <utility>
 
 #include "net/packet.hpp"
 #include "nic/tokens.hpp"
@@ -43,11 +46,39 @@ struct SentRecord {
   bool retransmitted = false;     // Karn's rule: ambiguous RTT, never sample
 };
 
+/// FIFO of sent records that allocates nothing until its first push.
+/// libstdc++'s std::deque allocates a map and a node even when empty, and
+/// most connections never queue anything: a 4096-node PE run opens 49 152
+/// connections, all of them on the unreliable barrier path.
+class SentList {
+ public:
+  using iterator = std::deque<SentRecord>::iterator;
+
+  [[nodiscard]] bool empty() const { return q_ == nullptr || q_->empty(); }
+  [[nodiscard]] std::size_t size() const { return q_ == nullptr ? 0 : q_->size(); }
+  [[nodiscard]] SentRecord& front() { return q_->front(); }
+  void push_back(SentRecord r) {
+    if (q_ == nullptr) q_ = std::make_unique<std::deque<SentRecord>>();
+    q_->push_back(std::move(r));
+  }
+  void pop_front() { q_->pop_front(); }
+  void clear() {
+    if (q_ != nullptr) q_->clear();
+  }
+  // Value-initialised deque iterators compare equal, so an unallocated list
+  // iterates as empty.
+  [[nodiscard]] iterator begin() { return q_ == nullptr ? iterator{} : q_->begin(); }
+  [[nodiscard]] iterator end() { return q_ == nullptr ? iterator{} : q_->end(); }
+
+ private:
+  std::unique_ptr<std::deque<SentRecord>> q_;
+};
+
 struct Connection {
   // --- Reliability stream (data + shared-stream barrier packets) -----------
   std::uint32_t next_send_seq = 1;
   std::uint32_t next_expected_seq = 1;
-  std::deque<SentRecord> sent_list;
+  SentList sent_list;
   sim::EventId retransmit_timer;
   int retransmissions = 0;
   bool nack_outstanding = false;  // one NACK per out-of-order episode
@@ -65,7 +96,7 @@ struct Connection {
   // --- Separate barrier-reliability stream (BarrierReliability::kSeparateAcks)
   std::uint32_t next_barrier_send_seq = 1;
   std::uint32_t next_expected_barrier_seq = 1;
-  std::deque<SentRecord> barrier_sent_list;
+  SentList barrier_sent_list;
   sim::EventId barrier_retransmit_timer;
   int barrier_retransmissions = 0;
   bool barrier_nack_outstanding = false;

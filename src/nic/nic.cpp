@@ -45,7 +45,7 @@ Nic::Nic(sim::Simulator& sim, net::Network& net, NodeId node, NicConfig config,
       slots_(config_.barrier_slots) {}
 
 void Nic::trace(sim::TraceCategory cat, const char* fmt, ...) {
-  if (tracer_ == nullptr || !tracer_->on(cat)) return;
+  assert(tracing(cat) && "trace() is reached only through NICBAR_NIC_TRACE");
   char body[400];
   va_list ap;
   va_start(ap, fmt);
@@ -84,7 +84,7 @@ constexpr sim::TraceCategory engine_category(McpEngine e) {
 }  // namespace
 
 sim::SimTime Nic::engine_submit(McpEngine engine, const char* job, std::int64_t cycles,
-                                std::function<void()> on_done, std::uint64_t trace_id) {
+                                sim::SmallFn on_done, std::uint64_t trace_id) {
   const auto i = static_cast<std::size_t>(engine);
   ++engines_.jobs[i];
   engines_.cycles[i] += cycles;
@@ -97,8 +97,8 @@ sim::SimTime Nic::engine_submit(McpEngine engine, const char* job, std::int64_t 
   return end;
 }
 
-sim::SimTime Nic::pci_submit(const char* job, sim::Duration service,
-                             std::function<void()> on_done, std::uint64_t trace_id) {
+sim::SimTime Nic::pci_submit(const char* job, sim::Duration service, sim::SmallFn on_done,
+                             std::uint64_t trace_id) {
   const sim::SimTime end = pci_.submit(service, std::move(on_done));
   if (tsink_ != nullptr) {
     tsink_->duration(pci_track_, job, end - service, service, "pci",
@@ -190,16 +190,17 @@ bool Nic::is_port_open(PortId p) const { return port(p).open; }
 bool Nic::slot_allocate(std::uint64_t group, PortId p) {
   if (group == 0) throw std::invalid_argument("group id 0 is the reserved anonymous group");
   const bool ok = slots_.allocate(group, p);
-  trace(sim::TraceCategory::kBarrier, "slot %s group=%llu port=%u (%d/%d in use)",
-        ok ? "alloc" : "REJECT", static_cast<unsigned long long>(group), p, slots_.in_use(),
-        slots_.capacity());
+  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "slot %s group=%llu port=%u (%d/%d in use)",
+                   ok ? "alloc" : "REJECT", static_cast<unsigned long long>(group), p,
+                   slots_.in_use(), slots_.capacity());
   return ok;
 }
 
 void Nic::slot_free(std::uint64_t group, PortId p) {
   slots_.release(group, p);
-  trace(sim::TraceCategory::kBarrier, "slot free group=%llu port=%u (%d/%d in use)",
-        static_cast<unsigned long long>(group), p, slots_.in_use(), slots_.capacity());
+  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "slot free group=%llu port=%u (%d/%d in use)",
+                   static_cast<unsigned long long>(group), p, slots_.in_use(),
+                   slots_.capacity());
 }
 
 bool Nic::slot_bound(std::uint64_t group, PortId p) const { return slots_.bound(group, p); }
@@ -250,10 +251,10 @@ void Nic::sdma_fragment(SendToken token, std::uint16_t index, std::uint16_t frag
           p.value = token.value;
           p.frag_index = index;
           p.frag_count = frag_count;
-          trace(sim::TraceCategory::kSdma, "prepared %s frag %u/%u", p.describe().c_str(),
-                index + 1, frag_count);
+          NICBAR_NIC_TRACE(sim::TraceCategory::kSdma, "prepared %s frag %u/%u",
+                           p.describe().c_str(), index + 1, frag_count);
           const bool last = index + 1 == frag_count;
-          enqueue_reliable(std::move(p), last ? std::move(token.on_sent) : nullptr);
+          enqueue_reliable(p, last ? std::move(token.on_sent) : nullptr);
           if (!last) sdma_fragment(std::move(token), static_cast<std::uint16_t>(index + 1),
                                    frag_count);
         });
@@ -287,14 +288,14 @@ void Nic::post_multicast_token(MulticastToken token) {
               p.payload_bytes = tok->bytes;
               p.tag = tok->tag;
               p.value = tok->value;
-              enqueue_reliable(std::move(p), nullptr);
+              enqueue_reliable(p, nullptr);
             });
           }
         });
       });
 }
 
-void Nic::enqueue_reliable(Packet p, std::function<void()> on_sent) {
+void Nic::enqueue_reliable(const Packet& p, std::function<void()> on_sent) {
   Connection& c = conn(p.dst_node);
   if (c.dead) {
     // The peer was declared dead: reliable traffic to it is discarded (the
@@ -302,18 +303,22 @@ void Nic::enqueue_reliable(Packet p, std::function<void()> on_sent) {
     ++stats_.dead_peer_drops;
     return;
   }
-  p.seq = c.next_send_seq++;
-  c.sent_list.push_back(SentRecord{p, std::move(on_sent), sim_.now(), false});
+  net::PacketPtr packet = net::make_packet(p);
+  packet->seq = c.next_send_seq++;
+  c.sent_list.push_back(SentRecord{*packet, std::move(on_sent), sim_.now(), false});
   arm_retransmit(p.dst_node);
   ++stats_.data_sent;
-  transmit(std::move(p));
+  transmit(std::move(packet));
 }
 
-void Nic::transmit(Packet p, std::int64_t send_cycles_override) {
+void Nic::transmit(net::PacketPtr packet, std::int64_t send_cycles_override) {
   if (crashed_) {
     ++stats_.tx_dropped_crashed;
     return;
   }
+  // The job below takes the handle; `p` stays valid until the job runs,
+  // which is after this function returns.
+  Packet& p = *packet;
   // Stamp the fabric-unique id here (not at injection) so loopback packets
   // and the SEND-side trace flow event carry it too.
   if (p.id == 0) p.id = net_.allocate_packet_id(node_);
@@ -329,45 +334,47 @@ void Nic::transmit(Packet p, std::int64_t send_cycles_override) {
     breakdown_wire(Endpoint{p.dst_node, p.dst_port}, p.barrier_epoch,
                    net_.path_time(node_, p.dst_node, p.payload_bytes));
   }
-  auto packet = std::make_shared<Packet>(std::move(p));
-  const sim::SimTime end =
-      engine_submit(McpEngine::kSend, "tx", cost, [this, packet]() mutable {
+  const sim::SimTime end = engine_submit(
+      McpEngine::kSend, "tx", cost,
+      [this, packet = std::move(packet)]() mutable {
         if (packet->dst_node == node_) {
           // Same-NIC delivery: skip the fabric, model a short internal turnaround.
-          Packet copy = *packet;
           sim_.schedule_in(proc_.cycles(config_.send_cycles),
-                           [this, pkt = std::move(copy)]() mutable { rx_packet(std::move(pkt)); });
+                           [this, pkt = std::move(packet)]() mutable {
+                             rx_packet(std::move(pkt));
+                           });
           return;
         }
-        trace(sim::TraceCategory::kSend, "tx %s", packet->describe().c_str());
-        net_.inject(std::move(*packet));
-      }, packet->id);
+        NICBAR_NIC_TRACE(sim::TraceCategory::kSend, "tx %s", packet->describe().c_str());
+        net_.inject(std::move(packet));
+      },
+      p.id);
   if (causal_ != nullptr) {
     // The packet's causal chain now ends at this SEND-engine span; wire and
     // switch hops extend it in flight.
-    packet->causal = causal_engine_span(sim::causal::Segment::kSend, "tx", end, cost,
-                                        packet->causal);
+    p.causal = causal_engine_span(sim::causal::Segment::kSend, "tx", end, cost, p.causal);
   }
-  if (tsink_ != nullptr && !net::is_control(packet->type) && packet->id != 0) {
+  if (tsink_ != nullptr && !net::is_control(p.type) && p.id != 0) {
     tsink_->flow_start(engine_track_[static_cast<std::size_t>(McpEngine::kSend)], "pkt",
-                       end - proc_.cycles(cost), packet->id, "nic",
-                       sim::TraceCategory::kSend);
+                       end - proc_.cycles(cost), p.id, "nic", sim::TraceCategory::kSend);
   }
 }
 
-void Nic::send_control(Packet p) {
+void Nic::send_control(const Packet& p) {
   // Acks/nacks are small unsequenced control packets prepared by RDMA/SEND.
-  transmit(std::move(p));
+  transmit(net::make_packet(p));
 }
 
 // --- RECV dispatch --------------------------------------------------------------------
 
-void Nic::rx_packet(Packet p) {
+void Nic::rx_packet(net::PacketPtr packet) {
   if (crashed_) {
     // The LANai processor is halted: the packet dies at the port.
     ++stats_.rx_dropped_crashed;
     return;
   }
+  // The RECV job below takes the handle; `p` stays valid until it runs.
+  Packet& p = *packet;
   if (p.corrupted) {
     // The CRC check runs after the whole packet has streamed in, so the
     // RECV engine pays its full occupancy before discarding.
@@ -381,8 +388,7 @@ void Nic::rx_packet(Packet p) {
     ++stats_.dead_peer_drops;
     return;
   }
-  auto packet = std::make_shared<Packet>(std::move(p));
-  switch (packet->type) {
+  switch (p.type) {
     // RMA payloads share the kData receive path end-to-end: same RECV
     // occupancy, same sequence check, same go-back-N — the stream is where
     // their ordering guarantee comes from. They fork off only at
@@ -392,38 +398,37 @@ void Nic::rx_packet(Packet p) {
     case PacketType::kRmaCas:
     case PacketType::kRmaReply:
     case PacketType::kData: {
-      const sim::SimTime end =
-          engine_submit(McpEngine::kRecv, "rx_data", config_.recv_cycles,
-                        [this, packet]() mutable { recv_data(std::move(*packet)); },
-                        packet->id);
+      const sim::SimTime end = engine_submit(
+          McpEngine::kRecv, "rx_data", config_.recv_cycles,
+          [this, packet = std::move(packet)]() mutable { recv_data(std::move(packet)); }, p.id);
       if (causal_ != nullptr) {
-        packet->causal = causal_engine_span(sim::causal::Segment::kRecv, "rx_data", end,
-                                            config_.recv_cycles, packet->causal);
+        p.causal = causal_engine_span(sim::causal::Segment::kRecv, "rx_data", end,
+                                      config_.recv_cycles, p.causal);
       }
-      if (tsink_ != nullptr && packet->id != 0) {
+      if (tsink_ != nullptr && p.id != 0) {
         tsink_->flow_end(engine_track_[static_cast<std::size_t>(McpEngine::kRecv)], "pkt",
-                         end - proc_.cycles(config_.recv_cycles), packet->id, "nic",
+                         end - proc_.cycles(config_.recv_cycles), p.id, "nic",
                          sim::TraceCategory::kRecv);
       }
       break;
     }
     case PacketType::kAck: {
-      const sim::SimTime end = engine_submit(McpEngine::kRecv, "rx_ack",
-                                             config_.recv_ack_cycles,
-                                             [this, packet] { recv_ack(*packet); }, packet->id);
+      const sim::SimTime end = engine_submit(
+          McpEngine::kRecv, "rx_ack", config_.recv_ack_cycles,
+          [this, packet = std::move(packet)] { recv_ack(*packet); }, p.id);
       if (causal_ != nullptr) {
         causal_engine_span(sim::causal::Segment::kRecv, "rx_ack", end,
-                           config_.recv_ack_cycles, packet->causal);
+                           config_.recv_ack_cycles, p.causal);
       }
       break;
     }
     case PacketType::kNack: {
-      const sim::SimTime end = engine_submit(McpEngine::kRecv, "rx_nack",
-                                             config_.recv_ack_cycles,
-                                             [this, packet] { recv_nack(*packet); }, packet->id);
+      const sim::SimTime end = engine_submit(
+          McpEngine::kRecv, "rx_nack", config_.recv_ack_cycles,
+          [this, packet = std::move(packet)] { recv_nack(*packet); }, p.id);
       if (causal_ != nullptr) {
         causal_engine_span(sim::causal::Segment::kRecv, "rx_nack", end,
-                           config_.recv_ack_cycles, packet->causal);
+                           config_.recv_ack_cycles, p.causal);
       }
       break;
     }
@@ -431,40 +436,40 @@ void Nic::rx_packet(Packet p) {
     case PacketType::kBarrierGather:
     case PacketType::kBarrierBcast:
       // RECV's per-packet cycles are on the barrier's critical path.
-      breakdown_nic(packet->dst_port, packet->barrier_epoch, config_.recv_cycles);
+      breakdown_nic(p.dst_port, p.barrier_epoch, config_.recv_cycles);
       [[fallthrough]];
     case PacketType::kReduceUp:
     case PacketType::kReduceDown: {
-      const sim::SimTime end =
-          engine_submit(McpEngine::kRecv, "rx_barrier", config_.recv_cycles,
-                        [this, packet]() mutable { barrier_rx(std::move(*packet)); },
-                        packet->id);
+      const sim::SimTime end = engine_submit(
+          McpEngine::kRecv, "rx_barrier", config_.recv_cycles,
+          [this, packet = std::move(packet)]() mutable { barrier_rx(std::move(packet)); }, p.id);
       if (causal_ != nullptr) {
-        packet->causal = causal_engine_span(sim::causal::Segment::kRecv, "rx_barrier", end,
-                                            config_.recv_cycles, packet->causal);
+        p.causal = causal_engine_span(sim::causal::Segment::kRecv, "rx_barrier", end,
+                                      config_.recv_cycles, p.causal);
       }
-      if (tsink_ != nullptr && packet->id != 0) {
+      if (tsink_ != nullptr && p.id != 0) {
         tsink_->flow_end(engine_track_[static_cast<std::size_t>(McpEngine::kRecv)], "pkt",
-                         end - proc_.cycles(config_.recv_cycles), packet->id, "nic",
+                         end - proc_.cycles(config_.recv_cycles), p.id, "nic",
                          sim::TraceCategory::kRecv);
       }
       break;
     }
     case PacketType::kBarrierAck:
       engine_submit(McpEngine::kRecv, "rx_barrier_ack", config_.recv_ack_cycles,
-                    [this, packet] { barrier_recv_barrier_ack(*packet); });
+                    [this, packet = std::move(packet)] { barrier_recv_barrier_ack(*packet); });
       break;
     case PacketType::kBarrierNack:
       engine_submit(McpEngine::kRecv, "rx_barrier_nack", config_.recv_ack_cycles,
-                    [this, packet] { barrier_handle_nack(*packet); });
+                    [this, packet = std::move(packet)] { barrier_handle_nack(*packet); });
       break;
   }
 }
 
-void Nic::recv_data(Packet p) {
+void Nic::recv_data(net::PacketPtr packet) {
+  const Packet& p = *packet;
   Connection& c = conn(p.src_node);
-  trace(sim::TraceCategory::kRecv, "rx %s (expect seq=%u)", p.describe().c_str(),
-        c.next_expected_seq);
+  NICBAR_NIC_TRACE(sim::TraceCategory::kRecv, "rx %s (expect seq=%u)", p.describe().c_str(),
+                   c.next_expected_seq);
   if (p.seq == c.next_expected_seq) {
     // In-order. GM receive-side flow control: without a host buffer the
     // packet cannot be accepted; leave the stream position unchanged so the
@@ -481,7 +486,7 @@ void Nic::recv_data(Packet p) {
     ++c.next_expected_seq;
     c.nack_outstanding = false;
     send_ack(p.src_node);
-    accept_in_order(std::move(p));
+    accept_in_order(std::move(packet));
   } else if (p.seq < c.next_expected_seq) {
     ++stats_.duplicates_dropped;
     send_ack(p.src_node);  // re-ack so the sender can retire it
@@ -494,28 +499,27 @@ void Nic::recv_data(Packet p) {
   }
 }
 
-void Nic::accept_in_order(Packet p) {
+void Nic::accept_in_order(net::PacketPtr packet) {
+  Packet& p = *packet;  // the firmware job takes the handle; valid until it runs
   if (net::is_collective_payload(p.type)) {
     // Shared-stream mode: the barrier message passed the ordinary stream
     // check; now run the barrier firmware on it.
     const std::int64_t cost = p.type == PacketType::kBarrierPe
                                   ? config_.barrier_pe_cycles
                                   : config_.barrier_gb_cycles;
-    auto packet = std::make_shared<Packet>(std::move(p));
-    breakdown_nic(packet->dst_port, packet->barrier_epoch, cost);
-    const sim::SimTime end =
-        engine_submit(McpEngine::kRdma, "barrier_advance", cost,
-                      [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); },
-                      packet->id);
+    breakdown_nic(p.dst_port, p.barrier_epoch, cost);
+    const sim::SimTime end = engine_submit(
+        McpEngine::kRdma, "barrier_advance", cost,
+        [this, packet = std::move(packet)] { barrier_rx_in_order(*packet); }, p.id);
     if (causal_ != nullptr) {
-      packet->causal = causal_engine_span(sim::causal::Segment::kFirmware, "barrier_advance",
-                                          end, cost, packet->causal);
+      p.causal = causal_engine_span(sim::causal::Segment::kFirmware, "barrier_advance", end,
+                                    cost, p.causal);
     }
     return;
   }
   if (net::is_rma_payload(p.type)) {
     // One-sided ops terminate in the firmware, never in a host buffer.
-    rma_rx_in_order(std::move(p));
+    rma_rx_in_order(std::move(packet));
     return;
   }
   ++stats_.data_received;
@@ -523,7 +527,7 @@ void Nic::accept_in_order(Packet p) {
     ++stats_.closed_port_drops;
     return;
   }
-  deliver_to_host(std::move(p));
+  deliver_to_host(std::move(packet));
 }
 
 void Nic::recv_ack(const Packet& p) {
@@ -637,8 +641,9 @@ void Nic::retransmit_all(NodeId remote) {
   for (SentRecord& rec : c.sent_list) {
     rec.retransmitted = true;  // Karn: its ack can no longer be sampled
     ++stats_.retransmissions;
-    trace(sim::TraceCategory::kReliab, "retransmit %s", rec.packet.describe().c_str());
-    transmit(rec.packet);
+    NICBAR_NIC_TRACE(sim::TraceCategory::kReliab, "retransmit %s",
+                     rec.packet.describe().c_str());
+    transmit(net::make_packet(rec.packet));
   }
   if (!c.sent_list.empty()) arm_retransmit(remote);
 }
@@ -652,7 +657,8 @@ void Nic::declare_peer_dead(NodeId remote) {
   sim_.cancel(c.barrier_retransmit_timer);
   c.sent_list.clear();
   c.barrier_sent_list.clear();
-  trace(sim::TraceCategory::kReliab, "connection to %u failed (retries exhausted)", remote);
+  NICBAR_NIC_TRACE(sim::TraceCategory::kReliab, "connection to %u failed (retries exhausted)",
+                   remote);
   if (tsink_ != nullptr) tsink_->instant(fault_track_, "peer_dead", sim_.now(), "fault");
   GmEvent ev;
   ev.type = GmEventType::kPeerDead;
@@ -672,7 +678,7 @@ void Nic::crash() {
   if (crashed_) return;
   crashed_ = true;
   ++stats_.nic_crashes;
-  trace(sim::TraceCategory::kReliab, "crash");
+  NICBAR_NIC_TRACE(sim::TraceCategory::kReliab, "crash");
   if (tsink_ != nullptr) tsink_->instant(fault_track_, "crash", sim_.now(), "fault");
   // The firmware's timers die with the processor; connection bookkeeping
   // survives in host/NIC SRAM and is replayed by restart().
@@ -686,7 +692,7 @@ void Nic::restart() {
   if (!crashed_) return;
   crashed_ = false;
   ++stats_.nic_restarts;
-  trace(sim::TraceCategory::kReliab, "restart");
+  NICBAR_NIC_TRACE(sim::TraceCategory::kReliab, "restart");
   if (tsink_ != nullptr) tsink_->instant(fault_track_, "restart", sim_.now(), "fault");
   // Replay everything unacknowledged on both streams; the receiver's
   // duplicate suppression makes this safe.
@@ -708,7 +714,7 @@ void Nic::send_ack(NodeId remote) {
   a.dst_node = remote;
   a.ack = c.next_expected_seq - 1;  // cumulative: highest accepted
   ++stats_.acks_sent;
-  send_control(std::move(a));
+  send_control(a);
 }
 
 void Nic::send_nack(NodeId remote) {
@@ -719,12 +725,15 @@ void Nic::send_nack(NodeId remote) {
   a.dst_node = remote;
   a.ack = c.next_expected_seq;  // the sequence number we want next
   ++stats_.nacks_sent;
-  send_control(std::move(a));
+  send_control(a);
 }
 
 // --- RDMA ----------------------------------------------------------------------------------------
 
-void Nic::deliver_to_host(Packet p) {
+void Nic::deliver_to_host(net::PacketPtr packet) {
+  // The jobs below take the handle in turn; `p` stays valid until the last
+  // of them has run.
+  Packet& p = *packet;
   PortState& ps = port(p.dst_port);
   if (p.frag_index == 0) {
     // Fragment 0 (or a whole unfragmented message) claims the host buffer;
@@ -732,33 +741,39 @@ void Nic::deliver_to_host(Packet p) {
     assert(!ps.recv_tokens.empty());  // guaranteed by the recv_data token check
     ps.recv_tokens.pop_front();
   }
-  auto packet = std::make_shared<Packet>(std::move(p));
   const sim::SimTime setup_end = engine_submit(
-      McpEngine::kRdma, "rdma_setup", config_.rdma_setup_cycles, [this, packet] {
+      McpEngine::kRdma, "rdma_setup", config_.rdma_setup_cycles,
+      [this, packet = std::move(packet)]() mutable {
+        Packet& pk = *packet;
         const sim::Duration dma =
-            config_.pci_setup +
-            sim::transfer_time(packet->payload_bytes, config_.pci_bandwidth_mbps);
-        const sim::SimTime dma_end = pci_submit("rdma_dma", dma, [this, packet] {
-          // The host sees one event per *message*, on the final fragment.
-          if (packet->frag_index + 1 != packet->frag_count) return;
-          GmEvent ev;
-          ev.type = GmEventType::kRecv;
-          ev.peer = Endpoint{packet->src_node, packet->src_port};
-          ev.bytes = packet->frag_count == 1 ? packet->payload_bytes : packet->message_bytes;
-          ev.tag = packet->tag;
-          ev.value = packet->value;
-          ev.causal = packet->causal;
-          trace(sim::TraceCategory::kRdma, "deliver %s", packet->describe().c_str());
-          push_event(packet->dst_port, ev);
-        }, packet->id);
+            config_.pci_setup + sim::transfer_time(pk.payload_bytes, config_.pci_bandwidth_mbps);
+        const sim::SimTime dma_end = pci_submit(
+            "rdma_dma", dma,
+            [this, packet = std::move(packet)] {
+              // The host sees one event per *message*, on the final fragment.
+              if (packet->frag_index + 1 != packet->frag_count) return;
+              GmEvent ev;
+              ev.type = GmEventType::kRecv;
+              ev.peer = Endpoint{packet->src_node, packet->src_port};
+              ev.bytes =
+                  packet->frag_count == 1 ? packet->payload_bytes : packet->message_bytes;
+              ev.tag = packet->tag;
+              ev.value = packet->value;
+              ev.causal = packet->causal;
+              NICBAR_NIC_TRACE(sim::TraceCategory::kRdma, "deliver %s",
+                               packet->describe().c_str());
+              push_event(packet->dst_port, ev);
+            },
+            pk.id);
         if (causal_ != nullptr) {
-          packet->causal = causal_->record(sim::causal::Segment::kRdma, node_, "rdma_dma",
-                                           dma_end - dma, dma_end, packet->causal);
+          pk.causal = causal_->record(sim::causal::Segment::kRdma, node_, "rdma_dma",
+                                      dma_end - dma, dma_end, pk.causal);
         }
-      }, packet->id);
+      },
+      p.id);
   if (causal_ != nullptr) {
-    packet->causal = causal_engine_span(sim::causal::Segment::kRdma, "rdma_setup", setup_end,
-                                        config_.rdma_setup_cycles, packet->causal);
+    p.causal = causal_engine_span(sim::causal::Segment::kRdma, "rdma_setup", setup_end,
+                                  config_.rdma_setup_cycles, p.causal);
   }
 }
 

@@ -179,7 +179,9 @@ class Nic {
   // --- Network-facing interface -------------------------------------------------
 
   /// A packet head has fully arrived from the fabric (RECV engine entry).
-  void rx_packet(net::Packet p);
+  /// The handle is the one the sender injected; the firmware stages carry
+  /// it on and recycle it when the packet is consumed.
+  void rx_packet(net::PacketPtr p);
 
   // --- Fault injection ---------------------------------------------------------
 
@@ -289,11 +291,9 @@ class Nic {
   /// a span named `job` on the engine's trace track when a sink is attached.
   /// `trace_id` (a packet id or causal span id) is carried on the trace event.
   sim::SimTime engine_submit(McpEngine engine, const char* job, std::int64_t cycles,
-                             std::function<void()> on_done = nullptr,
-                             std::uint64_t trace_id = 0);
+                             sim::SmallFn on_done = {}, std::uint64_t trace_id = 0);
   /// Occupies the PCI bus for `service`; emits a span when a sink is attached.
-  sim::SimTime pci_submit(const char* job, sim::Duration service,
-                          std::function<void()> on_done = nullptr,
+  sim::SimTime pci_submit(const char* job, sim::Duration service, sim::SmallFn on_done = {},
                           std::uint64_t trace_id = 0);
   /// Records a causal span for an engine job that ended at `end` after
   /// `cycles` of processor time; returns 0 when causal tracing is detached.
@@ -308,21 +308,21 @@ class Nic {
   // --- SDMA / SEND ------------------------------------------------------------
   void sdma_start(SendToken token);
   void sdma_fragment(SendToken token, std::uint16_t index, std::uint16_t frag_count);
-  void enqueue_reliable(net::Packet p, std::function<void()> on_sent);
+  void enqueue_reliable(const net::Packet& p, std::function<void()> on_sent);
   /// SEND engine: cycles, then wire/loopback. `send_cycles_override` >= 0
   /// replaces the per-packet SEND charge (multidestination replication pays
   /// the per-copy header-rewrite cost, not a full packet preparation).
-  void transmit(net::Packet p, std::int64_t send_cycles_override = -1);
-  void send_control(net::Packet p);  // acks and nacks (unsequenced)
+  void transmit(net::PacketPtr p, std::int64_t send_cycles_override = -1);
+  void send_control(const net::Packet& p);  // acks and nacks (unsequenced)
 
   // --- RECV dispatch -------------------------------------------------------------
-  void recv_data(net::Packet p);
+  void recv_data(net::PacketPtr p);
   void recv_ack(const net::Packet& p);
   void recv_nack(const net::Packet& p);
-  void accept_in_order(net::Packet p);  // passed seq check (data or barrier)
+  void accept_in_order(net::PacketPtr p);  // passed seq check (data or barrier)
 
   // --- RDMA ---------------------------------------------------------------------------
-  void deliver_to_host(net::Packet p);
+  void deliver_to_host(net::PacketPtr p);
   void push_event(PortId port, GmEvent ev);
 
   // --- Reliability -------------------------------------------------------------------
@@ -341,8 +341,8 @@ class Nic {
 
   // --- Barrier firmware (nic_barrier.cpp) ------------------------------------------
   void barrier_start(BarrierToken token);                 // SDMA side
-  void barrier_rx(net::Packet p);                         // RDMA side
-  void barrier_rx_in_order(net::Packet p);                // after stream check
+  void barrier_rx(net::PacketPtr p);                      // RDMA side
+  void barrier_rx_in_order(const net::Packet& p);         // after stream check
   void barrier_record(const net::Packet& p, bool for_closed_port);
   void barrier_try_advance_pe(PortId local_port);
   void barrier_check_gather(PortId local_port);
@@ -357,32 +357,38 @@ class Nic {
   /// type, and for a release on the active token's family).
   [[nodiscard]] std::int64_t barrier_rx_cost(const net::Packet& p);
   void barrier_complete(PortId local_port);
-  void barrier_closed_port_arrival(net::Packet p);
+  void barrier_closed_port_arrival(const net::Packet& p);
   void barrier_send_nack(const net::Packet& original);
   void barrier_handle_nack(const net::Packet& p);
   void flush_closed_port_records(PortId opened_port);
   // Separate-ack barrier reliability:
   void barrier_enqueue_separate(net::Packet p, std::int64_t tx_cost = -1);
-  void barrier_recv_separate(net::Packet p);
+  void barrier_recv_separate(net::PacketPtr p);
   void barrier_recv_barrier_ack(const net::Packet& p);
   void arm_barrier_retransmit(NodeId remote);
   void barrier_retransmit_all(NodeId remote);
 
   // --- One-sided RMA firmware (nic_rma.cpp) -----------------------------------------
-  void rma_rx_in_order(net::Packet p);       // target/initiator, after seq check
-  void rma_apply(net::Packet p);             // target: put/get/cas at the firmware
+  void rma_rx_in_order(net::PacketPtr p);    // target/initiator, after seq check
+  void rma_apply(net::PacketPtr p);          // target: put/get/cas at the firmware
   void rma_reply(const net::Packet& request, std::int64_t value, bool ok);
-  void rma_absorb_reply(net::Packet p);      // initiator: notify the sink
+  void rma_absorb_reply(const net::Packet& p);  // initiator: notify the sink
 
   // --- Reduction firmware (nic_reduce.cpp) ------------------------------------------
   void reduce_start(ReduceToken token);
-  void reduce_rx_in_order(net::Packet p);               // dispatched by barrier_rx paths
+  void reduce_rx_in_order(const net::Packet& p);        // dispatched by barrier_rx paths
   void reduce_check_children(PortId local_port);
   void reduce_send(PortId local_port, Endpoint dst, net::PacketType type,
                    std::uint32_t epoch, std::int64_t value);
   void reduce_complete(PortId local_port, std::int64_t result);
   bool reduce_answer_nack(const net::Packet& p);        // §3.2 resend for reduce types
 
+  /// True when a tracer is attached and records `cat`. Call sites test it
+  /// (via NICBAR_NIC_TRACE) before evaluating any trace argument.
+  [[nodiscard]] bool tracing(sim::TraceCategory cat) const {
+    return tracer_ != nullptr && tracer_->on(cat);
+  }
+  /// Formats and emits one line; requires tracing(cat).
   void trace(sim::TraceCategory cat, const char* fmt, ...)
       __attribute__((format(printf, 3, 4)));
 
@@ -409,3 +415,11 @@ class Nic {
 };
 
 }  // namespace nicbar::nic
+
+/// Emits a Nic trace line from inside a Nic member. The arguments (packet
+/// describe() strings included) are evaluated only when `cat` is traced, so
+/// with tracing off every site is one untaken branch.
+#define NICBAR_NIC_TRACE(cat, ...)                   \
+  do {                                               \
+    if (tracing(cat)) trace(cat, __VA_ARGS__);       \
+  } while (0)

@@ -79,8 +79,8 @@ void Nic::barrier_start(BarrierToken token) {
                token.src_port, static_cast<unsigned long long>(token.group));
   ++stats_.barriers_started;
   const PortId p = token.src_port;
-  trace(sim::TraceCategory::kBarrier, "port %u: start %s barrier epoch=%u", p,
-        to_string(token.algorithm), token.epoch);
+  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "port %u: start %s barrier epoch=%u", p,
+                   to_string(token.algorithm), token.epoch);
   ps.active_barrier = std::make_unique<BarrierToken>(std::move(token));
   switch (ps.active_barrier->algorithm) {
     case BarrierAlgorithm::kPairwiseExchange:
@@ -111,34 +111,34 @@ std::int64_t Nic::barrier_rx_cost(const Packet& p) {
   return config_.barrier_gb_cycles;
 }
 
-void Nic::barrier_rx(Packet p) {
+void Nic::barrier_rx(net::PacketPtr packet) {
   // Runs after the RECV engine's per-packet cycles. Route by the configured
   // reliability mode, then pay the algorithm's bookkeeping cycles.
   switch (config_.barrier_reliability) {
     case BarrierReliability::kUnreliable: {
+      // The job takes the handle; `p` stays valid until it runs.
+      Packet& p = *packet;
       const std::int64_t cost = barrier_rx_cost(p);
-      auto packet = std::make_shared<Packet>(std::move(p));
-      breakdown_nic(packet->dst_port, packet->barrier_epoch, cost);
-      const sim::SimTime end =
-          engine_submit(McpEngine::kRdma, "barrier_advance", cost,
-                        [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); },
-                        packet->id);
-      packet->causal = causal_engine_span(sim::causal::Segment::kFirmware, "barrier_advance",
-                                          end, cost, packet->causal);
+      breakdown_nic(p.dst_port, p.barrier_epoch, cost);
+      const sim::SimTime end = engine_submit(
+          McpEngine::kRdma, "barrier_advance", cost,
+          [this, packet = std::move(packet)] { barrier_rx_in_order(*packet); }, p.id);
+      p.causal = causal_engine_span(sim::causal::Segment::kFirmware, "barrier_advance", end,
+                                    cost, p.causal);
       break;
     }
     case BarrierReliability::kSharedStream:
       // Same seq/ack stream as data: recv_data runs the stream check and
       // dispatches in-order barrier payloads back to barrier_rx_in_order.
-      recv_data(std::move(p));
+      recv_data(std::move(packet));
       break;
     case BarrierReliability::kSeparateAcks:
-      barrier_recv_separate(std::move(p));
+      barrier_recv_separate(std::move(packet));
       break;
   }
 }
 
-void Nic::barrier_rx_in_order(Packet p) {
+void Nic::barrier_rx_in_order(const Packet& p) {
   ++stats_.barrier_packets_received;
   // Group fence: a packet tagged with a managed group id is only admitted
   // while that group holds a slot for the destination port. Anything else is
@@ -148,22 +148,23 @@ void Nic::barrier_rx_in_order(Packet p) {
   // Legacy packets (group 0) bypass the fence entirely.
   if (p.group != 0 && !slots_.bound(p.group, p.dst_port)) {
     ++stats_.stale_group_fenced;
-    trace(sim::TraceCategory::kBarrier, "fenced stale %s (group=%llu has no slot)",
-          p.describe().c_str(), static_cast<unsigned long long>(p.group));
+    NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "fenced stale %s (group=%llu has no slot)",
+                     p.describe().c_str(), static_cast<unsigned long long>(p.group));
     return;
   }
   PortState& ps = port(p.dst_port);
   if (!ps.open) {
-    barrier_closed_port_arrival(std::move(p));
+    barrier_closed_port_arrival(p);
     return;
   }
   if (p.type == PacketType::kReduceUp || p.type == PacketType::kReduceDown) {
-    reduce_rx_in_order(std::move(p));
+    reduce_rx_in_order(p);
     return;
   }
   BarrierToken* tok = ps.active_barrier.get();
   const Endpoint src{p.src_node, p.src_port};
-  trace(sim::TraceCategory::kBarrier, "port %u: rx %s", p.dst_port, p.describe().c_str());
+  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "port %u: rx %s", p.dst_port,
+                   p.describe().c_str());
 
   switch (p.type) {
     case PacketType::kBarrierPe:
@@ -248,8 +249,8 @@ void Nic::barrier_record(const Packet& p, bool for_closed_port) {
   }
   c.set_bit(p.src_port, BarrierBitInfo{p.type, p.barrier_epoch, p.dst_port, for_closed_port,
                                        p.value, p.causal});
-  trace(sim::TraceCategory::kBarrier, "record unexpected %s%s", p.describe().c_str(),
-        for_closed_port ? " (closed port)" : "");
+  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "record unexpected %s%s",
+                   p.describe().c_str(), for_closed_port ? " (closed port)" : "");
 }
 
 // --- Pairwise exchange (§5.2) ----------------------------------------------------------
@@ -473,13 +474,14 @@ void Nic::barrier_send(PortId local_port, Endpoint dst, PacketType type, std::ui
     // §3.4 optimisation: same-NIC barrier message just sets the flag — no
     // wire, no SEND/RECV engines, only a short firmware hop.
     ++stats_.barrier_loopback_msgs;
-    auto packet = std::make_shared<Packet>(std::move(p));
-    breakdown_nic(packet->dst_port, epoch, config_.barrier_pe_cycles);
+    net::PacketPtr packet = net::make_packet(p);
+    Packet& queued = *packet;  // the job takes the handle; valid until it runs
+    breakdown_nic(queued.dst_port, epoch, config_.barrier_pe_cycles);
     const sim::SimTime end =
         engine_submit(McpEngine::kRdma, "loopback", config_.barrier_pe_cycles,
-                      [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); });
-    packet->causal = causal_engine_span(sim::causal::Segment::kFirmware, "loopback", end,
-                                        config_.barrier_pe_cycles, packet->causal);
+                      [this, packet = std::move(packet)] { barrier_rx_in_order(*packet); });
+    queued.causal = causal_engine_span(sim::causal::Segment::kFirmware, "loopback", end,
+                                       config_.barrier_pe_cycles, queued.causal);
     return;
   }
 
@@ -489,7 +491,7 @@ void Nic::barrier_send(PortId local_port, Endpoint dst, PacketType type, std::ui
   const std::int64_t tx_cost = mcast_copy ? config_.barrier_mcast_send_cycles : -1;
   switch (config_.barrier_reliability) {
     case BarrierReliability::kUnreliable:
-      transmit(std::move(p), tx_cost);
+      transmit(net::make_packet(p), tx_cost);
       break;
     case BarrierReliability::kSharedStream: {
       Connection& c = conn(p.dst_node);
@@ -500,7 +502,7 @@ void Nic::barrier_send(PortId local_port, Endpoint dst, PacketType type, std::ui
       p.seq = c.next_send_seq++;
       c.sent_list.push_back(SentRecord{p, nullptr, sim_.now(), false});
       arm_retransmit(p.dst_node);
-      transmit(std::move(p), tx_cost);
+      transmit(net::make_packet(p), tx_cost);
       break;
     }
     case BarrierReliability::kSeparateAcks:
@@ -525,8 +527,8 @@ void Nic::barrier_complete(PortId local_port) {
                sim_.now(), "port %u: completed epoch %u after already completing epoch %lld",
                local_port, epoch, static_cast<long long>(ps.last_completed_epoch));
   ps.last_completed_epoch = static_cast<std::int64_t>(epoch);
-  trace(sim::TraceCategory::kBarrier, "port %u: %s barrier epoch=%u complete", local_port,
-        to_string(tok->algorithm), epoch);
+  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "port %u: %s barrier epoch=%u complete",
+                   local_port, to_string(tok->algorithm), epoch);
   // Keep the completed token for §3.2 late-NACK resends.
   ps.last_barrier = std::move(ps.active_barrier);
 
@@ -538,23 +540,25 @@ void Nic::barrier_complete(PortId local_port) {
     const sim::Duration dma =
         config_.pci_setup + sim::transfer_time(8, config_.pci_bandwidth_mbps);
     breakdown_dma(local_port, epoch, dma);
-    auto dma_span = std::make_shared<std::uint64_t>(0);
-    const sim::SimTime dma_end = pci_submit("rdma_dma", dma,
-                                            [this, local_port, epoch, dma_span] {
+    // The completion event carries the DMA's own span, so record it (at the
+    // end time the job will get) before the job is submitted.
+    std::uint64_t dma_span = 0;
+    if (causal_ != nullptr) {
+      const sim::SimTime dma_end = pci_.next_completion(dma);
+      BarrierToken* t = port(local_port).last_barrier.get();
+      const std::uint64_t parent = t != nullptr && t->epoch == epoch ? t->causal : 0;
+      dma_span = causal_->record(sim::causal::Segment::kRdma, node_, "rdma_dma", dma_end - dma,
+                                 dma_end, parent);
+    }
+    pci_submit("rdma_dma", dma, [this, local_port, epoch, dma_span] {
       PortState& p = port(local_port);
       if (p.barrier_buffers > 0) --p.barrier_buffers;
       GmEvent ev;
       ev.type = GmEventType::kBarrierComplete;
       ev.barrier_epoch = epoch;
-      ev.causal = *dma_span;
+      ev.causal = dma_span;
       push_event(local_port, ev);
     });
-    if (causal_ != nullptr) {
-      BarrierToken* t = port(local_port).last_barrier.get();
-      const std::uint64_t parent = t != nullptr && t->epoch == epoch ? t->causal : 0;
-      *dma_span = causal_->record(sim::causal::Segment::kRdma, node_, "rdma_dma",
-                                  dma_end - dma, dma_end, parent);
-    }
   });
   if (causal_ != nullptr) {
     BarrierToken* t = ps.last_barrier.get();  // tok moved there above
@@ -565,7 +569,7 @@ void Nic::barrier_complete(PortId local_port) {
 
 // --- Closed-port handling (§3.2) -------------------------------------------------------------------
 
-void Nic::barrier_closed_port_arrival(Packet p) {
+void Nic::barrier_closed_port_arrival(const Packet& p) {
   ++stats_.closed_port_drops;
   switch (config_.closed_port_policy) {
     case ClosedPortPolicy::kClearOnOpen:
@@ -591,7 +595,7 @@ void Nic::barrier_send_nack(const Packet& original) {
   n.nacked_type = original.type;
   n.barrier_epoch = original.barrier_epoch;
   ++stats_.barrier_nacks_sent;
-  send_control(std::move(n));
+  send_control(n);
 }
 
 void Nic::flush_closed_port_records(PortId opened_port) {
@@ -660,8 +664,8 @@ void Nic::barrier_handle_nack(const Packet& p) {
   const PortId local_port = p.dst_port;
   const PacketType type = p.nacked_type;
   const std::uint32_t epoch = p.barrier_epoch;
-  trace(sim::TraceCategory::kBarrier, "port %u: resend %s to %u.%u after NACK", local_port,
-        net::to_string(type), peer.node, peer.port);
+  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "port %u: resend %s to %u.%u after NACK",
+                   local_port, net::to_string(type), peer.node, peer.port);
   sim_.schedule_in(config_.barrier_resend_delay, [this, local_port, peer, type, epoch] {
     if (!port(local_port).open) return;
     barrier_send(local_port, peer, type, epoch);
@@ -679,10 +683,12 @@ void Nic::barrier_enqueue_separate(Packet p, std::int64_t tx_cost) {
   p.barrier_seq = c.next_barrier_send_seq++;
   c.barrier_sent_list.push_back(SentRecord{p, nullptr, sim_.now(), false});
   arm_barrier_retransmit(p.dst_node);
-  transmit(std::move(p), tx_cost);
+  transmit(net::make_packet(p), tx_cost);
 }
 
-void Nic::barrier_recv_separate(Packet p) {
+void Nic::barrier_recv_separate(net::PacketPtr packet) {
+  // The job below takes the handle; `p` stays valid until it runs.
+  Packet& p = *packet;
   Connection& c = conn(p.src_node);
   Packet ack;
   ack.type = PacketType::kBarrierAck;
@@ -693,27 +699,25 @@ void Nic::barrier_recv_separate(Packet p) {
     ++c.next_expected_barrier_seq;
     c.barrier_nack_outstanding = false;
     ack.ack = c.next_expected_barrier_seq - 1;
-    send_control(std::move(ack));
+    send_control(ack);
     const std::int64_t cost = barrier_rx_cost(p);
-    auto packet = std::make_shared<Packet>(std::move(p));
-    breakdown_nic(packet->dst_port, packet->barrier_epoch, cost);
-    const sim::SimTime end =
-        engine_submit(McpEngine::kRdma, "barrier_advance", cost,
-                      [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); },
-                      packet->id);
-    packet->causal = causal_engine_span(sim::causal::Segment::kFirmware, "barrier_advance",
-                                        end, cost, packet->causal);
+    breakdown_nic(p.dst_port, p.barrier_epoch, cost);
+    const sim::SimTime end = engine_submit(
+        McpEngine::kRdma, "barrier_advance", cost,
+        [this, packet = std::move(packet)] { barrier_rx_in_order(*packet); }, p.id);
+    p.causal = causal_engine_span(sim::causal::Segment::kFirmware, "barrier_advance", end, cost,
+                                  p.causal);
   } else if (p.barrier_seq < c.next_expected_barrier_seq) {
     ++stats_.duplicates_dropped;
     ack.ack = c.next_expected_barrier_seq - 1;  // re-ack
-    send_control(std::move(ack));
+    send_control(ack);
   } else {
     // Out of order: drop; the cumulative ack + sender timer recover it.
     ++stats_.out_of_order_dropped;
     if (!c.barrier_nack_outstanding) {
       c.barrier_nack_outstanding = true;
       ack.ack = c.next_expected_barrier_seq - 1;
-      send_control(std::move(ack));
+      send_control(ack);
     }
   }
 }
@@ -768,7 +772,7 @@ void Nic::barrier_retransmit_all(NodeId remote) {
   for (SentRecord& rec : c.barrier_sent_list) {
     rec.retransmitted = true;
     ++stats_.retransmissions;
-    transmit(rec.packet);
+    transmit(net::make_packet(rec.packet));
   }
   if (!c.barrier_sent_list.empty()) arm_barrier_retransmit(remote);
 }
@@ -779,8 +783,8 @@ void Nic::cancel_barrier(PortId local_port) {
   PortState& ps = port(local_port);
   if (ps.active_barrier == nullptr || ps.active_barrier->completed) return;
   ++stats_.barriers_cancelled;
-  trace(sim::TraceCategory::kBarrier, "port %u: cancel barrier epoch=%u", local_port,
-        ps.active_barrier->epoch);
+  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "port %u: cancel barrier epoch=%u", local_port,
+                   ps.active_barrier->epoch);
   // Discard the parked token; whatever this member already contributed may
   // still complete peers, but no completion event will be raised here (and
   // any in-flight one is filtered by its epoch on the host side).

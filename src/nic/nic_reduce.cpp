@@ -66,13 +66,14 @@ void Nic::reduce_start(ReduceToken token) {
   ++stats_.reduces_started;
   token.acc = token.contribution;
   const PortId p = token.src_port;
-  trace(sim::TraceCategory::kBarrier, "port %u: start %s allreduce epoch=%u contrib=%lld", p,
-        to_string(token.op), token.epoch, static_cast<long long>(token.contribution));
+  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier,
+                   "port %u: start %s allreduce epoch=%u contrib=%lld", p, to_string(token.op),
+                   token.epoch, static_cast<long long>(token.contribution));
   ps.active_reduce = std::make_unique<ReduceToken>(std::move(token));
   reduce_check_children(p);
 }
 
-void Nic::reduce_rx_in_order(Packet p) {
+void Nic::reduce_rx_in_order(const Packet& p) {
   PortState& ps = port(p.dst_port);
   ReduceToken* tok = ps.active_reduce.get();
   const Endpoint src{p.src_node, p.src_port};
@@ -161,28 +162,28 @@ void Nic::reduce_send(PortId local_port, Endpoint dst, PacketType type, std::uin
 
   if (config_.barrier_loopback && dst.node == node_) {
     ++stats_.barrier_loopback_msgs;
-    auto packet = std::make_shared<Packet>(std::move(p));
-    engine_submit(McpEngine::kRdma, "loopback", config_.barrier_gb_cycles, [this, packet]() mutable {
-      ++stats_.barrier_packets_received;
-      if (!port(packet->dst_port).open) {
-        barrier_closed_port_arrival(std::move(*packet));
-        return;
-      }
-      reduce_rx_in_order(std::move(*packet));
-    });
+    engine_submit(McpEngine::kRdma, "loopback", config_.barrier_gb_cycles,
+                  [this, packet = net::make_packet(p)] {
+                    ++stats_.barrier_packets_received;
+                    if (!port(packet->dst_port).open) {
+                      barrier_closed_port_arrival(*packet);
+                      return;
+                    }
+                    reduce_rx_in_order(*packet);
+                  });
     return;
   }
 
   switch (config_.barrier_reliability) {
     case BarrierReliability::kUnreliable:
-      transmit(std::move(p));
+      transmit(net::make_packet(p));
       break;
     case BarrierReliability::kSharedStream: {
       Connection& c = conn(p.dst_node);
       p.seq = c.next_send_seq++;
       c.sent_list.push_back(SentRecord{p, nullptr});
       arm_retransmit(p.dst_node);
-      transmit(std::move(p));
+      transmit(net::make_packet(p));
       break;
     }
     case BarrierReliability::kSeparateAcks:
@@ -200,8 +201,9 @@ void Nic::reduce_complete(PortId local_port, std::int64_t result) {
   tok->acc = result;  // final value (used for kReduceDown resends)
   ++stats_.reduces_completed;
   const std::uint32_t epoch = tok->epoch;
-  trace(sim::TraceCategory::kBarrier, "port %u: allreduce epoch=%u complete, result=%lld",
-        local_port, epoch, static_cast<long long>(result));
+  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier,
+                   "port %u: allreduce epoch=%u complete, result=%lld", local_port, epoch,
+                   static_cast<long long>(result));
   ps.last_reduce = std::move(ps.active_reduce);
 
   engine_submit(McpEngine::kRdma, "rdma_setup", config_.rdma_setup_cycles,

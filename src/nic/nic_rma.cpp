@@ -58,9 +58,9 @@ void Nic::post_rma_token(RmaToken token) {
                           p.rma_op = token.op_id;
                           p.value = token.value;
                           p.rma_expected = token.expected;
-                          trace(sim::TraceCategory::kSdma, "rma prepared %s",
-                                p.describe().c_str());
-                          enqueue_reliable(std::move(p), nullptr);
+                          NICBAR_NIC_TRACE(sim::TraceCategory::kSdma, "rma prepared %s",
+                                           p.describe().c_str());
+                          enqueue_reliable(p, nullptr);
                         });
         };
         if (token.kind == RmaOpKind::kPut) {
@@ -83,7 +83,7 @@ void Nic::rma_register(PortId p, std::uint64_t segment, RmaMemory* mem) {
   std::deque<Packet> still_parked;
   for (Packet& parked : ps.rma_parked) {
     if (parked.rma_segment == segment) {
-      rma_rx_in_order(std::move(parked));
+      rma_rx_in_order(net::make_packet(parked));
     } else {
       still_parked.push_back(std::move(parked));
     }
@@ -93,23 +93,23 @@ void Nic::rma_register(PortId p, std::uint64_t segment, RmaMemory* mem) {
 
 void Nic::set_rma_sink(PortId p, RmaSink* sink) { port(p).rma_sink = sink; }
 
-void Nic::rma_rx_in_order(Packet p) {
+void Nic::rma_rx_in_order(net::PacketPtr packet) {
+  const Packet& p = *packet;  // the job takes the handle; valid until it runs
   if (p.type == PacketType::kRmaReply) {
-    auto packet = std::make_shared<Packet>(std::move(p));
     engine_submit(McpEngine::kRdma, "rma_reply", config_.rma_reply_cycles,
-                  [this, packet]() mutable { rma_absorb_reply(std::move(*packet)); },
-                  packet->id);
+                  [this, packet = std::move(packet)] { rma_absorb_reply(*packet); }, p.id);
     return;
   }
   std::int64_t cost = config_.rma_put_cycles;
   if (p.type == PacketType::kRmaGet) cost = config_.rma_get_cycles;
   if (p.type == PacketType::kRmaCas) cost = config_.rma_cas_cycles;
-  auto packet = std::make_shared<Packet>(std::move(p));
   engine_submit(McpEngine::kRdma, "rma_apply", cost,
-                [this, packet]() mutable { rma_apply(std::move(*packet)); }, packet->id);
+                [this, packet = std::move(packet)]() mutable { rma_apply(std::move(packet)); },
+                p.id);
 }
 
-void Nic::rma_apply(Packet p) {
+void Nic::rma_apply(net::PacketPtr packet) {
+  const Packet& p = *packet;  // a put/get job takes the handle; valid until it runs
   PortState& ps = port(p.dst_port);
   if (!ps.open) {
     ++stats_.closed_port_drops;
@@ -122,8 +122,8 @@ void Nic::rma_apply(Packet p) {
     // Registration race: the initiator's segment is constructed but ours is
     // not yet. Park; rma_register flushes in arrival order.
     ++stats_.rma_parked;
-    trace(sim::TraceCategory::kRdma, "rma park %s", p.describe().c_str());
-    ps.rma_parked.push_back(std::move(p));
+    NICBAR_NIC_TRACE(sim::TraceCategory::kRdma, "rma park %s", p.describe().c_str());
+    ps.rma_parked.push_back(p);
     return;
   }
   RmaMemory* mem = seg->second;
@@ -139,13 +139,13 @@ void Nic::rma_apply(Packet p) {
       const sim::Duration dma =
           config_.pci_setup +
           sim::transfer_time(p.payload_bytes, config_.pci_bandwidth_mbps);
-      auto packet = std::make_shared<Packet>(std::move(p));
-      pci_submit("rma_dma", dma, [this, packet, mem] {
+      pci_submit("rma_dma", dma, [this, packet = std::move(packet), mem] {
         ++stats_.rma_puts_applied;
         mem->write(packet->rma_index, packet->value);
-        trace(sim::TraceCategory::kRdma, "rma put applied %s", packet->describe().c_str());
+        NICBAR_NIC_TRACE(sim::TraceCategory::kRdma, "rma put applied %s",
+                         packet->describe().c_str());
         rma_reply(*packet, packet->value, true);
-      }, packet->id);
+      }, p.id);
       break;
     }
     case PacketType::kRmaGet: {
@@ -153,11 +153,10 @@ void Nic::rma_apply(Packet p) {
       const sim::Duration dma =
           config_.pci_setup +
           sim::transfer_time(p.payload_bytes, config_.pci_bandwidth_mbps);
-      auto packet = std::make_shared<Packet>(std::move(p));
-      pci_submit("rma_dma", dma, [this, packet, mem] {
+      pci_submit("rma_dma", dma, [this, packet = std::move(packet), mem] {
         ++stats_.rma_gets_served;
         rma_reply(*packet, mem->read(packet->rma_index), true);
-      }, packet->id);
+      }, p.id);
       break;
     }
     case PacketType::kRmaCas: {
@@ -188,17 +187,17 @@ void Nic::rma_reply(const Packet& request, std::int64_t value, bool ok) {
   r.rma_op = request.rma_op;
   r.value = value;
   r.rma_ok = ok;
-  enqueue_reliable(std::move(r), nullptr);
+  enqueue_reliable(r, nullptr);
 }
 
-void Nic::rma_absorb_reply(Packet p) {
+void Nic::rma_absorb_reply(const Packet& p) {
   PortState& ps = port(p.dst_port);
   if (!ps.open || ps.rma_sink == nullptr) {
     ++stats_.rma_rejected;
     return;
   }
   ++stats_.rma_replies;
-  trace(sim::TraceCategory::kRdma, "rma reply %s", p.describe().c_str());
+  NICBAR_NIC_TRACE(sim::TraceCategory::kRdma, "rma reply %s", p.describe().c_str());
   ps.rma_sink->rma_complete(p.rma_op, p.value, p.rma_ok);
 }
 

@@ -59,13 +59,26 @@ void BarrierSafetyMonitor::arrive(std::size_t m, SimTime when) {
 void BarrierSafetyMonitor::complete(std::size_t m, SimTime when) {
   // the barrier being completed
   const std::uint64_t k = completions_.at(m).load(std::memory_order_relaxed) + 1;
-  for (std::size_t j = 0; j < arrivals_.size(); ++j) {
-    const std::uint64_t a = arrivals_[j].load(std::memory_order_relaxed);
-    NICBAR_CHECK(a >= k, "coll.barrier-safety", when,
-                 "member %zu observed completion of barrier %llu before member %zu arrived "
-                 "(arrivals=%llu)",
-                 m, static_cast<unsigned long long>(k), j,
-                 static_cast<unsigned long long>(a));
+  std::uint64_t floor = arrival_floor_.load(std::memory_order_relaxed);
+  if (k > floor) {
+    // The cached floor no longer proves every member arrived at barrier k:
+    // rescan, checking each member in order (so the first straggler is the
+    // one reported), and raise the floor to the minimum seen. Arrivals never
+    // decrease, so any minimum ever observed stays a valid lower bound; the
+    // CAS keeps the floor monotone when lanes rescan concurrently.
+    std::uint64_t lowest = UINT64_MAX;
+    for (std::size_t j = 0; j < arrivals_.size(); ++j) {
+      const std::uint64_t a = arrivals_[j].load(std::memory_order_relaxed);
+      NICBAR_CHECK(a >= k, "coll.barrier-safety", when,
+                   "member %zu observed completion of barrier %llu before member %zu arrived "
+                   "(arrivals=%llu)",
+                   m, static_cast<unsigned long long>(k), j,
+                   static_cast<unsigned long long>(a));
+      if (a < lowest) lowest = a;
+    }
+    while (lowest > floor &&
+           !arrival_floor_.compare_exchange_weak(floor, lowest, std::memory_order_relaxed)) {
+    }
   }
   completions_[m].store(k, std::memory_order_relaxed);
   std::uint64_t cur = barriers_checked_.load(std::memory_order_relaxed);

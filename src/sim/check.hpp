@@ -120,6 +120,8 @@ class BarrierSafetyMonitor {
 
   /// Member `m` observed its next barrier completion at `when`. Throws
   /// InvariantViolation if any member has not yet arrived at that barrier.
+  /// O(1) amortised: a cached floor of the arrival counts answers most
+  /// calls; only a barrier index above the floor rescans all members.
   void complete(std::size_t m, SimTime when);
 
   [[nodiscard]] std::size_t members() const { return arrivals_.size(); }
@@ -143,6 +145,9 @@ class BarrierSafetyMonitor {
   std::vector<std::atomic<std::uint64_t>> arrivals_;
   std::vector<std::atomic<std::uint64_t>> completions_;
   std::atomic<std::uint64_t> barriers_checked_{0};
+  // Monotone lower bound on every member's arrival count (raised only by a
+  // full rescan); a completion of barrier k <= floor needs no scan.
+  std::atomic<std::uint64_t> arrival_floor_{0};
 };
 
 }  // namespace nicbar::sim::check

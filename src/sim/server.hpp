@@ -12,15 +12,18 @@
 //                 latency — the paper's LANai 4.3 vs 7.2 comparison.
 //
 // Both track utilisation statistics (busy time, jobs, total queueing delay).
+// A job's completion callback is a move-only sim::SmallFn handed straight to
+// the event queue, so a firmware job capturing a packet handle schedules
+// without allocating.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 
 #include "sim/check.hpp"
 #include "sim/simulator.hpp"
+#include "sim/small_fn.hpp"
 #include "sim/time.hpp"
 
 namespace nicbar::sim {
@@ -32,7 +35,7 @@ class BusyServer {
 
   /// Enqueues a job occupying the server for `service` time; `on_done` (may
   /// be null) runs when the job completes. Returns the completion time.
-  SimTime submit(Duration service, std::function<void()> on_done = nullptr) {
+  SimTime submit(Duration service, SmallFn on_done = {}) {
     const SimTime now = sim_->now();
     NICBAR_CHECK(!service.is_negative(), "sim.server", now,
                  "server '%s': negative service time %lld ps", name_.c_str(),
@@ -62,6 +65,12 @@ class BusyServer {
 
   /// Completion time of the last submitted job (server idle before any job).
   [[nodiscard]] SimTime free_at() const { return free_at_; }
+  /// Completion time a job of `service` would get if submitted now, so a
+  /// caller can capture its own end time in the job it is about to submit.
+  [[nodiscard]] SimTime next_completion(Duration service) const {
+    const SimTime now = sim_->now();
+    return (free_at_ > now ? free_at_ : now) + service;
+  }
   [[nodiscard]] bool busy() const { return free_at_ > sim_->now(); }
 
   [[nodiscard]] std::uint64_t jobs() const { return jobs_; }
@@ -95,7 +104,7 @@ class CycleServer {
       : server_(sim, std::move(name)), clock_mhz_(clock_mhz) {}
 
   /// Enqueues a firmware job costing `cycles` processor cycles.
-  SimTime submit_cycles(std::int64_t cycles, std::function<void()> on_done = nullptr) {
+  SimTime submit_cycles(std::int64_t cycles, SmallFn on_done = {}) {
     return server_.submit(cycles_at_mhz(cycles, clock_mhz_), std::move(on_done));
   }
 

@@ -2,7 +2,9 @@
 //
 // Hardware-model classes emit trace lines through a Tracer so that tests and
 // debugging sessions can watch packet/DMA/firmware activity. Tracing is off
-// by default and costs one branch per call site when disabled.
+// by default. A disabled site costs one branch only if it tests on() before
+// evaluating its arguments: the NIC's sites do (NICBAR_NIC_TRACE), so no
+// packet description is formatted while tracing is off.
 #pragma once
 
 #include <cstdarg>

@@ -114,5 +114,37 @@ TEST(InvariantTest, BarrierSafetyMonitorTracksEpochsIndependently) {
   EXPECT_NO_THROW(mon.complete(1, SimTime{6}));
 }
 
+TEST(InvariantTest, BarrierSafetyMonitorAtScaleStillCatchesTheFirstPrematureCompletion) {
+  // 1024 members through many clean barriers (the cached arrival floor
+  // answers almost every completion), then one member completes barrier 201
+  // while member 1000 is still inside barrier 200: the violation must fire
+  // on that very completion and name the same members a full scan would.
+  constexpr std::size_t kMembers = 1024;
+  constexpr int kBarriers = 200;
+  BarrierSafetyMonitor mon(kMembers);
+  for (int k = 0; k < kBarriers; ++k) {
+    for (std::size_t m = 0; m < kMembers; ++m) mon.arrive(m, SimTime{k * 100});
+    for (std::size_t m = 0; m < kMembers; ++m) mon.complete(m, SimTime{k * 100 + 50});
+  }
+  EXPECT_EQ(mon.barriers_checked(), static_cast<std::uint64_t>(kBarriers));
+  for (std::size_t m = 0; m < kMembers; ++m) {
+    if (m != 1000) mon.arrive(m, SimTime{kBarriers * 100});
+  }
+  try {
+    mon.complete(5, SimTime{kBarriers * 100 + 7});
+    FAIL() << "completion before member 1000 arrived must violate barrier safety";
+  } catch (const InvariantViolation& v) {
+    EXPECT_EQ(v.subsystem(), "coll.barrier-safety");
+    EXPECT_EQ(v.when(), SimTime{kBarriers * 100 + 7});
+    EXPECT_EQ(v.detail(),
+              "member 5 observed completion of barrier 201 before member 1000 arrived "
+              "(arrivals=200)");
+  }
+  EXPECT_EQ(mon.completions(5), static_cast<std::uint64_t>(kBarriers));
+  mon.arrive(1000, SimTime{kBarriers * 100 + 9});
+  EXPECT_NO_THROW(mon.complete(5, SimTime{kBarriers * 100 + 10}));
+  EXPECT_EQ(mon.barriers_checked(), static_cast<std::uint64_t>(kBarriers) + 1);
+}
+
 }  // namespace
 }  // namespace nicbar::sim::check

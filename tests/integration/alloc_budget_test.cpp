@@ -1,0 +1,138 @@
+// Heap-allocation budget of a steady-state barrier.
+//
+// This binary counts heap allocations and measures the ones one barrier
+// costs once a run is warm: the difference between a 1100-rep and a 100-rep
+// coll::run_barrier_experiment, divided by the 1000 extra barriers, so
+// cluster construction, port opening and member setup cancel out. A warm-up
+// run first fills this thread's recycled-packet free list, so both measured
+// runs start from the same pool.
+//
+// Plain builds count calls to a replacement global operator new. Under
+// AddressSanitizer or ThreadSanitizer the runtime owns operator new, so the
+// count comes from its allocation hook instead (every heap allocation, not
+// only operator new; in steady state the two agree).
+//
+// The budgets are a fifth of what each of the four 2001 variants at N = 16
+// allocated per barrier before packets travelled in recycled handles and
+// firmware jobs became move-only (NIC-PE 864, NIC-GB 459, host-PE 1762,
+// host-GB 829). Packet::describe() allocates its string, so a trace
+// argument evaluated with tracing off shows up here too.
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <ostream>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "coll/runner.hpp"
+#include "coll/sweep.hpp"
+#include "nic/config.hpp"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define NICBAR_SANITIZER_HEAP 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define NICBAR_SANITIZER_HEAP 1
+#endif
+#endif
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+#ifdef NICBAR_SANITIZER_HEAP
+
+extern "C" int __sanitizer_install_malloc_and_free_hooks(
+    void (*malloc_hook)(const volatile void*, std::size_t),
+    void (*free_hook)(const volatile void*));
+
+namespace {
+
+void count_allocation(const volatile void*, std::size_t) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+}
+void ignore_free(const volatile void*) {}
+
+[[maybe_unused]] const int g_hooks_installed =
+    __sanitizer_install_malloc_and_free_hooks(count_allocation, ignore_free);
+
+}  // namespace
+
+#else
+
+// GCC reports free() in a replacement operator delete as a new/free
+// mismatch; these replacements pair malloc with free by construction.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+
+#endif
+
+namespace nicbar::coll {
+namespace {
+
+struct Variant {
+  const char* name;
+  Location location;
+  nic::BarrierAlgorithm algorithm;
+  double parent_per_barrier;  // measured before the allocation-free packet path
+};
+
+void PrintTo(const Variant& v, std::ostream* os) { *os << v.name; }
+
+std::uint64_t allocations_for(const Variant& v, int reps) {
+  ExperimentParams params;
+  params.nodes = 16;
+  params.reps = reps;
+  params.spec = spec(v.location, v.algorithm, 4);
+  params.cluster.nic = nic::lanai43();
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const ExperimentResult r = run_barrier_experiment(params);
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(r.barrier_failures, 0u) << v.name;
+  EXPECT_EQ(r.stalled_members, 0u) << v.name;
+  return after - before;
+}
+
+class AllocBudgetTest : public ::testing::TestWithParam<Variant> {};
+
+TEST_P(AllocBudgetTest, SteadyStateBarrierAllocatesAFifthOfTheOldPath) {
+  const Variant& v = GetParam();
+  (void)allocations_for(v, 100);  // warm-up: fills the packet free list
+  const std::uint64_t short_run = allocations_for(v, 100);
+  const std::uint64_t long_run = allocations_for(v, 1100);
+  ASSERT_GE(long_run, short_run) << v.name;
+  const double per_barrier = static_cast<double>(long_run - short_run) / 1000.0;
+  RecordProperty("allocations_per_barrier", std::to_string(per_barrier));
+  std::printf("%s: %.1f allocations per barrier (budget %.1f)\n", v.name, per_barrier,
+              v.parent_per_barrier / 5.0);
+  EXPECT_LE(per_barrier, v.parent_per_barrier / 5.0)
+      << v.name << ": " << per_barrier << " allocations per steady-state barrier";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paper2001Variants, AllocBudgetTest,
+    ::testing::Values(
+        Variant{"nic_pe", Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange, 864},
+        Variant{"nic_gb4", Location::kNic, nic::BarrierAlgorithm::kGatherBroadcast, 459},
+        Variant{"host_pe", Location::kHost, nic::BarrierAlgorithm::kPairwiseExchange, 1762},
+        Variant{"host_gb4", Location::kHost, nic::BarrierAlgorithm::kGatherBroadcast, 829}),
+    [](const ::testing::TestParamInfo<Variant>& p) { return std::string(p.param.name); });
+
+}  // namespace
+}  // namespace nicbar::coll

@@ -66,7 +66,8 @@ TEST(LinkTest, RouteBytesCountOnTheWire) {
   lp.header_bytes = 16;
   Link link(sim, lp, "l");
   Packet p = small_packet(0);
-  p.route = {1, 2, 3};  // 3 route bytes
+  const std::vector<std::uint8_t> route{1, 2, 3};
+  p.route = route;  // 3 route bytes
   EXPECT_EQ(link.wire_time(p).ps(), sim::transfer_time(19, 160.0).ps());
 }
 
