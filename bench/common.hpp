@@ -17,10 +17,12 @@
 //                            instead of the current directory
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -155,8 +157,12 @@ class BenchSummary {
       const Row& r = rows_[i];
       out << "    {\"label\": \"" << json_escape(r.label) << "\", \"metrics\": {";
       for (std::size_t m = 0; m < r.metrics.size(); ++m) {
+        // Shortest decimal that parses back to the same double: lossless,
+        // so a trajectory diff sees drift in any digit.
+        char num[32];
+        const auto end = std::to_chars(num, num + sizeof num, r.metrics[m].second).ptr;
         out << (m == 0 ? "" : ", ") << '"' << json_escape(r.metrics[m].first)
-            << "\": " << r.metrics[m].second;
+            << "\": " << std::string_view(num, static_cast<std::size_t>(end - num));
       }
       out << "}}" << (i + 1 < rows_.size() ? ",\n" : "\n");
     }

@@ -1,8 +1,9 @@
 // Scalability extension (§8: "scalable fine-grained parallel computation"):
-// PE barrier latency up to 1024 nodes on a tree of 16-port switches, NIC vs
-// host. log2(N) growth means the NIC advantage compounds with size. The
-// whole (node-count x location) grid is one declarative sweep — the largest
-// runs dominate wall-clock, so NICBAR_JOBS pays off most here.
+// PE barrier latency up to 1024 nodes on a tree of 16-port switches (the
+// fat-tree with 15:1 oversubscription: 15 hosts and one uplink per leaf),
+// NIC vs host. log2(N) growth means the NIC advantage compounds with size.
+// The whole (node-count x location) grid is one declarative sweep — the
+// largest runs dominate wall-clock, so NICBAR_JOBS pays off most here.
 #include <cstdio>
 #include <vector>
 
@@ -19,8 +20,9 @@ int main() {
   for (const std::size_t n : node_counts) {
     for (const Location loc : {Location::kHost, Location::kNic}) {
       coll::ExperimentParams p = coll::experiment(nic::lanai43(), n, n >= 256 ? 20 : 100);
-      p.cluster.topology = host::Topology::kSwitchTree;
-      p.cluster.tree_radix = 16;
+      p.cluster.topology = host::Topology::kFatTree;
+      p.cluster.fabric_radix = 16;
+      p.cluster.fabric_oversub = 15;
       p.spec = coll::spec(loc, BarrierAlgorithm::kPairwiseExchange);
       plan.add(coll::variant_label(p), p);
     }

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "coll/sweep.hpp"
+#include "fabric/topology.hpp"
 #include "sim/check.hpp"
 #include "sim/random.hpp"
 #include "wl/spec.hpp"
@@ -49,6 +50,34 @@ const char* alg_name(nic::BarrierAlgorithm alg) {
 constexpr coll::Location kLocations[] = {coll::Location::kHost, coll::Location::kNic};
 constexpr nic::BarrierAlgorithm kAlgorithms[] = {nic::BarrierAlgorithm::kPairwiseExchange,
                                                  nic::BarrierAlgorithm::kGatherBroadcast};
+
+/// The topologies a case draws from, by index rather than enum order. The
+/// single switch stays at index 0, so its cases replay as they always have.
+constexpr host::Topology kTopologies[] = {host::Topology::kSingleSwitch,
+                                          host::Topology::kFatTree, host::Topology::kLeafSpine};
+
+host::Topology draw_topology(Rng& rng) { return kTopologies[rng.below(3)]; }
+
+/// For a fabric topology, draws radix in [3, 8] and oversubscription in
+/// [1, 3], re-drawing until the shape holds `nodes`. Draws nothing for the
+/// single switch. Call after every other draw of a case, so adding these
+/// draws leaves the single-switch cases unchanged.
+void draw_fabric_shape(Rng& rng, host::ClusterParams& c, std::size_t nodes) {
+  if (c.topology == host::Topology::kSingleSwitch) return;
+  const fabric::Kind kind = c.topology == host::Topology::kFatTree ? fabric::Kind::kFatTree
+                                                                   : fabric::Kind::kLeafSpine;
+  do {
+    c.fabric_radix = 3 + rng.below(6);
+    c.fabric_oversub = 1 + rng.below(3);
+  } while (fabric::capacity(kind, c.fabric_radix, c.fabric_oversub) < nodes);
+}
+
+std::string topology_summary(const host::ClusterParams& c) {
+  if (c.topology == host::Topology::kSingleSwitch) return "switch";
+  return fmt("%s(radix %zu, %zu:1)",
+             c.topology == host::Topology::kFatTree ? "fat-tree" : "leaf-spine", c.fabric_radix,
+             c.fabric_oversub);
+}
 
 // --- Deterministic metamorphic properties ----------------------------------
 
@@ -177,7 +206,7 @@ wl::WorkloadSpec random_spec(Rng& rng) {
   s.hist_max_us = static_cast<double>(1000 + rng.below(20000));
   s.cluster.nic = rng.chance(0.5) ? nic::lanai72() : nic::lanai43();
   s.cluster.nic.barrier_reliability = static_cast<nic::BarrierReliability>(rng.below(3));
-  s.cluster.topology = static_cast<host::Topology>(rng.below(3));
+  s.cluster.topology = draw_topology(rng);
   const std::size_t classes = 1 + rng.below(2);
   for (std::size_t i = 0; i < classes; ++i) {
     wl::JobClass c;
@@ -207,6 +236,7 @@ wl::WorkloadSpec random_spec(Rng& rng) {
     if (rng.chance(0.3)) c.deadline = microseconds(1000 + rng.below(1000));
     s.classes.push_back(std::move(c));
   }
+  draw_fabric_shape(rng, s.cluster, s.cluster_nodes);
   return s;
 }
 
@@ -324,7 +354,7 @@ std::uint64_t fuzz_case_seed(std::uint64_t suite_seed, std::size_t index) {
 coll::ExperimentParams generate_fuzz_case(std::uint64_t case_seed, std::string* summary) {
   Rng rng(case_seed);
   coll::ExperimentParams p;
-  p.nodes = 2 + rng.below(9);  // 2..10: covers pow2, odd folds, multi-switch
+  p.nodes = 2 + rng.below(9);  // 2..10: covers pow2, odd folds, partial leaves
   p.reps = 3 + static_cast<int>(rng.below(10));
   p.seed = case_seed | 1;
   p.spec.location = rng.chance(0.5) ? coll::Location::kNic : coll::Location::kHost;
@@ -332,7 +362,7 @@ coll::ExperimentParams generate_fuzz_case(std::uint64_t case_seed, std::string* 
                                      : nic::BarrierAlgorithm::kGatherBroadcast;
   p.spec.gb_dimension = 1 + rng.below(static_cast<std::uint32_t>(p.nodes - 1));
   p.cluster.nic = rng.chance(0.5) ? nic::lanai72() : nic::lanai43();
-  p.cluster.topology = static_cast<host::Topology>(rng.below(3));
+  p.cluster.topology = draw_topology(rng);
   p.max_start_skew = microseconds(rng.below(201));
 
   auto& fp = p.cluster.faults;
@@ -368,13 +398,14 @@ coll::ExperimentParams generate_fuzz_case(std::uint64_t case_seed, std::string* 
     p.cluster.pdes_partitions = 2 + rng.below(7);  // 2..8
     p.cluster.pdes_workers = 1 + rng.below(4);     // 1..4
   }
+  draw_fabric_shape(rng, p.cluster, p.nodes);
 
   if (summary != nullptr) {
-    *summary = fmt("case %llu: %s-%s n=%zu dim=%zu reps=%d %s topo=%d skew=%lldps pdes=%zu/%u "
+    *summary = fmt("case %llu: %s-%s n=%zu dim=%zu reps=%d %s topo=%s skew=%lldps pdes=%zu/%u "
                    "faults[%zu loss, %zu burst, %zu corrupt, %zu down]",
                    static_cast<unsigned long long>(case_seed), loc_name(p.spec.location),
                    alg_name(p.spec.algorithm), p.nodes, p.spec.gb_dimension, p.reps,
-                   p.cluster.nic.model.c_str(), static_cast<int>(p.cluster.topology),
+                   p.cluster.nic.model.c_str(), topology_summary(p.cluster).c_str(),
                    static_cast<long long>(p.max_start_skew.ps()), p.cluster.pdes_partitions,
                    p.cluster.pdes_workers, fp.loss.size(), fp.bursts.size(),
                    fp.corruption.size(), fp.link_down.size());

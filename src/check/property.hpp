@@ -10,9 +10,10 @@
 //   - workload specs survive a print -> parse round trip structurally
 //
 // Randomised fuzz cases: each case derives every choice (group size,
-// topology, variant, fault plan, skew) from one 64-bit case seed, runs the
-// experiment with the sim::check invariants armed, and asserts the run's
-// accounting. A failing case is reproducible from its seed alone:
+// topology and fabric shape, variant, fault plan, skew) from one 64-bit
+// case seed, runs the experiment with the sim::check invariants armed, and
+// asserts the run's accounting. A failing case is reproducible from its
+// seed alone:
 //
 //   nicbar_run check --case-seed <seed>
 #pragma once

@@ -1,8 +1,10 @@
 #include "fabric/topology.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace nicbar::fabric {
 
@@ -10,8 +12,12 @@ namespace {
 
 const char* kind_name(Kind k) { return k == Kind::kFatTree ? "fat-tree" : "leaf-spine"; }
 
-/// Shared parameter validation + (u, h) split. Throws with the topology
-/// name so `nicbar_run` can surface the message verbatim.
+std::size_t uplinks(std::size_t radix, std::size_t oversub) {
+  return std::max<std::size_t>(1, radix / (1 + oversub));
+}
+
+/// Validates the parameters and resolves the whole shape. Throws with the
+/// topology name so `nicbar_run` can surface the message verbatim.
 Fabric resolve_shape(Kind kind, std::size_t nodes, std::size_t radix, std::size_t oversub) {
   const std::string name = kind_name(kind);
   if (radix < 3) {
@@ -29,35 +35,66 @@ Fabric resolve_shape(Kind kind, std::size_t nodes, std::size_t radix, std::size_
   f.nodes = nodes;
   f.radix = radix;
   f.oversub = oversub;
-  f.uplinks_per_leaf = std::max<std::size_t>(1, radix / (1 + oversub));
+  f.uplinks_per_leaf = uplinks(radix, oversub);
   f.hosts_per_leaf = radix - f.uplinks_per_leaf;
   f.num_leaves = (nodes + f.hosts_per_leaf - 1) / f.hosts_per_leaf;
+  f.capacity = capacity(kind, radix, oversub);
+  // A fat-tree stays two levels (structurally the leaf-spine wiring) while
+  // N fits radix·h, so the same topology key scales through the 2→3 level
+  // transition without re-selection.
+  if (kind == Kind::kFatTree && nodes > radix * f.hosts_per_leaf) {
+    f.levels = 3;
+    f.leaves_per_pod = f.hosts_per_leaf;
+    f.num_pods = (f.num_leaves + f.leaves_per_pod - 1) / f.leaves_per_pod;
+  }
+  if (f.nodes > f.capacity) {
+    throw std::invalid_argument(
+        name + "(radix=" + std::to_string(f.radix) + ", oversub=" + std::to_string(f.oversub) +
+        ") caps at " + std::to_string(f.capacity) + " nodes across " +
+        std::to_string(kind == Kind::kFatTree ? 3 : 2) + " levels (" +
+        std::to_string(f.hosts_per_leaf) + " hosts/leaf); got " + std::to_string(f.nodes));
+  }
   return f;
 }
 
-void check_capacity(const Fabric& f) {
-  if (f.nodes <= f.capacity) return;
-  throw std::invalid_argument(
-      std::string(kind_name(f.kind)) + "(radix=" + std::to_string(f.radix) +
-      ", oversub=" + std::to_string(f.oversub) + ") caps at " + std::to_string(f.capacity) +
-      " nodes across " + std::to_string(f.levels) + " levels (" +
-      std::to_string(f.hosts_per_leaf) + " hosts/leaf); got " + std::to_string(f.nodes));
+std::vector<int> add_switches(net::Network& net, std::size_t count, std::size_t radix) {
+  std::vector<int> ids;
+  ids.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) ids.push_back(net.add_switch(radix));
+  return ids;
 }
 
-void attach_terminals(net::Network& net, const Fabric& f, const std::vector<int>& leaves) {
+/// Cables the hosts onto their leaves and installs the closed-form routes.
+void attach_and_finalize(net::Network& net, const Fabric& f, const std::vector<int>& leaves) {
   for (std::size_t n = 0; n < f.nodes; ++n) {
     const net::NodeId t = net.add_terminal();
     net.connect_terminal(t, leaves[n / f.hosts_per_leaf], n % f.hosts_per_leaf);
   }
+  net.finalize([f](net::NodeId src, net::NodeId dst) { return f.route(src, dst); });
 }
 
-void install_provider(net::Network& net, const Fabric& f) {
-  net.set_route_provider(
-      [f](net::NodeId src, net::NodeId dst) { return f.route(src, dst); });
-  net.finalize();
+/// Two levels: leaf i's uplink j is cabled to spine j port i. The full
+/// spine column is always built, even for partial fabrics, so `dst % u`
+/// spreading addresses the same switches at any N.
+Fabric build_two_level(net::Network& net, const Fabric& f) {
+  const std::vector<int> leaves = add_switches(net, f.num_leaves, f.radix);
+  const std::vector<int> spines = add_switches(net, f.uplinks_per_leaf, f.radix);
+  for (std::size_t i = 0; i < f.num_leaves; ++i) {
+    for (std::size_t j = 0; j < f.uplinks_per_leaf; ++j) {
+      net.connect_switches(leaves[i], f.hosts_per_leaf + j, spines[j], i);
+    }
+  }
+  attach_and_finalize(net, f, leaves);
+  return f;
 }
 
 }  // namespace
+
+std::size_t capacity(Kind kind, std::size_t radix, std::size_t oversub) {
+  const std::size_t h = radix - uplinks(radix, oversub);
+  // A spine (or core) switch has `radix` leaf- (or pod-) facing ports.
+  return kind == Kind::kFatTree ? radix * h * h : radix * h;
+}
 
 std::size_t Fabric::leaf_population(std::size_t leaf) const {
   const std::size_t first = leaf * hosts_per_leaf;
@@ -65,7 +102,7 @@ std::size_t Fabric::leaf_population(std::size_t leaf) const {
   return std::min(hosts_per_leaf, nodes - first);
 }
 
-std::vector<std::uint8_t> Fabric::route(net::NodeId src, net::NodeId dst) const {
+net::Route Fabric::route(net::NodeId src, net::NodeId dst) const {
   if (src == dst) return {};
   const std::size_t h = hosts_per_leaf;
   const std::size_t u = uplinks_per_leaf;
@@ -96,78 +133,22 @@ std::vector<std::uint8_t> Fabric::route(net::NodeId src, net::NodeId dst) const 
 
 Fabric build_leaf_spine(net::Network& net, std::size_t nodes, std::size_t radix,
                         std::size_t oversub) {
-  Fabric f = resolve_shape(Kind::kLeafSpine, nodes, radix, oversub);
-  f.levels = 2;
-  f.capacity = f.radix * f.hosts_per_leaf;  // spine has `radix` leaf-facing ports
-  check_capacity(f);
-
-  std::vector<int> leaves;
-  leaves.reserve(f.num_leaves);
-  for (std::size_t i = 0; i < f.num_leaves; ++i) leaves.push_back(net.add_switch(f.radix));
-  // The full spine column is always built, even for partial fabrics, so
-  // `dst % u` spreading addresses the same switches at any N.
-  std::vector<int> spines;
-  spines.reserve(f.uplinks_per_leaf);
-  for (std::size_t j = 0; j < f.uplinks_per_leaf; ++j) spines.push_back(net.add_switch(f.radix));
-  for (std::size_t i = 0; i < f.num_leaves; ++i) {
-    for (std::size_t j = 0; j < f.uplinks_per_leaf; ++j) {
-      net.connect_switches(leaves[i], f.hosts_per_leaf + j, spines[j], i);
-    }
-  }
-  attach_terminals(net, f, leaves);
-  install_provider(net, f);
-  return f;
+  return build_two_level(net, resolve_shape(Kind::kLeafSpine, nodes, radix, oversub));
 }
 
 Fabric build_fat_tree(net::Network& net, std::size_t nodes, std::size_t radix,
                       std::size_t oversub) {
-  Fabric f = resolve_shape(Kind::kFatTree, nodes, radix, oversub);
-  const std::size_t h = f.hosts_per_leaf;
-  const std::size_t u = f.uplinks_per_leaf;
-
-  if (nodes <= radix * h) {
-    // Two levels suffice: structurally the leaf-spine wiring, kept under
-    // the fat-tree name so the same CLI/topology key scales through the
-    // 2→3 level transition without re-selection.
-    f.levels = 2;
-    f.capacity = radix * h * h;  // named limit is the 3-level ceiling
-    std::vector<int> leaves;
-    leaves.reserve(f.num_leaves);
-    for (std::size_t i = 0; i < f.num_leaves; ++i) leaves.push_back(net.add_switch(radix));
-    std::vector<int> spines;
-    spines.reserve(u);
-    for (std::size_t j = 0; j < u; ++j) spines.push_back(net.add_switch(radix));
-    for (std::size_t i = 0; i < f.num_leaves; ++i) {
-      for (std::size_t j = 0; j < u; ++j) {
-        net.connect_switches(leaves[i], h + j, spines[j], i);
-      }
-    }
-    attach_terminals(net, f, leaves);
-    install_provider(net, f);
-    return f;
-  }
+  const Fabric f = resolve_shape(Kind::kFatTree, nodes, radix, oversub);
+  if (f.levels == 2) return build_two_level(net, f);
 
   // Three-level k-ary folded Clos: pods of h leaves and u aggregation
   // switches; agg j of every pod is cabled to core column
   // [j·u, (j+1)·u). Core port index = pod index, so pods ≤ radix.
-  f.levels = 3;
-  f.leaves_per_pod = h;
-  f.capacity = radix * h * h;
-  check_capacity(f);
-  f.num_pods = (f.num_leaves + h - 1) / h;
-
-  std::vector<int> leaves;
-  leaves.reserve(f.num_leaves);
-  for (std::size_t i = 0; i < f.num_leaves; ++i) leaves.push_back(net.add_switch(radix));
-  std::vector<int> aggs;  // pod-major: agg[p * u + j]
-  aggs.reserve(f.num_pods * u);
-  for (std::size_t p = 0; p < f.num_pods; ++p) {
-    for (std::size_t j = 0; j < u; ++j) aggs.push_back(net.add_switch(radix));
-  }
-  std::vector<int> cores;  // core[j * u + m]
-  cores.reserve(u * u);
-  for (std::size_t c = 0; c < u * u; ++c) cores.push_back(net.add_switch(radix));
-
+  const std::size_t h = f.hosts_per_leaf;
+  const std::size_t u = f.uplinks_per_leaf;
+  const std::vector<int> leaves = add_switches(net, f.num_leaves, radix);
+  const std::vector<int> aggs = add_switches(net, f.num_pods * u, radix);  // agg[p * u + j]
+  const std::vector<int> cores = add_switches(net, u * u, radix);          // core[j * u + m]
   for (std::size_t L = 0; L < f.num_leaves; ++L) {
     const std::size_t p = L / h;
     const std::size_t l = L % h;  // agg down-port
@@ -182,8 +163,7 @@ Fabric build_fat_tree(net::Network& net, std::size_t nodes, std::size_t radix,
       }
     }
   }
-  attach_terminals(net, f, leaves);
-  install_provider(net, f);
+  attach_and_finalize(net, f, leaves);
   return f;
 }
 

@@ -1,11 +1,11 @@
 // Hierarchical fabrics: folded-Clos/fat-tree and leaf-spine builders that
 // scale the simulated cluster to thousands of nodes.
 //
-// Unlike the canned `net::` topologies (which BFS all-pairs routes at
-// finalize), these builders install a closed-form route provider on the
-// Network: up/down routing with deterministic per-destination uplink
-// spreading, computed from (src, dst) alone and cached lazily. A 4096-node
-// fabric therefore never materialises the O(N²) route table.
+// Like net::build_single_switch, these builders finalize the Network with a
+// closed-form route function: up/down routing with deterministic
+// per-destination uplink spreading, computed from (src, dst) alone on every
+// injection. Nothing is stored per pair, so a 4096-node fabric costs no
+// route memory.
 //
 // Shapes (radix-k switches, oversubscription ratio q : 1 at the leaf):
 //   u = max(1, k / (1 + q)) uplinks per leaf, h = k - u host ports.
@@ -17,15 +17,16 @@
 //                 u·u core switches (agg j of every pod reaches cores
 //                 [j·u, (j+1)·u)). Capacity k·h².
 //
-// Builders add terminals 0..n-1 in order and finalize the network, like
-// every `net::` builder. Partial fabrics (N below capacity) still build
-// the full spine/agg/core column set so uplink spreading — and therefore
-// the routes of the nodes that do exist — never depends on N.
+// A radix-k switch tree (hosts on k−1 ports of each leaf, one uplink per
+// switch) is the fat-tree with q = k−1: u = 1, h = k−1.
+//
+// Builders add terminals 0..n-1 in order and finalize the network. Partial
+// fabrics (N below capacity) still build the full spine/agg/core column set
+// so uplink spreading — and therefore the routes of the nodes that do
+// exist — never depends on N.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "net/network.hpp"
 
@@ -69,14 +70,18 @@ struct Fabric {
   /// core column = (dst / u) mod u — all traffic to one destination uses
   /// one up-path from any source, so routes are reproducible regardless
   /// of build order, worker count, or which pairs were routed first.
-  [[nodiscard]] std::vector<std::uint8_t> route(net::NodeId src, net::NodeId dst) const;
+  [[nodiscard]] net::Route route(net::NodeId src, net::NodeId dst) const;
 };
 
+/// The most nodes a (kind, radix, oversub) fabric holds: k·h² for a
+/// fat-tree, k·h for a leaf-spine. `radix` must be >= 3.
+[[nodiscard]] std::size_t capacity(Kind kind, std::size_t radix, std::size_t oversub);
+
 /// Builds a fat-tree (folded Clos) of `radix`-port switches: two levels
-/// while `nodes` fits radix·h, else three. Installs the closed-form route
-/// provider and finalizes `net`. Throws std::invalid_argument on
-/// radix < 3, oversub < 1, nodes == 0, or nodes beyond the three-level
-/// capacity (the diagnostic names the limit).
+/// while `nodes` fits radix·h, else three. Finalizes `net` with the
+/// closed-form route function. Throws std::invalid_argument on radix < 3,
+/// radix > net::kMaxSwitchPorts, oversub < 1, nodes == 0, or nodes beyond
+/// the three-level capacity (the diagnostic names the limit).
 Fabric build_fat_tree(net::Network& net, std::size_t nodes, std::size_t radix,
                       std::size_t oversub = 1);
 

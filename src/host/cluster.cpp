@@ -16,12 +16,6 @@ Cluster::Cluster(ClusterParams params) : params_(std::move(params)) {
     case Topology::kSingleSwitch:
       net::build_single_switch(*net_, params_.nodes);
       break;
-    case Topology::kSwitchChain:
-      net::build_switch_chain(*net_, params_.nodes, params_.chain_per_switch);
-      break;
-    case Topology::kSwitchTree:
-      net::build_switch_tree(*net_, params_.nodes, params_.tree_radix);
-      break;
     case Topology::kFatTree:
       fabric_ = fabric::build_fat_tree(*net_, params_.nodes, params_.fabric_radix,
                                        params_.fabric_oversub);
@@ -72,7 +66,7 @@ Cluster::Cluster(ClusterParams params) : params_(std::move(params)) {
 void Cluster::setup_partitions() {
   std::size_t want = std::max<std::size_t>(1, params_.pdes_partitions);
   // A partition with no nodes would be a lane that only ever idles; clamp to
-  // the natural grain: one leaf block (fabrics) or one node (flat).
+  // the natural grain: one leaf block (fabrics) or one node (single switch).
   want = std::min(want, fabric_ ? fabric_->num_leaves : params_.nodes);
   if (want <= 1) return;
 
@@ -92,9 +86,9 @@ void Cluster::setup_partitions() {
       switch_partition_[s] = static_cast<int>(s * want / leaves);
     }
   } else {
-    // Flat topologies: contiguous node blocks; the switch column stays on
-    // lane 0, so every terminal link outside block 0 is a partition crossing
-    // and the lookahead is the terminal link's propagation delay.
+    // Single switch: contiguous node blocks; the switch stays on lane 0, so
+    // every terminal link outside block 0 is a partition crossing and the
+    // lookahead is the terminal link's propagation delay.
     for (std::size_t i = 0; i < params_.nodes; ++i) {
       node_partition_[i] = static_cast<int>(i * want / params_.nodes);
     }

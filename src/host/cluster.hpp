@@ -28,10 +28,8 @@ namespace nicbar::host {
 
 enum class Topology {
   kSingleSwitch,  // the paper's testbeds (8/16-port switch)
-  kSwitchChain,
-  kSwitchTree,
-  kFatTree,    // fabric:: folded Clos, 2-3 levels, closed-form routing
-  kLeafSpine,  // fabric:: strictly two-level variant
+  kFatTree,       // fabric:: folded Clos, 2-3 levels
+  kLeafSpine,     // fabric:: strictly two-level variant
 };
 
 struct ClusterParams {
@@ -41,8 +39,6 @@ struct ClusterParams {
   net::LinkParams link;
   net::SwitchParams sw;
   Topology topology = Topology::kSingleSwitch;
-  std::size_t tree_radix = 16;       // kSwitchTree
-  std::size_t chain_per_switch = 8;  // kSwitchChain
   std::size_t fabric_radix = 16;     // kFatTree / kLeafSpine switch radix
   std::size_t fabric_oversub = 1;    // leaf oversubscription ratio q in q:1
   /// The paper's hosts were dual-processor Pentium II machines.
@@ -61,7 +57,7 @@ struct ClusterParams {
   /// host↔leaf traffic never crosses a partition), each block on its own
   /// simulator lane synchronized by lookahead windows; the timeline is
   /// bit-identical to the serial engine. Clamped to the leaf count
-  /// (fabrics) or node count (flat topologies). Requires
+  /// (fabrics) or node count (single switch). Requires
   /// link.propagation > 0 — that delay is the lookahead.
   std::size_t pdes_partitions = 1;
   /// Worker threads for the partitioned run. 0 — the default — uses the
@@ -116,7 +112,7 @@ class Cluster {
   [[nodiscard]] const ClusterParams& params() const { return params_; }
 
   /// The resolved fabric shape when the topology is kFatTree/kLeafSpine;
-  /// nullptr for the flat `net::` topologies. The hierarchical barrier
+  /// nullptr for the single switch. The hierarchical barrier
   /// family reads leaf membership from this.
   [[nodiscard]] const fabric::Fabric* fabric() const {
     return fabric_.has_value() ? &*fabric_ : nullptr;

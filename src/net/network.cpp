@@ -1,7 +1,6 @@
 #include "net/network.hpp"
 
 #include <cassert>
-#include <deque>
 #include <stdexcept>
 
 namespace nicbar::net {
@@ -26,9 +25,13 @@ NodeId Network::add_terminal() {
 
 int Network::add_switch(std::size_t num_ports) {
   assert(!finalized_);
+  if (num_ports > kMaxSwitchPorts) {
+    throw std::invalid_argument("a " + std::to_string(num_ports) + "-port switch exceeds the " +
+                                std::to_string(kMaxSwitchPorts) +
+                                "-port limit of a one-byte source route");
+  }
   const int id = static_cast<int>(switches_.size());
   switches_.push_back(std::make_unique<Switch>(sim_, id, num_ports, switch_params_));
-  switch_adj_.emplace_back();
   return id;
 }
 
@@ -38,8 +41,6 @@ void Network::connect_terminal(NodeId terminal, int switch_id, std::size_t port)
   Switch& sw = *switches_.at(static_cast<std::size_t>(switch_id));
   if (t.up != nullptr) throw std::logic_error("terminal already connected");
 
-  t.attached_switch = switch_id;
-  t.attached_port = port;
   const LinkEnd term_end{false, static_cast<std::int64_t>(terminal)};
   const LinkEnd sw_end{true, switch_id};
   t.up = new_link("t" + std::to_string(terminal) + "->sw" + std::to_string(switch_id),
@@ -77,69 +78,10 @@ void Network::connect_switches(int switch_a, std::size_t port_a, int switch_b,
   Switch* ap = &a;
   ab->set_deliver([bp](PacketPtr p) { bp->accept(std::move(p)); });
   ba->set_deliver([ap](PacketPtr p) { ap->accept(std::move(p)); });
-
-  switch_adj_[static_cast<std::size_t>(switch_a)].push_back(
-      SwitchEdge{switch_b, static_cast<std::uint8_t>(port_a)});
-  switch_adj_[static_cast<std::size_t>(switch_b)].push_back(
-      SwitchEdge{switch_a, static_cast<std::uint8_t>(port_b)});
 }
 
-void Network::finalize() {
-  if (route_provider_) {
-    // Closed-form routing: no all-pairs table. At 4096 terminals the BFS
-    // table alone would hold 16.7M route vectors; the provider computes
-    // each pair on demand and route() memoises the ones actually used.
-    finalized_ = true;
-    return;
-  }
-  const std::size_t n = terminals_.size();
-  const std::size_t s = switches_.size();
-  routes_.assign(n * n, {});
-
-  // BFS over the switch graph from every switch: parent pointers give the
-  // first switch-hop and the output port used to reach each switch.
-  for (std::size_t src_sw = 0; src_sw < s; ++src_sw) {
-    std::vector<int> parent(s, -1);
-    std::vector<std::uint8_t> via_port(s, 0);
-    std::vector<bool> seen(s, false);
-    std::deque<int> frontier;
-    frontier.push_back(static_cast<int>(src_sw));
-    seen[src_sw] = true;
-    while (!frontier.empty()) {
-      const int u = frontier.front();
-      frontier.pop_front();
-      for (const SwitchEdge& e : switch_adj_[static_cast<std::size_t>(u)]) {
-        if (seen[static_cast<std::size_t>(e.to_switch)]) continue;
-        seen[static_cast<std::size_t>(e.to_switch)] = true;
-        parent[static_cast<std::size_t>(e.to_switch)] = u;
-        via_port[static_cast<std::size_t>(e.to_switch)] = e.out_port;
-        frontier.push_back(e.to_switch);
-      }
-    }
-
-    // Build routes for all terminal pairs whose source hangs off src_sw.
-    for (NodeId a = 0; a < n; ++a) {
-      if (terminals_[a].attached_switch != static_cast<int>(src_sw)) continue;
-      for (NodeId b = 0; b < n; ++b) {
-        if (a == b) continue;
-        const Terminal& tb = terminals_[b];
-        if (tb.attached_switch < 0) continue;
-        if (!seen[static_cast<std::size_t>(tb.attached_switch)]) continue;  // unreachable
-
-        // Walk dst_switch -> src_switch via parents, collecting the output
-        // port taken *leaving* each switch on the forward path.
-        std::vector<std::uint8_t> rev;
-        int cur = tb.attached_switch;
-        while (cur != static_cast<int>(src_sw)) {
-          rev.push_back(via_port[static_cast<std::size_t>(cur)]);
-          cur = parent[static_cast<std::size_t>(cur)];
-        }
-        std::vector<std::uint8_t>& r = routes_[a * n + b];
-        r.assign(rev.rbegin(), rev.rend());
-        r.push_back(static_cast<std::uint8_t>(tb.attached_port));  // exit to terminal
-      }
-    }
-  }
+void Network::finalize(RouteFn route) {
+  route_ = std::move(route);
   finalized_ = true;
 }
 
@@ -147,39 +89,26 @@ void Network::set_deliver(NodeId terminal, DeliverFn fn) {
   terminals_.at(terminal).deliver = std::move(fn);
 }
 
-const std::vector<std::uint8_t>& Network::route(NodeId src, NodeId dst) const {
+Route Network::route(NodeId src, NodeId dst) const {
   assert(finalized_);
-  if (route_provider_) {
-    const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | dst;
-    // Serialize cache insertion (lanes of a partitioned run route
-    // concurrently); the node-stable reference outlives the lock.
-    const std::lock_guard<std::mutex> lock(route_mu_);
-    auto it = route_cache_.find(key);
-    if (it == route_cache_.end()) {
-      it = route_cache_.emplace(key, route_provider_(src, dst)).first;
-    }
-    const std::vector<std::uint8_t>& r = it->second;
-    if (r.empty() && src != dst) throw std::logic_error("no route between terminals");
-    return r;
+  if (dst >= terminals_.size()) {
+    throw std::out_of_range("no terminal " + std::to_string(dst) + " to route to");
   }
-  const std::vector<std::uint8_t>& r = routes_.at(src * terminals_.size() + dst);
-  if (r.empty() && src != dst) throw std::logic_error("no route between terminals");
+  if (src == dst) return {};
+  Route r = route_(src, dst);
+  if (r.empty()) throw std::logic_error("no route between terminals");
   return r;
 }
 
 sim::Duration Network::path_time(NodeId src, NodeId dst, std::int64_t payload_bytes) const {
   if (src == dst) return sim::Duration{0};
-  const std::size_t hops = route(src, dst).size();  // switches traversed
-  sim::Duration t{0};
-  // The packet crosses hops+1 links; the route shrinks by one byte per
-  // switch, so link k carries (hops - k) remaining route bytes.
-  for (std::size_t k = 0; k <= hops; ++k) {
-    const std::int64_t bytes = link_params_.header_bytes +
-                               static_cast<std::int64_t>(hops - k) + payload_bytes;
-    t += sim::transfer_time(bytes, link_params_.bandwidth_mbps) + link_params_.propagation;
-  }
-  t += switch_params_.routing_latency * static_cast<std::int64_t>(hops);
-  return t;
+  const auto hops = static_cast<std::int64_t>(route(src, dst).size());  // switches traversed
+  // The packet crosses hops+1 links, each carrying the whole route.
+  const sim::Duration link =
+      sim::transfer_time(link_params_.header_bytes + hops + payload_bytes,
+                         link_params_.bandwidth_mbps) +
+      link_params_.propagation;
+  return link * (hops + 1) + switch_params_.routing_latency * hops;
 }
 
 sim::SimTime Network::inject(PacketPtr p) {

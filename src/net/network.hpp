@@ -1,22 +1,24 @@
 // The network fabric: terminals (NIC attachment points), switches, cables,
-// and source-route computation.
+// and the topology's route function.
 //
 // Construction protocol:
 //   1. add_terminal() for every NIC, add_switch() for every switch
 //   2. connect_terminal() / connect_switches() to cable everything up
-//   3. finalize() — computes shortest source routes for all terminal pairs
+//   3. finalize(route) — installs the closed-form route function
+//      (src, dst) -> Route that every topology builder supplies
 //   4. set_deliver() on each terminal, then inject() packets
 //
-// Every cable is full duplex and is modelled as two directed Links.
+// The Network stores no routes: inject() asks the route function and copies
+// the result into the packet, so routing is one lock-free path whether one
+// engine or several PDES lanes inject. Every cable is full duplex and is
+// modelled as two directed Links.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/link.hpp"
@@ -45,23 +47,19 @@ class Network {
   // --- Construction ----------------------------------------------------------
 
   NodeId add_terminal();
+  /// Throws std::invalid_argument for more than kMaxSwitchPorts ports: a
+  /// wider switch has ports no route byte can name.
   int add_switch(std::size_t num_ports);
   void connect_terminal(NodeId terminal, int switch_id, std::size_t port);
   void connect_switches(int switch_a, std::size_t port_a, int switch_b, std::size_t port_b);
 
-  /// Computes all-pairs source routes. Must follow all connect_* calls.
-  /// When a route provider is installed (hierarchical fabrics), the O(N²)
-  /// all-pairs table is skipped entirely and routes come from the provider.
-  void finalize();
+  /// The topology's closed-form routing: the switch output-port sequence
+  /// from src to dst, terminal exit port included, for src != dst. Called
+  /// concurrently by PDES lanes, so it must not mutate shared state.
+  using RouteFn = std::function<Route(NodeId, NodeId)>;
 
-  /// Closed-form routing for topologies whose routes are computable from
-  /// (src, dst) alone. Returns the switch output-port sequence, terminal
-  /// exit port included; empty only for src == dst. Install before
-  /// finalize(). Routes are cached per pair on first use, so memory is
-  /// O(pairs actually routed) rather than O(N²).
-  using RouteProviderFn = std::function<std::vector<std::uint8_t>(NodeId, NodeId)>;
-  void set_route_provider(RouteProviderFn fn) { route_provider_ = std::move(fn); }
-  [[nodiscard]] bool has_route_provider() const { return static_cast<bool>(route_provider_); }
+  /// Installs the route function. Must follow all connect_* calls.
+  void finalize(RouteFn route);
 
   // --- Use -------------------------------------------------------------------
 
@@ -74,16 +72,16 @@ class Network {
     set_deliver(terminal, DeliverFn([fn = std::move(fn)](PacketPtr p) { fn(*p); }));
   }
 
-  /// Injects `p` from its src_node terminal: points it at the route entry,
+  /// Injects `p` from its src_node terminal: copies the route into it,
   /// stamps the id, then transmits the handle on the terminal's uplink.
   /// Returns the time the sender's transmit channel frees up.
   sim::SimTime inject(PacketPtr p);
   sim::SimTime inject(const Packet& p) { return inject(make_packet(p)); }
 
-  /// The precomputed route (switch output ports) from src to dst. The entry
-  /// is immutable and keeps its address for the Network's lifetime, so
-  /// packets carry a view of it rather than a copy.
-  [[nodiscard]] const std::vector<std::uint8_t>& route(NodeId src, NodeId dst) const;
+  /// The route (switch output ports) from src to dst; empty for src == dst.
+  /// Throws std::out_of_range for an unknown dst, and std::logic_error when
+  /// the topology has no route for the pair.
+  [[nodiscard]] Route route(NodeId src, NodeId dst) const;
 
   /// Number of switch hops between two terminals.
   [[nodiscard]] std::size_t hop_count(NodeId src, NodeId dst) const {
@@ -91,10 +89,12 @@ class Network {
   }
 
   /// The deterministic end-to-end wire time of an uncontended packet of
-  /// `payload_bytes` from src to dst: per-link serialisation + propagation
-  /// plus per-switch routing latency. This is the "Network" term of the
-  /// paper's Eq. 1-2, used by the telemetry cost breakdown. Zero for
-  /// same-node (loopback) traffic, which never touches the fabric.
+  /// `payload_bytes` from src to dst: per-link serialisation of the whole
+  /// packet (Packet::wire_bytes) + propagation, plus per-switch routing
+  /// latency, which is exactly when a lone packet arrives. This is the
+  /// "Network" term of the paper's Eq. 1-2, used by the telemetry cost
+  /// breakdown. Zero for same-node (loopback) traffic, which never touches
+  /// the fabric.
   [[nodiscard]] sim::Duration path_time(NodeId src, NodeId dst,
                                         std::int64_t payload_bytes) const;
 
@@ -157,8 +157,6 @@ class Network {
   struct Terminal {
     Link* up = nullptr;    // terminal -> first switch
     Link* down = nullptr;  // last switch -> terminal
-    int attached_switch = -1;
-    std::size_t attached_port = 0;
     DeliverFn deliver;
   };
 
@@ -180,28 +178,12 @@ class Network {
   std::vector<std::unique_ptr<Switch>> switches_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<Terminal> terminals_;
-  // routes_[src * terminals + dst]; empty when a route provider is installed.
-  std::vector<std::vector<std::uint8_t>> routes_;
-  RouteProviderFn route_provider_;
-  // Lazy per-pair cache for provider-computed routes. route() hands out
-  // references, so entries must be address-stable once inserted
-  // (unordered_map nodes are). Partitioned runs call route() from several
-  // lanes at once, so insertion is serialized by route_mu_; the returned
-  // references stay valid after unlock.
-  mutable std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> route_cache_;
-  mutable std::mutex route_mu_;
+  RouteFn route_;
   bool finalized_ = false;
   std::atomic<std::uint64_t> injected_{0};  // bumped by every lane's sends
   std::vector<std::uint64_t> packet_seq_;   // per-node id stripes (one writer each)
   std::vector<LinkEnd> link_tail_;          // per link, transmitting element
   std::vector<LinkEnd> link_head_;          // per link, receiving element
-
-  // Switch-level adjacency: for each switch, (port -> peer switch) entries.
-  struct SwitchEdge {
-    int to_switch;
-    std::uint8_t out_port;
-  };
-  std::vector<std::vector<SwitchEdge>> switch_adj_;
 };
 
 }  // namespace nicbar::net

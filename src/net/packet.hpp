@@ -1,15 +1,20 @@
 // Wire packet model.
 //
 // Myrinet is source-routed: the sending NIC prepends one routing byte per
-// switch hop and each switch strips its byte and forwards. A packet views
-// the fabric's immutable route entry (output-port indices) and carries a hop
-// cursor. Packets are trivially copyable values; on the simulated fabric
-// they travel in a uniquely owned, recycled PacketPtr (see make_packet).
+// switch hop and each switch consumes its byte and forwards. A packet
+// carries its own copy of the route (output-port indices) inline, plus a
+// hop cursor, so it points at nothing in the fabric. Packets are trivially
+// copyable values; on the simulated fabric they travel in a uniquely owned,
+// recycled PacketPtr (see make_packet).
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
-#include <span>
+#include <stdexcept>
 #include <string>
 
 #include "sim/time.hpp"
@@ -20,6 +25,47 @@ using NodeId = std::uint16_t;
 using PortId = std::uint8_t;  // GM communication endpoint index on a NIC (0..7)
 
 constexpr NodeId kInvalidNode = 0xffff;
+
+/// A route byte names a switch output port, so no switch can have more
+/// ports than one byte addresses (Network::add_switch enforces it).
+constexpr std::size_t kMaxSwitchPorts = 256;
+
+/// A source route: the output port to take at each switch, the port of the
+/// destination terminal last. Fixed-capacity and inline, so stamping a
+/// packet copies a few bytes and the fabric keeps no route store. The
+/// capacity is the longest route any builder makes: up, up, down, down and
+/// out on a three-level folded Clos. A longer route is a builder bug and
+/// throws; it is never truncated.
+class Route {
+ public:
+  static constexpr std::size_t kMaxHops = 5;
+
+  constexpr Route() = default;
+  Route(std::initializer_list<std::uint8_t> ports) {
+    if (ports.size() > kMaxHops) {
+      throw std::length_error("a " + std::to_string(ports.size()) +
+                              "-hop source route exceeds the " + std::to_string(kMaxHops) +
+                              "-hop capacity");
+    }
+    std::copy(ports.begin(), ports.end(), ports_.begin());
+    size_ = static_cast<std::uint8_t>(ports.size());
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::uint8_t operator[](std::size_t i) const { return ports_[i]; }
+  [[nodiscard]] std::uint8_t front() const { return ports_[0]; }
+  [[nodiscard]] const std::uint8_t* begin() const { return ports_.data(); }
+  [[nodiscard]] const std::uint8_t* end() const { return ports_.data() + size_; }
+
+  friend bool operator==(const Route& a, const Route& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::array<std::uint8_t, kMaxHops> ports_{};
+  std::uint8_t size_ = 0;
+};
 
 enum class PacketType : std::uint8_t {
   kData,           // ordinary GM message payload
@@ -118,11 +164,8 @@ struct Packet {
   /// registered within the park budget, or index out of range).
   bool rma_ok = true;
 
-  // Source route: output port to take at each switch, plus the hop cursor.
-  // A view of the Network's route entry, which is immutable and address-
-  // stable once computed (the all-pairs table or a route-cache node), so
-  // stamping a packet copies no bytes.
-  std::span<const std::uint8_t> route;
+  // Source route, stamped by Network::inject, plus the hop cursor.
+  Route route;
   std::size_t hop = 0;
 
   sim::SimTime injected_at{0};  // set by the fabric when the packet enters
@@ -138,8 +181,9 @@ struct Packet {
   /// it and discards after paying the full receive occupancy.
   bool corrupted = false;
 
-  /// Bytes occupying the wire: header + one route byte per remaining hop +
-  /// payload. `header_bytes` models the GM packet header + CRC.
+  /// Bytes occupying the wire: header + the whole route + payload, on every
+  /// link of the path (switches do not shorten the packet in this model).
+  /// `header_bytes` models the GM packet header + CRC.
   [[nodiscard]] std::int64_t wire_bytes(std::int64_t header_bytes) const {
     return header_bytes + static_cast<std::int64_t>(route.size()) + payload_bytes;
   }

@@ -1,9 +1,5 @@
 #include "net/topology.hpp"
 
-#include <cassert>
-#include <stdexcept>
-#include <vector>
-
 namespace nicbar::net {
 
 void build_single_switch(Network& net, std::size_t nodes) {
@@ -12,60 +8,7 @@ void build_single_switch(Network& net, std::size_t nodes) {
     const NodeId t = net.add_terminal();
     net.connect_terminal(t, sw, i);
   }
-  net.finalize();
-}
-
-void build_switch_chain(Network& net, std::size_t nodes, std::size_t per_switch) {
-  if (per_switch == 0) throw std::invalid_argument("per_switch must be > 0");
-  const std::size_t num_switches = (nodes + per_switch - 1) / per_switch;
-  std::vector<int> sw;
-  sw.reserve(num_switches);
-  for (std::size_t i = 0; i < num_switches; ++i) {
-    // per_switch host ports + up to two trunk ports to neighbours.
-    sw.push_back(net.add_switch(per_switch + 2));
-  }
-  for (std::size_t i = 0; i + 1 < num_switches; ++i) {
-    net.connect_switches(sw[i], per_switch, sw[i + 1], per_switch + 1);
-  }
-  for (std::size_t i = 0; i < nodes; ++i) {
-    const NodeId t = net.add_terminal();
-    net.connect_terminal(t, sw[i / per_switch], i % per_switch);
-  }
-  net.finalize();
-}
-
-void build_switch_tree(Network& net, std::size_t nodes, std::size_t radix) {
-  if (radix < 2) throw std::invalid_argument("radix must be >= 2");
-  const std::size_t leaf_capacity = radix - 1;  // one port reserved for uplink
-
-  // Leaf switches.
-  const std::size_t num_leaves = (nodes + leaf_capacity - 1) / leaf_capacity;
-  std::vector<int> level;
-  level.reserve(num_leaves);
-  for (std::size_t i = 0; i < num_leaves; ++i) level.push_back(net.add_switch(radix));
-
-  for (std::size_t i = 0; i < nodes; ++i) {
-    const NodeId t = net.add_terminal();
-    net.connect_terminal(t, level[i / leaf_capacity], i % leaf_capacity);
-  }
-
-  // Build parent levels until one switch remains. Parents dedicate
-  // radix-1 ports to children and port radix-1 to their own uplink.
-  while (level.size() > 1) {
-    std::vector<int> parents;
-    const std::size_t fanin = radix - 1;
-    const std::size_t num_parents = (level.size() + fanin - 1) / fanin;
-    parents.reserve(num_parents);
-    for (std::size_t p = 0; p < num_parents; ++p) parents.push_back(net.add_switch(radix));
-    for (std::size_t c = 0; c < level.size(); ++c) {
-      const std::size_t p = c / fanin;
-      const std::size_t parent_port = c % fanin;
-      // Child's uplink lives on its last port (radix-1).
-      net.connect_switches(level[c], radix - 1, parents[p], parent_port);
-    }
-    level = std::move(parents);
-  }
-  net.finalize();
+  net.finalize([](NodeId, NodeId dst) { return Route{static_cast<std::uint8_t>(dst)}; });
 }
 
 }  // namespace nicbar::net

@@ -1,13 +1,9 @@
-// Canned fabric topologies.
+// The paper's testbed topology: N hosts on one 8- or 16-port Myrinet
+// switch, host i on port i, so the route to host d is the single byte {d}.
 //
-//   single_switch — the paper's testbeds: N hosts on one 8- or 16-port
-//                   Myrinet switch.
-//   switch_chain  — a line of switches, `per_switch` hosts each (worst-case
-//                   diameter; used to stress multi-hop routing).
-//   switch_tree   — a k-ary tree of switches with hosts at the leaves (the
-//                   scalability extension up to 1024 nodes).
-//
-// Each builder adds terminals 0..n-1 in order and finalizes the network.
+// Multi-switch fabrics (fat-tree, leaf-spine) live in fabric::. Every
+// builder adds terminals 0..n-1 in order and finalizes the network with
+// its closed-form route function.
 #pragma once
 
 #include <cstddef>
@@ -16,15 +12,8 @@
 
 namespace nicbar::net {
 
-/// All `nodes` terminals on one switch with at least `nodes` ports.
+/// All `nodes` terminals on one switch with `nodes` ports. Throws
+/// std::invalid_argument beyond kMaxSwitchPorts nodes.
 void build_single_switch(Network& net, std::size_t nodes);
-
-/// Switches in a line, `per_switch` terminals on each, enough switches for
-/// `nodes` terminals. Adjacent switches are cabled directly.
-void build_switch_chain(Network& net, std::size_t nodes, std::size_t per_switch);
-
-/// A tree of `radix`-port switches: leaves hold hosts on radix-1 ports and
-/// use one uplink; inner switches fan out to radix-1 children.
-void build_switch_tree(Network& net, std::size_t nodes, std::size_t radix);
 
 }  // namespace nicbar::net

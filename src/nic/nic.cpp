@@ -503,10 +503,9 @@ void Nic::accept_in_order(net::PacketPtr packet) {
   Packet& p = *packet;  // the firmware job takes the handle; valid until it runs
   if (net::is_collective_payload(p.type)) {
     // Shared-stream mode: the barrier message passed the ordinary stream
-    // check; now run the barrier firmware on it.
-    const std::int64_t cost = p.type == PacketType::kBarrierPe
-                                  ? config_.barrier_pe_cycles
-                                  : config_.barrier_gb_cycles;
+    // check; now run the barrier firmware on it, at the same cost as the
+    // other reliability modes.
+    const std::int64_t cost = barrier_rx_cost(p);
     breakdown_nic(p.dst_port, p.barrier_epoch, cost);
     const sim::SimTime end = engine_submit(
         McpEngine::kRdma, "barrier_advance", cost,

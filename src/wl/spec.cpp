@@ -315,10 +315,6 @@ WorkloadSpec parse_workload_spec(std::istream& in) {
         const std::string v = parse_word(is, line_no, line, "topology");
         if (v == "switch") {
           spec.cluster.topology = host::Topology::kSingleSwitch;
-        } else if (v == "chain") {
-          spec.cluster.topology = host::Topology::kSwitchChain;
-        } else if (v == "tree") {
-          spec.cluster.topology = host::Topology::kSwitchTree;
         } else if (v == "fat-tree" || v == "leaf-spine") {
           spec.cluster.topology =
               v == "fat-tree" ? host::Topology::kFatTree : host::Topology::kLeafSpine;
@@ -331,7 +327,7 @@ WorkloadSpec parse_workload_spec(std::istream& in) {
           spec.cluster.fabric_oversub = static_cast<std::size_t>(oversub);
         } else {
           fail_at(line_no, line,
-                  "topology must be switch, chain, tree, fat-tree <radix> <oversub>, "
+                  "topology must be switch, fat-tree <radix> <oversub>, "
                   "or leaf-spine <radix> <oversub>");
         }
       } else if (key == "reliability") {
@@ -537,8 +533,6 @@ const char* nic_name(const host::ClusterParams& c) {
 const char* topology_name(host::Topology t) {
   switch (t) {
     case host::Topology::kSingleSwitch: return "switch";
-    case host::Topology::kSwitchChain: return "chain";
-    case host::Topology::kSwitchTree: return "tree";
     case host::Topology::kFatTree: return "fat-tree";
     case host::Topology::kLeafSpine: return "leaf-spine";
   }

@@ -163,8 +163,7 @@ void validate(const WorkloadSpec& spec);
 ///
 ///   cluster-nodes 32
 ///   nic lanai43                  # lanai43 | lanai72
-///   topology switch              # switch | chain | tree
-///                                # | fat-tree <radix> <oversub>
+///   topology switch              # switch | fat-tree <radix> <oversub>
 ///                                # | leaf-spine <radix> <oversub>
 ///   placement overlapping        # disjoint | strided | overlapping
 ///   reliability shared           # unreliable | shared | separate

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+
+#include "fabric/topology.hpp"
 
 namespace nicbar::sim::check {
 namespace {
@@ -77,6 +80,38 @@ TEST(PropertyTest, GeneratorCoversFaultsAndBothLocations) {
   EXPECT_LT(nic_loc, kCases * 4 / 5);
   EXPECT_GT(gb, kCases / 5);
   EXPECT_LT(gb, kCases * 4 / 5);
+}
+
+TEST(PropertyTest, GeneratorDrawsEveryTopologyWithShapesThatHoldTheCase) {
+  std::size_t single = 0, fat_tree = 0, leaf_spine = 0, three_level = 0, lossy_fabric = 0;
+  const std::size_t kCases = 300;
+  for (std::size_t i = 0; i < kCases; ++i) {
+    const auto p = generate_fuzz_case(fuzz_case_seed(5, i));
+    const host::ClusterParams& c = p.cluster;
+    if (c.topology == host::Topology::kSingleSwitch) {
+      ++single;
+      continue;
+    }
+    const bool ft = c.topology == host::Topology::kFatTree;
+    ++(ft ? fat_tree : leaf_spine);
+    EXPECT_GE(c.fabric_radix, 3u);
+    EXPECT_LE(c.fabric_radix, 8u);
+    EXPECT_GE(c.fabric_oversub, 1u);
+    EXPECT_LE(c.fabric_oversub, 3u);
+    EXPECT_GE(fabric::capacity(ft ? fabric::Kind::kFatTree : fabric::Kind::kLeafSpine,
+                               c.fabric_radix, c.fabric_oversub),
+              p.nodes);
+    // Beyond radix·h hosts a fat-tree needs its third level.
+    const std::size_t h = c.fabric_radix - std::max<std::size_t>(
+                                               1, c.fabric_radix / (1 + c.fabric_oversub));
+    if (ft && p.nodes > c.fabric_radix * h) ++three_level;
+    if (!c.faults.empty()) ++lossy_fabric;
+  }
+  EXPECT_GT(single, kCases / 5);
+  EXPECT_GT(fat_tree, kCases / 5);
+  EXPECT_GT(leaf_spine, kCases / 5);
+  EXPECT_GT(three_level, 0u);
+  EXPECT_GT(lossy_fabric, kCases / 10);
 }
 
 TEST(PropertyTest, SingleCaseReplayMatchesTheSuitePath) {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "coll/group.hpp"
@@ -15,6 +16,7 @@
 #include "coll/sweep.hpp"
 #include "host/cluster.hpp"
 #include "nic/config.hpp"
+#include "sim/telemetry.hpp"
 
 namespace nicbar::coll {
 namespace {
@@ -51,6 +53,31 @@ TEST(HierBarrierTest, PartialLastLeafCompletes) {
   EXPECT_EQ(r.barriers_completed, 100u * 5u);
   EXPECT_EQ(r.barrier_failures, 0u);
   EXPECT_EQ(r.stalled_members, 0u);
+}
+
+TEST(HierBarrierTest, ReleaseCostsTheSameInEveryReliabilityMode) {
+  // A lossless run does the same firmware work whichever mode carries the
+  // packets, and a hier release books PE-grade receive cycles in all three.
+  constexpr int kNodes = 12;
+  auto rdma_cycles = [](nic::BarrierReliability mode) {
+    sim::telemetry::Telemetry t;
+    ExperimentParams p = fat_tree_params(kNodes);
+    p.spec = hier_spec(2, 0);
+    p.cluster.nic.barrier_reliability = mode;
+    p.cluster.telemetry = &t;
+    const ExperimentResult r = run_barrier_experiment(p);
+    EXPECT_EQ(r.barriers_completed, kNodes * 10u);
+    std::vector<std::uint64_t> cycles;
+    for (int n = 0; n < kNodes; ++n) {
+      const auto* c = t.metrics().find_counter("nic" + std::to_string(n) + ".engine.rdma.cycles");
+      cycles.push_back(c != nullptr ? *c : 0);
+    }
+    return cycles;
+  };
+  const std::vector<std::uint64_t> unreliable = rdma_cycles(nic::BarrierReliability::kUnreliable);
+  EXPECT_GT(unreliable[1], 0u);
+  EXPECT_EQ(rdma_cycles(nic::BarrierReliability::kSharedStream), unreliable);
+  EXPECT_EQ(rdma_cycles(nic::BarrierReliability::kSeparateAcks), unreliable);
 }
 
 TEST(HierBarrierTest, CompletesOnLeafSpine) {

@@ -65,6 +65,12 @@ TEST(FabricValidationTest, RejectsNodesBeyondCapacityNamingTheLimit) {
   expect_rejects([](Network& n) { build_leaf_spine(n, 9, 4); }, {"caps at 8"});
 }
 
+TEST(FabricValidationTest, RejectsRadixWiderThanARouteByte) {
+  // A route byte names ports 0..255; port 256 would alias port 0.
+  expect_rejects([](Network& n) { build_fat_tree(n, 600, 257); }, {"257", "256-port limit"});
+  expect_rejects([](Network& n) { build_leaf_spine(n, 4, 257); }, {"257", "256-port limit"});
+}
+
 TEST(FabricShapeTest, TwoLevelFatTreeWhileNodesFit) {
   Simulator sim;
   Network net(sim);
@@ -199,6 +205,33 @@ TEST(FabricRouteTest, HopCountsGrowWithDistance) {
       f.route(0, static_cast<NodeId>(f.leaves_per_pod * f.hosts_per_leaf)).size();
   EXPECT_LT(same_leaf, same_pod);
   EXPECT_LT(same_pod, cross_pod);
+}
+
+TEST(FabricRouteTest, PathTimeIsALonePacketsDeliveryTime) {
+  // Every link carries the whole route, so path_time must match what the
+  // links charge on 1-, 3- and 5-hop routes, two and three levels up.
+  struct Case {
+    std::size_t nodes, radix;
+    NodeId src, dst;
+    std::size_t hops;
+  } cases[] = {{32, 8, 0, 1, 1}, {32, 8, 0, 31, 3}, {100, 8, 0, 1, 1},
+               {100, 8, 0, 5, 3}, {100, 8, 0, 99, 5}};
+  for (const Case& c : cases) {
+    Simulator sim;
+    Network net(sim);
+    build_fat_tree(net, c.nodes, c.radix);
+    ASSERT_EQ(net.hop_count(c.src, c.dst), c.hops);
+    sim::SimTime arrived{};
+    net.set_deliver(c.dst, [&](net::Packet) { arrived = sim.now(); });
+    net::Packet p;
+    p.src_node = c.src;
+    p.dst_node = c.dst;
+    p.payload_bytes = 8;
+    net.inject(std::move(p));
+    sim.run();
+    EXPECT_EQ(arrived.ps(), net.path_time(c.src, c.dst, 8).ps())
+        << c.nodes << " nodes, " << c.src << "->" << c.dst;
+  }
 }
 
 TEST(FabricRouteTest, AllPairsDeliverableOnThreeLevelFatTree) {

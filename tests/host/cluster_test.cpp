@@ -33,24 +33,18 @@ TEST(ClusterTest, NodeIdsMatchTerminals) {
   }
 }
 
-TEST(ClusterTest, SwitchChainTopology) {
-  ClusterParams p;
-  p.nodes = 12;
-  p.topology = Topology::kSwitchChain;
-  p.chain_per_switch = 4;
-  Cluster c(p);
-  EXPECT_EQ(c.network().switch_count(), 3u);
-  EXPECT_EQ(c.network().hop_count(0, 11), 3u);
-}
-
 TEST(ClusterTest, SwitchTreeTopology) {
+  // A radix-8 switch tree is the 7:1 fat-tree: ten leaves of seven hosts,
+  // two pod switches, one root.
   ClusterParams p;
   p.nodes = 64;
-  p.topology = Topology::kSwitchTree;
-  p.tree_radix = 8;
+  p.topology = Topology::kFatTree;
+  p.fabric_radix = 8;
+  p.fabric_oversub = 7;
   Cluster c(p);
   EXPECT_EQ(c.network().terminal_count(), 64u);
-  EXPECT_GT(c.network().switch_count(), 8u);
+  EXPECT_EQ(c.network().switch_count(), 13u);
+  EXPECT_EQ(c.network().hop_count(0, 63), 5u);
 }
 
 TEST(ClusterTest, PortFactoryBindsToNode) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "coll/runner.hpp"
+#include "fabric/topology.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
 
@@ -75,7 +76,9 @@ TEST(ContentionTest, ChainTrunkIsSharedBottleneck) {
   net::SwitchParams sp;
   sp.routing_latency = sim::Duration{0};
   net::Network net(sim, lp, sp);
-  net::build_switch_chain(net, 8, 4);  // two switches, trunk between them
+  // Radix 5 at 4:1: two leaves of four hosts, each with one uplink to a
+  // single spine, so the leaf-to-spine cable is the only trunk.
+  fabric::build_leaf_spine(net, 8, 5, 4);
 
   std::vector<SimTime> arrivals;
   for (NodeId d = 4; d < 8; ++d) {
@@ -93,8 +96,20 @@ TEST(ContentionTest, ChainTrunkIsSharedBottleneck) {
   sim.run();
   ASSERT_EQ(arrivals.size(), 4u);
   const double span = (arrivals.back() - arrivals.front()).us();
-  // Spread over ~3 extra wire times, not simultaneous.
-  EXPECT_GT(span, 2.5 * sim::transfer_time(1602, 160.0).us());
+  // Spread over ~3 extra wire times (3 route bytes + payload), not
+  // simultaneous.
+  EXPECT_GT(span, 2.5 * sim::transfer_time(1603, 160.0).us());
+}
+
+/// Cables a 16-node cluster as `t`. The leaf-spine is a radix-8 switch
+/// tree (7:1: three leaves, each with one uplink to a single spine, so all
+/// cross-leaf traffic shares trunks); the fat-tree is non-blocking radix 4,
+/// three levels deep (routes of up to five hops).
+void use_topology(host::ClusterParams& c, host::Topology t) {
+  c.topology = t;
+  const bool tree = t == host::Topology::kLeafSpine;
+  c.fabric_radix = tree ? 8 : 4;
+  c.fabric_oversub = tree ? 7 : 1;
 }
 
 class BarrierOverTopology : public ::testing::TestWithParam<host::Topology> {};
@@ -105,9 +120,7 @@ TEST_P(BarrierOverTopology, NicPeBarrierCompletesEverywhere) {
   p.reps = 10;
   p.spec.location = coll::Location::kNic;
   p.spec.algorithm = nic::BarrierAlgorithm::kPairwiseExchange;
-  p.cluster.topology = GetParam();
-  p.cluster.chain_per_switch = 4;
-  p.cluster.tree_radix = 8;
+  use_topology(p.cluster, GetParam());
   p.max_start_skew = sim::microseconds(100.0);
   const coll::ExperimentResult r = coll::run_barrier_experiment(p);
   EXPECT_EQ(r.barriers_completed, 16u * 10u);
@@ -121,9 +134,7 @@ TEST_P(BarrierOverTopology, HostGbBarrierCompletesEverywhere) {
   p.spec.location = coll::Location::kHost;
   p.spec.algorithm = nic::BarrierAlgorithm::kGatherBroadcast;
   p.spec.gb_dimension = 3;
-  p.cluster.topology = GetParam();
-  p.cluster.chain_per_switch = 4;
-  p.cluster.tree_radix = 8;
+  use_topology(p.cluster, GetParam());
   const coll::ExperimentResult r = coll::run_barrier_experiment(p);
   EXPECT_EQ(r.retransmissions, 0u);
   EXPECT_GT(r.mean_us, 0.0);
@@ -131,13 +142,13 @@ TEST_P(BarrierOverTopology, HostGbBarrierCompletesEverywhere) {
 
 INSTANTIATE_TEST_SUITE_P(Topologies, BarrierOverTopology,
                          ::testing::Values(host::Topology::kSingleSwitch,
-                                           host::Topology::kSwitchChain,
-                                           host::Topology::kSwitchTree),
+                                           host::Topology::kFatTree,
+                                           host::Topology::kLeafSpine),
                          [](const auto& info) {
                            switch (info.param) {
                              case host::Topology::kSingleSwitch: return "SingleSwitch";
-                             case host::Topology::kSwitchChain: return "Chain";
-                             case host::Topology::kSwitchTree: return "Tree";
+                             case host::Topology::kFatTree: return "FatTree";
+                             case host::Topology::kLeafSpine: return "Tree";
                            }
                            return "?";
                          });
@@ -149,11 +160,10 @@ TEST(ContentionTest, MultiHopBarrierSlowerThanSingleSwitch) {
     p.reps = 30;
     p.spec.location = coll::Location::kNic;
     p.spec.algorithm = nic::BarrierAlgorithm::kPairwiseExchange;
-    p.cluster.topology = t;
-    p.cluster.chain_per_switch = 4;
+    use_topology(p.cluster, t);
     return coll::run_barrier_experiment(p).mean_us;
   };
-  EXPECT_LT(mean_for(host::Topology::kSingleSwitch), mean_for(host::Topology::kSwitchChain));
+  EXPECT_LT(mean_for(host::Topology::kSingleSwitch), mean_for(host::Topology::kFatTree));
 }
 
 }  // namespace

@@ -66,8 +66,7 @@ TEST(LinkTest, RouteBytesCountOnTheWire) {
   lp.header_bytes = 16;
   Link link(sim, lp, "l");
   Packet p = small_packet(0);
-  const std::vector<std::uint8_t> route{1, 2, 3};
-  p.route = route;  // 3 route bytes
+  p.route = Route{1, 2, 3};  // 3 route bytes
   EXPECT_EQ(link.wire_time(p).ps(), sim::transfer_time(19, 160.0).ps());
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -70,6 +71,14 @@ TEST(NetworkTest, LatencyMatchesModel) {
   // counted in size model) +100ns prop.
   const std::int64_t wire = sim::transfer_time(25, 160.0).ps();
   EXPECT_EQ(arrived.ps(), 2 * wire + 2 * 100'000 + 300'000);
+  EXPECT_EQ(arrived.ps(), net.path_time(0, 1, 8).ps());
+}
+
+TEST(NetworkTest, RouteLongerThanItsCapacityThrowsInsteadOfTruncating) {
+  const Route r{1, 2, 3, 4, 5};
+  ASSERT_EQ(r.size(), Route::kMaxHops);
+  EXPECT_EQ(r[4], 5);
+  EXPECT_THROW((Route{1, 2, 3, 4, 5, 6}), std::length_error);
 }
 
 TEST(NetworkTest, AllPairsDeliverOnSingleSwitch16) {
@@ -137,7 +146,7 @@ TEST(NetworkTest, MisroutedPacketIsCounted) {
   const NodeId t1 = net.add_terminal();
   net.connect_terminal(t0, sw, 0);
   net.connect_terminal(t1, sw, 1);
-  net.finalize();
+  net.finalize([](NodeId, NodeId dst) { return Route{static_cast<std::uint8_t>(dst)}; });
 
   // Inject with a corrupted route (empty) directly through the uplink.
   Packet p = packet_between(t0, t1);

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "fabric/topology.hpp"
 #include "net/network.hpp"
 
 namespace nicbar::net {
@@ -47,34 +50,49 @@ TEST(TopologyTest, SingleSwitchSizes) {
   }
 }
 
-TEST(TopologyTest, SwitchChainReachability) {
+TEST(TopologyTest, SingleSwitchRoutesEveryPortOfAByteWideSwitch) {
   Simulator sim;
   Network net(sim);
-  build_switch_chain(net, 12, 4);
-  EXPECT_EQ(net.switch_count(), 3u);
-  expect_all_pairs_reachable(sim, net);
+  build_single_switch(net, kMaxSwitchPorts);
+  EXPECT_EQ(net.route(0, 255), Route{255});
+  int delivered = 0;
+  net.set_deliver(255, [&](Packet) { ++delivered; });
+  Packet p;
+  p.src_node = 0;
+  p.dst_node = 255;
+  net.inject(std::move(p));
+  sim.run();
+  EXPECT_EQ(delivered, 1);
 }
 
-TEST(TopologyTest, SwitchChainHopCountsGrowWithDistance) {
+TEST(TopologyTest, SwitchWiderThanARouteByteIsRejected) {
   Simulator sim;
   Network net(sim);
-  build_switch_chain(net, 12, 4);
-  // Terminals 0 and 1 share a switch (1 hop); 0 and 11 cross all three.
-  EXPECT_EQ(net.hop_count(0, 1), 1u);
-  EXPECT_EQ(net.hop_count(0, 11), 3u);
+  try {
+    build_single_switch(net, kMaxSwitchPorts + 1);
+    FAIL() << "a 257-port switch was built";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("257"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("256-port limit"), std::string::npos) << msg;
+  }
 }
+
+// A radix-k switch tree (k-1 hosts and one uplink per switch) is the
+// fat-tree with k-1 : 1 oversubscription.
 
 TEST(TopologyTest, SwitchTreeSmall) {
   Simulator sim;
   Network net(sim);
-  build_switch_tree(net, 16, 8);
+  fabric::build_fat_tree(net, 16, 8, 7);
+  EXPECT_EQ(net.switch_count(), 4u);  // three leaves under one root
   expect_all_pairs_reachable(sim, net);
 }
 
 TEST(TopologyTest, SwitchTreeLarge) {
   Simulator sim;
   Network net(sim);
-  build_switch_tree(net, 128, 16);
+  fabric::build_fat_tree(net, 128, 16, 15);
   EXPECT_EQ(net.terminal_count(), 128u);
   // Spot-check reachability on a few pairs (all-pairs is O(n^2) packets).
   int delivered = 0;
@@ -90,25 +108,14 @@ TEST(TopologyTest, SwitchTreeLarge) {
   EXPECT_EQ(delivered, 5);
 }
 
-TEST(TopologyTest, TreeRejectsBadRadix) {
-  Simulator sim;
-  Network net(sim);
-  EXPECT_THROW(build_switch_tree(net, 8, 1), std::invalid_argument);
-}
-
-TEST(TopologyTest, ChainRejectsZeroPerSwitch) {
-  Simulator sim;
-  Network net(sim);
-  EXPECT_THROW(build_switch_chain(net, 8, 0), std::invalid_argument);
-}
-
 TEST(TopologyTest, TreeHopCountReflectsDepth) {
   Simulator sim;
   Network net(sim);
-  build_switch_tree(net, 32, 8);
-  // Terminals on the same leaf: 1 hop. Terminals under different leaves: more.
+  fabric::build_fat_tree(net, 64, 8, 7);  // three levels: 10 leaves, 2 pods
+  // Same leaf: 1 hop. Sibling leaves: 3. Leaves under different pods: 5.
   EXPECT_EQ(net.hop_count(0, 1), 1u);
-  EXPECT_GT(net.hop_count(0, 31), 1u);
+  EXPECT_EQ(net.hop_count(0, 7), 3u);
+  EXPECT_EQ(net.hop_count(0, 63), 5u);
 }
 
 }  // namespace

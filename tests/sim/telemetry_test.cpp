@@ -392,6 +392,21 @@ TEST(TelemetryIntegrationTest, BreakdownTermsSumWithinOneNanosecond) {
   EXPECT_NEAR(m.total_us, r.mean_us, 0.25 * r.mean_us);
 }
 
+TEST(TelemetryIntegrationTest, ContentionFreeNicPeBarrierHasNoWaitTerm) {
+  // Lockstep NIC-PE on one switch: no packet queues, so once the wire term
+  // charges what the links charge the residual wait is exactly zero.
+  Telemetry t;
+  t.enable_breakdown();
+  coll::ExperimentParams p = instrumented_params(t, 20);
+  p.nodes = 16;
+  (void)coll::run_barrier_experiment(p);
+  const CostBreakdown m = t.breakdown()->mean();
+  // log2(16) = 4 rounds, each one single-switch path of 812.5 ns.
+  EXPECT_NEAR(m.wire_us, 3.25, 1e-6);
+  EXPECT_NEAR(m.wait_us, 0.0, 1e-6);
+  EXPECT_NEAR(m.sum_us(), m.total_us, 1e-6);
+}
+
 TEST(TelemetryIntegrationTest, TraceHasSpansPerEnginePerBarrierRound) {
   Telemetry t;
   TraceEventSink& sink = t.enable_trace();

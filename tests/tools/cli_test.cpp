@@ -88,13 +88,14 @@ TEST(CliTest, DimZeroRequestsSweep) {
 TEST(CliTest, EnumValuesParse) {
   std::string err;
   const auto o = parse_args({"--location", "host", "--algorithm", "gb", "--nic", "lanai72",
-                             "--topology", "tree", "--reliability", "separate", "--rto", "fixed"},
+                             "--topology", "leaf-spine", "--reliability", "separate", "--rto",
+                             "fixed"},
                             err);
   ASSERT_TRUE(o.has_value()) << err;
   EXPECT_EQ(o->params.spec.location, coll::Location::kHost);
   EXPECT_EQ(o->params.spec.algorithm, nic::BarrierAlgorithm::kGatherBroadcast);
   EXPECT_EQ(o->params.cluster.nic.model, nic::lanai72().model);
-  EXPECT_EQ(o->params.cluster.topology, host::Topology::kSwitchTree);
+  EXPECT_EQ(o->params.cluster.topology, host::Topology::kLeafSpine);
   EXPECT_EQ(o->params.cluster.nic.barrier_reliability, nic::BarrierReliability::kSeparateAcks);
   EXPECT_FALSE(o->params.cluster.nic.adaptive_rto);
 }
@@ -122,6 +123,14 @@ TEST(CliTest, BadEnumValueReportsTheFlag) {
   std::string err;
   EXPECT_FALSE(parse_args({"--location", "gpu"}, err).has_value());
   EXPECT_NE(err.find("--location"), std::string::npos);
+}
+
+TEST(CliTest, RetiredTopologiesAreRejectedNamingTheAcceptedOnes) {
+  for (const char* retired : {"chain", "tree"}) {
+    std::string err;
+    EXPECT_FALSE(parse_args({"--topology", retired}, err).has_value()) << retired;
+    EXPECT_NE(err.find("switch, fat-tree, or leaf-spine"), std::string::npos) << err;
+  }
 }
 
 TEST(CliTest, UnknownFlagFails) {

@@ -19,7 +19,7 @@ TEST(WorkloadSpecTest, ParserRoundTrip) {
     # preamble
     cluster-nodes 32
     nic lanai72
-    topology chain
+    topology leaf-spine 8 3
     placement overlapping
     arrival poisson 500
     seed 7
@@ -43,7 +43,9 @@ TEST(WorkloadSpecTest, ParserRoundTrip) {
   )");
   EXPECT_EQ(s.cluster_nodes, 32u);
   EXPECT_EQ(s.cluster.nic.model, nic::lanai72().model);
-  EXPECT_EQ(s.cluster.topology, host::Topology::kSwitchChain);
+  EXPECT_EQ(s.cluster.topology, host::Topology::kLeafSpine);
+  EXPECT_EQ(s.cluster.fabric_radix, 8u);
+  EXPECT_EQ(s.cluster.fabric_oversub, 3u);
   EXPECT_EQ(s.placement, Placement::kOverlapping);
   EXPECT_EQ(s.arrival.kind, ArrivalKind::kPoisson);
   EXPECT_DOUBLE_EQ(s.arrival.interval.us(), 500.0);
@@ -102,6 +104,8 @@ TEST(WorkloadSpecTest, ParserNamesTheOffendingLine) {
   expect_error("job j\n  frobnicate 3\n", "unknown job key");
   expect_error("arrival sometimes\n", "arrival must be");
   expect_error("nic lanai99\n", "lanai43 or lanai72");
+  expect_error("topology chain\n", "topology must be switch, fat-tree");
+  expect_error("topology tree\n", "topology must be switch, fat-tree");
   expect_error("job j\n  mix\n", "at least one");
   expect_error("job j\n  mix barrier\n", "kind=weight");
   expect_error("job j\n  mix scatter=1\n", "unknown collective");

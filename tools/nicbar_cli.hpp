@@ -100,8 +100,9 @@ inline const char* usage_text() {
       "                     dimension (default 2; 0 = sweep for best, GB only)\n"
       "  --nic MODEL        lanai43 | lanai72 (default lanai43)\n"
       "  --clock MHZ        override NIC clock\n"
-      "  --topology T       switch | chain | tree | fat-tree | leaf-spine\n"
-      "                     (default switch)\n"
+      "  --topology T       switch | fat-tree | leaf-spine (default switch; a\n"
+      "                     radix-K switch tree is fat-tree --radix K\n"
+      "                     --oversub K-1)\n"
       "  --radix R          fat-tree/leaf-spine switch radix (default 16)\n"
       "  --oversub Q        fat-tree/leaf-spine oversubscription ratio Q:1\n"
       "                     (default 1 = non-blocking)\n"
@@ -325,16 +326,12 @@ inline std::optional<Options> parse(int argc, char** argv, std::string& error) {
       const std::string s = v;
       if (s == "switch") {
         o.params.cluster.topology = host::Topology::kSingleSwitch;
-      } else if (s == "chain") {
-        o.params.cluster.topology = host::Topology::kSwitchChain;
-      } else if (s == "tree") {
-        o.params.cluster.topology = host::Topology::kSwitchTree;
       } else if (s == "fat-tree") {
         o.params.cluster.topology = host::Topology::kFatTree;
       } else if (s == "leaf-spine") {
         o.params.cluster.topology = host::Topology::kLeafSpine;
       } else {
-        return fail("--topology must be switch, chain, tree, fat-tree, or leaf-spine");
+        return fail("--topology must be switch, fat-tree, or leaf-spine");
       }
     } else if (a == "--radix") {
       const char* v = value("--radix");

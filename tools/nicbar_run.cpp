@@ -6,7 +6,7 @@
 //
 //   nicbar_run --nodes 16 --location nic --algorithm pe
 //   nicbar_run --nodes 8 --nic lanai72 --location host --algorithm gb --dim 3
-//   nicbar_run --nodes 64 --topology tree --reps 100 --skew-us 200
+//   nicbar_run --nodes 64 --topology fat-tree --radix 8 --reps 100 --skew-us 200
 //   nicbar_run --nodes 8 --reliability separate --loss 0.02
 //   nicbar_run --nodes 16 --breakdown --trace-json trace.json --metrics-json m.json
 //   nicbar_run --nodes 16 --loss 0.01 --reliability shared --seeds 5 --jobs 5
