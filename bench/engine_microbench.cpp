@@ -1,10 +1,21 @@
 // Wall-clock performance of the simulation engine itself (google-benchmark):
-// event throughput, coroutine switching, and end-to-end barrier simulation
-// rate. These are the only benches that measure real time, not simulated.
+// event throughput, coroutine switching, the PDES window barrier, the NIC
+// connection lookup, and end-to-end barrier simulation rate. These are the
+// only benches that measure real time, not simulated.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <functional>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "coll/runner.hpp"
 #include "host/cluster.hpp"
+#include "nic/connection_table.hpp"
+#include "sim/exec.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
 
@@ -188,6 +199,57 @@ void BM_FrameArenaSpawnChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10 * state.range(0));
 }
 BENCHMARK(BM_FrameArenaSpawnChurn)->Arg(1000);
+
+// One PDES window barrier with no simulation behind it: a LanePool round of
+// 2 workers x 4 lanes, each lane busy for range(0) ns. With 0 ns this is the
+// pure hand-off cost (publish the round, wake or release the helper, wait
+// for it); at 5000 ns it is the cost a short fabric4k-pdes window pays.
+// pdes.windows times (this round - the lanes' own work) is the barrier's
+// share of a partitioned run.
+void BM_LanePoolRound(benchmark::State& state) {
+  const auto work = std::chrono::nanoseconds(state.range(0));
+  sim::exec::LanePool pool(2);
+  const std::function<void(std::size_t)> lane = [&](std::size_t) {
+    const auto until = std::chrono::steady_clock::now() + work;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  for (auto _ : state) pool.run(4, lane);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LanePoolRound)->Arg(0)->Arg(5000)->UseRealTime();
+
+// Nic::conn's lookup, get_or_create on a warm ConnectionTable, over
+// range(0) tables (one per NIC) of range(1) peers each, in a shuffled
+// (table, peer) order so the tables compete for cache as the NICs of a
+// large run do. Peers are the pairwise-exchange partners (t XOR 2^k) when
+// they fit, else the nearest ring neighbours. Shapes: fabric4k's PE phase
+// (4096 x 12), a tenants64-like switch (64 x 60) and paper16 (16 x 15).
+void BM_ConnectionLookup(benchmark::State& state) {
+  const auto tables = static_cast<std::size_t>(state.range(0));
+  const auto peers = static_cast<std::size_t>(state.range(1));
+  const bool pe = (std::size_t{1} << peers) <= tables;
+  std::vector<nic::ConnectionTable> nics(tables);
+  std::vector<std::pair<std::uint32_t, net::NodeId>> order;
+  for (std::size_t t = 0; t < tables; ++t) {
+    for (std::size_t j = 0; j < peers; ++j) {
+      const std::size_t peer = pe ? t ^ (std::size_t{1} << j) : (t + j + 1) % tables;
+      order.emplace_back(static_cast<std::uint32_t>(t), static_cast<net::NodeId>(peer));
+      nics[t].get_or_create(static_cast<net::NodeId>(peer));
+    }
+  }
+  std::shuffle(order.begin(), order.end(), std::mt19937(42));
+  std::size_t i = 0;
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    const auto& [t, peer] = order[i];
+    sink += nics[t].get_or_create(peer).next_send_seq;
+    if (++i == order.size()) i = 0;
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ConnectionLookup)->Args({4096, 12})->Args({64, 60})->Args({16, 15});
 
 void BM_BarrierSimulation(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));

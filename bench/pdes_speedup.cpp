@@ -11,10 +11,11 @@
 //      (`bit_identical` per row; the tier-1 suite enforces the full
 //      counter/causal version of this).
 //   2. Wall-clock scales with workers — on hosts that have them. The
-//      artifact records `hw_threads` so the checker can tell a genuine
-//      speedup regime from a single-CPU container, where threads timeshare
-//      one core and the honest result is speedup <= 1 with the
-//      partition-count overhead still characterized (see EXPERIMENTS.md).
+//      artifact records `hw_threads`: with at least 4, every worker of a
+//      4-worker row has a thread of its own and the checker demands a
+//      speedup > 1 there; on smaller hosts the threads timeshare cores, the
+//      honest result is speedup <= 1, and the rows characterize the
+//      partition-count overhead instead (see EXPERIMENTS.md).
 //
 // Env knobs: NICBAR_PDES_MAX_NODES caps the grid (default 4096),
 // NICBAR_PDES_REPS overrides the per-case repetition count (default 10),
@@ -107,8 +108,10 @@ int main() {
   }
   summary.write();
 
-  if (hw >= 4 && best_speedup > 1.0) {
-    std::printf("\nspeedup: %.3fx at >= 4 workers on %u hardware threads.\n", best_speedup, hw);
+  if (hw >= 4) {
+    std::printf("\nspeedup: best %.3fx at >= 4 workers on %u hardware threads (%s the > 1 "
+                "gate).\n",
+                best_speedup, hw, best_speedup > 1.0 ? "passes" : "FAILS");
   } else {
     std::printf("\nspeedup: not expected here — %u hardware thread(s) timeshare every\n"
                 "worker, so the measurement characterizes partition-count overhead\n"

@@ -1,20 +1,27 @@
 // Sparse per-peer connection storage.
 //
-// The NIC used to keep `vector<unique_ptr<Connection>>` indexed by remote
-// node id and resized to the largest peer ever contacted — at 4096 nodes
-// that is 4096 pointers per NIC (128 MB of pointer array alone across the
-// cluster) even though a barrier member only ever talks to O(log N) peers.
-// This table stores connections in a stable slab in allocation order with
-// a hash index over remote ids: memory is O(peers actually contacted),
-// references stay valid for the NIC's lifetime (firmware coroutines hold
-// `Connection&` across suspensions), and iteration is by ascending remote
-// id so crash/restart replay order matches the old dense scan exactly.
+// A barrier member only ever talks to O(log N) peers, so a dense array
+// indexed by remote node id (4096 pointers per NIC at 4096 nodes) wastes
+// memory. This table is a flat open-addressing index from remote id to a
+// Connection that is its own allocation:
+//   - one probe in the common case: linear probing over {key, pointer}
+//     slots at a load of at most one half, so the lookup on the packet path
+//     touches a single cache line before it reaches the Connection;
+//   - references stay valid for the NIC's lifetime (firmware coroutines
+//     hold `Connection&` across suspensions): growing the index moves the
+//     owning pointers, never the Connections;
+//   - nothing is allocated before the first contact;
+//   - iteration is by ascending remote id, so crash/restart replay and the
+//     closed-port flush visit peers in the same order whatever the contact
+//     order was.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
-#include <deque>
-#include <unordered_map>
+#include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -28,40 +35,69 @@ class ConnectionTable {
 
   /// The connection to `remote`, allocating it on first contact.
   Connection& get_or_create(NodeId remote) {
-    auto it = index_.find(remote);
-    if (it == index_.end()) {
-      slab_.emplace_back();
-      it = index_.emplace(remote, slab_.size() - 1).first;
+    if (!slots_.empty()) {
+      Slot& s = slots_[probe(remote)];
+      if (s.conn) return *s.conn;
     }
-    return slab_[it->second];
+    if (2 * (count_ + 1) > slots_.size()) grow();
+    Slot& s = slots_[probe(remote)];
+    s.key = remote;
+    s.conn = std::make_unique<Connection>();
+    ++count_;
+    return *s.conn;
   }
 
   /// The connection to `remote`, or nullptr if never contacted.
   [[nodiscard]] Connection* find(NodeId remote) {
-    auto it = index_.find(remote);
-    return it == index_.end() ? nullptr : &slab_[it->second];
+    return slots_.empty() ? nullptr : slots_[probe(remote)].conn.get();
   }
   [[nodiscard]] const Connection* find(NodeId remote) const {
-    auto it = index_.find(remote);
-    return it == index_.end() ? nullptr : &slab_[it->second];
+    return slots_.empty() ? nullptr : slots_[probe(remote)].conn.get();
   }
 
   /// Applies `fn(remote, connection)` to every allocated connection in
   /// ascending remote-id order (deterministic regardless of contact order).
   template <typename Fn>
   void for_each(Fn&& fn) {
-    std::vector<NodeId> ids;
-    ids.reserve(index_.size());
-    for (const auto& [remote, _] : index_) ids.push_back(remote);
-    std::sort(ids.begin(), ids.end());
-    for (NodeId remote : ids) fn(remote, slab_[index_.find(remote)->second]);
+    std::vector<std::pair<NodeId, Connection*>> peers;
+    peers.reserve(count_);
+    for (const Slot& s : slots_) {
+      if (s.conn) peers.emplace_back(s.key, s.conn.get());
+    }
+    std::sort(peers.begin(), peers.end());
+    for (const auto& [remote, c] : peers) fn(remote, *c);
   }
 
-  [[nodiscard]] std::size_t allocated() const { return slab_.size(); }
+  [[nodiscard]] std::size_t allocated() const { return count_; }
 
  private:
-  std::deque<Connection> slab_;  // deque: stable addresses under growth
-  std::unordered_map<NodeId, std::size_t> index_;
+  struct Slot {
+    NodeId key = 0;
+    std::unique_ptr<Connection> conn;  // null: empty slot
+  };
+
+  /// Index of `remote`'s slot, or of the empty slot that ends its probe run.
+  /// Fibonacci hashing spreads the XOR-patterned peer ids of PE and the
+  /// strided ids of a fat-tree across the table's high bits.
+  [[nodiscard]] std::size_t probe(NodeId remote) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = (std::uint32_t{remote} * 0x9E3779B1u) >> shift_;
+    while (slots_[i].conn && slots_[i].key != remote) i = (i + 1) & mask;
+    return i;
+  }
+
+  void grow() {
+    std::vector<Slot> old =
+        std::exchange(slots_, std::vector<Slot>(slots_.empty() ? 8 : 2 * slots_.size()));
+    shift_ = 32 - static_cast<unsigned>(std::countr_zero(slots_.size()));
+    for (Slot& s : old) {
+      if (s.conn) slots_[probe(s.key)] = std::move(s);
+    }
+  }
+
+  std::vector<Slot> slots_;  // power-of-two size, at most half full
+  unsigned shift_ = 32;      // 32 - log2(slots_.size())
+  std::size_t count_ = 0;
 };
 
 }  // namespace nicbar::nic

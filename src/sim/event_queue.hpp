@@ -5,15 +5,16 @@
 // the order they were scheduled — this determinism is what makes every
 // experiment in the repository exactly reproducible.
 //
-// Hot-path layout: the heap holds 24-byte POD entries (time, order, slot
-// handle) that sift with trivial moves; the callable itself lives in a slot
-// array and never moves during heap maintenance. Slots are recycled through a
-// free list and carry a generation counter, so a stale EventId (already
-// fired, cancelled, or cleared) can never touch a later event that happens to
-// reuse its slot. Cancellation stays lazy and O(1): cancel() retires the slot
-// (destroying the callable immediately) and the heap discards the dead entry
-// when it surfaces — this matters because reliability retransmission timers
-// are cancelled on (nearly) every acknowledgment. When dead entries pile up
+// Hot-path layout: the heap holds 32-byte POD entries (time, the two
+// same-instant order keys, slot handle and generation) that sift with
+// trivial moves; the callable itself lives in a slot array and never moves
+// during heap maintenance. Slots are recycled through a free list and carry
+// a generation counter, so a stale EventId (already fired, cancelled, or
+// cleared) can never touch a later event that happens to reuse its slot.
+// Cancellation stays lazy and O(1): cancel() retires the slot (destroying
+// the callable immediately) and the heap discards the dead entry when it
+// surfaces — this matters because reliability retransmission timers are
+// cancelled on (nearly) every acknowledgment. When dead entries pile up
 // faster than pops retire them, schedule() compacts the heap in one O(n)
 // pass so cancel-heavy workloads cannot grow the heap without bound.
 #pragma once
@@ -117,6 +118,7 @@ class EventQueue {
     std::uint32_t slot;
     std::uint32_t gen;
   };
+  static_assert(sizeof(HeapEntry) == 32, "two heap entries per 64-byte cache line");
   static constexpr std::uint32_t kNilSlot = UINT32_MAX;
   static constexpr std::uint64_t kUnkeyedBit = 1ULL << 63;
 

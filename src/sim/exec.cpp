@@ -1,6 +1,7 @@
 #include "sim/exec.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -52,7 +53,43 @@ void parallel_for(std::size_t count, unsigned workers,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-LanePool::LanePool(unsigned workers) : workers_(resolve_workers(workers)) {
+namespace {
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Waits until `word` no longer holds `old` and returns its new value (an
+/// acquire load). Spins for at most LanePool::kSpinBudget when `spin`, then
+/// parks in std::atomic::wait until a notify.
+std::uint32_t await_change(const std::atomic<std::uint32_t>& word, std::uint32_t old,
+                           bool spin) {
+  std::uint32_t v = word.load(std::memory_order_acquire);
+  if (v != old) return v;
+  if (spin) {
+    const auto deadline = std::chrono::steady_clock::now() + LanePool::kSpinBudget;
+    do {
+      cpu_relax();
+      v = word.load(std::memory_order_acquire);
+      if (v != old) return v;
+    } while (std::chrono::steady_clock::now() < deadline);
+  }
+  for (;;) {
+    word.wait(old, std::memory_order_acquire);
+    v = word.load(std::memory_order_acquire);
+    if (v != old) return v;
+  }
+}
+
+}  // namespace
+
+LanePool::LanePool(unsigned workers)
+    : workers_(resolve_workers(workers)),
+      spin_(workers_ <= std::thread::hardware_concurrency()) {
   errors_.resize(workers_);
   threads_.reserve(workers_ > 0 ? workers_ - 1 : 0);
   for (unsigned w = 1; w < workers_; ++w) {
@@ -61,11 +98,11 @@ LanePool::LanePool(unsigned workers) : workers_(resolve_workers(workers)) {
 }
 
 LanePool::~LanePool() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  cv_start_.notify_all();
+  // Every helper is between rounds here (run() returned), so the bump is the
+  // only thing it can observe next.
+  shutdown_ = true;
+  round_.fetch_add(1, std::memory_order_release);
+  round_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
@@ -73,29 +110,23 @@ void LanePool::run_shard(unsigned self) noexcept {
   // Static assignment: this worker owns lanes {self, self+W, self+2W, ...}.
   // A throwing lane abandons the rest of the shard; the round still reaches
   // its barrier so the coordinator can rethrow with every thread quiescent.
+  // The error slot is this worker's alone, and the coordinator reads it only
+  // after the round's acquire on outstanding_.
   try {
     for (std::size_t i = self; i < lanes_; i += workers_) (*job_)(i);
   } catch (...) {
-    const std::lock_guard<std::mutex> lock(mu_);
     errors_[self] = std::current_exception();
   }
 }
 
 void LanePool::worker_main(unsigned self) {
-  std::uint64_t seen = 0;
+  std::uint32_t seen = 0;
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_start_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
-      if (shutdown_) return;
-      seen = generation_;
-    }
+    seen = await_change(round_, seen, spin_);
+    if (shutdown_) return;
     run_shard(self);
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      --outstanding_;
-    }
-    cv_done_.notify_one();
+    // The last helper out wakes the coordinator if it parked.
+    if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) outstanding_.notify_one();
   }
 }
 
@@ -106,26 +137,21 @@ void LanePool::run(std::size_t lanes, const std::function<void(std::size_t)>& jo
     for (std::size_t i = 0; i < lanes; ++i) job(i);
     return;
   }
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    lanes_ = lanes;
-    job_ = &job;
-    outstanding_ = workers_ - 1;
-    ++generation_;
-  }
-  cv_start_.notify_all();
+  lanes_ = lanes;
+  job_ = &job;
+  outstanding_.store(workers_ - 1, std::memory_order_relaxed);
+  round_.fetch_add(1, std::memory_order_release);
+  round_.notify_all();
   run_shard(0);  // the coordinator works its own shard instead of idling
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [&] { return outstanding_ == 0; });
-    job_ = nullptr;
-    for (std::exception_ptr& e : errors_) {
-      if (e) {
-        std::exception_ptr first = std::exchange(e, nullptr);
-        for (std::exception_ptr& rest : errors_) rest = nullptr;
-        lock.unlock();
-        std::rethrow_exception(first);
-      }
+  for (std::uint32_t left = workers_ - 1; left != 0;) {
+    left = await_change(outstanding_, left, spin_);
+  }
+  job_ = nullptr;
+  for (std::exception_ptr& e : errors_) {
+    if (e) {
+      std::exception_ptr first = std::exchange(e, nullptr);
+      for (std::exception_ptr& rest : errors_) rest = nullptr;
+      std::rethrow_exception(first);
     }
   }
 }

@@ -11,12 +11,12 @@
 // changes. This is the engine under coll::SweepPlan and every figure bench.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -42,18 +42,30 @@ void parallel_for(std::size_t count, unsigned workers,
 /// always runs on worker (i mod workers), and worker 0 is the calling
 /// (coordinator) thread itself. parallel_for spawns and joins threads per
 /// call, which is fine for a parameter sweep but far too heavy for a
-/// partitioned simulation that dispatches thousands of short windows; this
-/// pool parks its threads on a condition variable between rounds. The static
-/// assignment is deliberate: a partition's Simulator is touched by the same
-/// thread every window (so debug ownership stays simple and thread-local
-/// frame-arena freelists keep their hit rate), and it needs no work-stealing
-/// atomics on the dispatch path. Each run() is a barrier: it returns only
-/// after every lane's job finished, with the mutex handoffs providing the
-/// happens-before edges a window-synchronized PDES run relies on. Jobs that
+/// partitioned simulation that dispatches tens of thousands of short
+/// windows. This pool keeps its threads between rounds and hands a round
+/// over through two atomics: the coordinator publishes a round by bumping
+/// `round_` (release) and every helper retires it by decrementing
+/// `outstanding_` (acq_rel); those edges are the happens-before a
+/// window-synchronized PDES run relies on. A waiter — a helper awaiting the
+/// next round, or the coordinator awaiting the last helper — spins on its
+/// word for at most kSpinBudget and then parks in std::atomic::wait. It
+/// parks at once when the pool has more workers than the host has hardware
+/// threads, where a spinning thread would only burn the time slice of the
+/// thread it waits for. The static assignment is deliberate: a partition's
+/// Simulator is touched by the same thread every window (so debug ownership
+/// stays simple and thread-local frame-arena freelists keep their hit rate),
+/// and it needs no work-stealing atomics on the dispatch path. Each run() is
+/// a barrier: it returns only after every lane's job finished. Jobs that
 /// throw abandon the rest of that worker's shard; the first exception (by
 /// worker rank) is rethrown on the coordinator after the barrier.
 class LanePool {
  public:
+  /// How long a waiter spins before it parks: about one window's work per
+  /// worker on the 4096-node fat-tree, so a round's hand-off stays in user
+  /// space while a partitioned run is busy and an idle pool sleeps.
+  static constexpr std::chrono::microseconds kSpinBudget{50};
+
   /// `workers` is resolved via resolve_workers; `workers - 1` threads are
   /// spawned (the coordinator contributes the remaining shard).
   explicit LanePool(unsigned workers);
@@ -73,16 +85,18 @@ class LanePool {
   void run_shard(unsigned self) noexcept;
 
   unsigned workers_;
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  std::uint64_t generation_ = 0;   // bumped per run(); workers wait on changes
-  std::size_t lanes_ = 0;          // round state, valid while outstanding_ > 0
+  bool spin_;  // workers_ fit the host's hardware threads
+  // Round state: written by the coordinator before it bumps round_, read by
+  // the helpers after they observe the bump.
+  std::size_t lanes_ = 0;
   const std::function<void(std::size_t)>* job_ = nullptr;
-  unsigned outstanding_ = 0;       // helper workers still in the current round
   bool shutdown_ = false;
   std::vector<std::exception_ptr> errors_;  // slot per worker, first by rank rethrown
+  // Each on its own cache line, so helpers retiring a round (outstanding_)
+  // do not disturb helpers already polling for the next one (round_).
+  alignas(64) std::atomic<std::uint32_t> round_{0};        // bumped per run()
+  alignas(64) std::atomic<std::uint32_t> outstanding_{0};  // helpers still in the round
+  std::vector<std::thread> threads_;  // after everything the helpers use
 };
 
 }  // namespace nicbar::sim::exec

@@ -1,10 +1,15 @@
 #include "wl/spec.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace nicbar::wl {
 
@@ -216,54 +221,124 @@ std::vector<std::vector<net::NodeId>> place_jobs(const WorkloadSpec& spec) {
 
 namespace {
 
-[[noreturn]] void fail_at(int line_no, const std::string& line, const std::string& why) {
-  throw std::runtime_error("workload spec line " + std::to_string(line_no) + " ('" + line +
-                           "'): " + why);
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
 }
 
-double parse_number(std::istringstream& is, int line_no, const std::string& line,
-                    const char* what) {
+/// Length of the longest prefix of `s` that std::num_get reads for a double
+/// in the "C" locale: [sign] digits [. digits] [e [sign] digits], where the
+/// exponent needs a digit before it. The prefix may end inside a word.
+std::size_t number_prefix(std::string_view s) {
+  std::size_t i = 0;
+  if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+  bool digit = false;
+  bool dot = false;
+  for (; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c >= '0' && c <= '9') {
+      digit = true;
+    } else if (c == '.' && !dot) {
+      dot = true;
+    } else if ((c == 'e' || c == 'E') && digit) {
+      ++i;
+      if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+      while (i < s.size() && s[i] >= '0' && s[i] <= '9') ++i;
+      break;
+    } else {
+      break;
+    }
+  }
+  return i;
+}
+
+/// The value of a whole number_prefix() token, or nullopt where the stream
+/// set failbit: no digits, a dangling exponent, or a magnitude past the
+/// largest double. A value that underflows reads as the nearest
+/// representable one, as the stream's strtod gave it.
+std::optional<double> to_double(std::string_view tok) {
+  if (!tok.empty() && tok.front() == '+') tok.remove_prefix(1);  // from_chars takes '-' only
   double v = 0.0;
-  if (!(is >> v)) fail_at(line_no, line, std::string("expected a number for ") + what);
+  const auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
+  if (end != tok.data() + tok.size() || ec == std::errc::invalid_argument) return std::nullopt;
+  if (ec == std::errc::result_out_of_range) {
+    v = std::strtod(std::string(tok).c_str(), nullptr);
+    if (std::isinf(v)) return std::nullopt;
+  }
   return v;
 }
 
-std::string parse_word(std::istringstream& is, int line_no, const std::string& line,
-                       const char* what) {
-  std::string w;
-  if (!(is >> w)) fail_at(line_no, line, std::string("expected a value for ") + what);
-  return w;
-}
+/// One spec line, tokenized in place the way `std::istream >>` read it:
+/// words end at whitespace, and a number is number_prefix() of what follows,
+/// so "5x" reads 5 and leaves "x" for the next read.
+class LineReader {
+ public:
+  LineReader(const std::string& line, int line_no) : line_(line), rest_(line), line_no_(line_no) {}
 
-void expect_end(std::istringstream& is, int line_no, const std::string& line) {
-  std::string extra;
-  if (is >> extra) fail_at(line_no, line, "unexpected trailing token '" + extra + "'");
-}
+  [[noreturn]] void fail(const std::string& why) const {
+    throw std::runtime_error("workload spec line " + std::to_string(line_no_) + " ('" + line_ +
+                             "'): " + why);
+  }
+
+  /// The next whitespace-delimited word; empty at the end of the line.
+  std::string_view next_word() {
+    skip_space();
+    std::size_t n = 0;
+    while (n < rest_.size() && !is_space(rest_[n])) ++n;
+    return take(n);
+  }
+
+  std::string_view word(std::string_view what) {
+    const std::string_view w = next_word();
+    if (w.empty()) fail("expected a value for " + std::string(what));
+    return w;
+  }
+
+  double number(std::string_view what) {
+    skip_space();
+    const std::optional<double> v = to_double(take(number_prefix(rest_)));
+    if (!v) fail("expected a number for " + std::string(what));
+    return *v;
+  }
+
+  void expect_end() {
+    const std::string_view extra = next_word();
+    if (!extra.empty()) fail("unexpected trailing token '" + std::string(extra) + "'");
+  }
+
+ private:
+  void skip_space() {
+    while (!rest_.empty() && is_space(rest_.front())) rest_.remove_prefix(1);
+  }
+  std::string_view take(std::size_t n) {
+    const std::string_view head = rest_.substr(0, n);
+    rest_.remove_prefix(n);
+    return head;
+  }
+
+  const std::string& line_;
+  std::string_view rest_;
+  int line_no_;
+};
 
 /// "barrier=0.7" -> sets the named weight on `mix`.
-void parse_mix_term(const std::string& term, CollectiveMix& mix, int line_no,
-                    const std::string& line) {
+void parse_mix_term(std::string_view term, CollectiveMix& mix, const LineReader& rd) {
   const std::size_t eq = term.find('=');
-  if (eq == std::string::npos) fail_at(line_no, line, "mix terms look like kind=weight");
-  const std::string kind = term.substr(0, eq);
-  double w = 0.0;
-  try {
-    std::size_t used = 0;
-    w = std::stod(term.substr(eq + 1), &used);
-    if (used != term.size() - eq - 1) throw std::invalid_argument("trailing");
-  } catch (const std::exception&) {
-    fail_at(line_no, line, "bad weight in '" + term + "'");
-  }
+  if (eq == std::string_view::npos) rd.fail("mix terms look like kind=weight");
+  const std::string_view kind = term.substr(0, eq);
+  const std::string_view weight = term.substr(eq + 1);
+  const std::optional<double> w =
+      number_prefix(weight) == weight.size() ? to_double(weight) : std::nullopt;
+  if (!w) rd.fail("bad weight in '" + std::string(term) + "'");
   if (kind == "barrier") {
-    mix.barrier = w;
+    mix.barrier = *w;
   } else if (kind == "bcast" || kind == "broadcast") {
-    mix.broadcast = w;
+    mix.broadcast = *w;
   } else if (kind == "allreduce") {
-    mix.allreduce = w;
+    mix.allreduce = *w;
   } else if (kind == "fuzzy") {
-    mix.fuzzy = w;
+    mix.fuzzy = *w;
   } else {
-    fail_at(line_no, line, "unknown collective '" + kind + "'");
+    rd.fail("unknown collective '" + std::string(kind) + "'");
   }
 }
 
@@ -280,16 +355,16 @@ WorkloadSpec parse_workload_spec(std::istream& in) {
     ++line_no;
     const std::size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
-    std::istringstream is(line);
-    std::string key;
-    if (!(is >> key)) continue;  // blank / comment-only
+    LineReader rd(line, line_no);
+    const std::string_view key = rd.next_word();
+    if (key.empty()) continue;  // blank / comment-only
 
     if (key == "job") {
       JobClass c;
-      c.name = parse_word(is, line_no, line, "job name");
+      c.name = std::string(rd.word("job name"));
       // Per-class mix weights start from nothing; an unspecified mix means
       // barrier-only (the struct default).
-      expect_end(is, line_no, line);
+      rd.expect_end();
       spec.classes.push_back(std::move(c));
       job = &spec.classes.back();
       any_mix_term = false;
@@ -299,39 +374,37 @@ WorkloadSpec parse_workload_spec(std::istream& in) {
     if (job == nullptr) {
       // Preamble keys.
       if (key == "cluster-nodes") {
-        const double v = parse_number(is, line_no, line, "cluster-nodes");
-        if (v < 1) fail_at(line_no, line, "cluster-nodes must be >= 1");
+        const double v = rd.number("cluster-nodes");
+        if (v < 1) rd.fail("cluster-nodes must be >= 1");
         spec.cluster_nodes = static_cast<std::size_t>(v);
       } else if (key == "nic") {
-        const std::string v = parse_word(is, line_no, line, "nic");
+        const std::string_view v = rd.word("nic");
         if (v == "lanai43") {
           spec.cluster.nic = nic::lanai43();
         } else if (v == "lanai72") {
           spec.cluster.nic = nic::lanai72();
         } else {
-          fail_at(line_no, line, "nic must be lanai43 or lanai72");
+          rd.fail("nic must be lanai43 or lanai72");
         }
       } else if (key == "topology") {
-        const std::string v = parse_word(is, line_no, line, "topology");
+        const std::string v(rd.word("topology"));
         if (v == "switch") {
           spec.cluster.topology = host::Topology::kSingleSwitch;
         } else if (v == "fat-tree" || v == "leaf-spine") {
           spec.cluster.topology =
               v == "fat-tree" ? host::Topology::kFatTree : host::Topology::kLeafSpine;
-          const double radix = parse_number(is, line_no, line, (v + " radix").c_str());
-          const double oversub =
-              parse_number(is, line_no, line, (v + " oversubscription").c_str());
-          if (radix < 3) fail_at(line_no, line, v + " radix must be >= 3");
-          if (oversub < 1) fail_at(line_no, line, v + " oversubscription must be >= 1");
+          const double radix = rd.number(v + " radix");
+          const double oversub = rd.number(v + " oversubscription");
+          if (radix < 3) rd.fail(v + " radix must be >= 3");
+          if (oversub < 1) rd.fail(v + " oversubscription must be >= 1");
           spec.cluster.fabric_radix = static_cast<std::size_t>(radix);
           spec.cluster.fabric_oversub = static_cast<std::size_t>(oversub);
         } else {
-          fail_at(line_no, line,
-                  "topology must be switch, fat-tree <radix> <oversub>, "
+          rd.fail("topology must be switch, fat-tree <radix> <oversub>, "
                   "or leaf-spine <radix> <oversub>");
         }
       } else if (key == "reliability") {
-        const std::string v = parse_word(is, line_no, line, "reliability");
+        const std::string_view v = rd.word("reliability");
         if (v == "unreliable") {
           spec.cluster.nic.barrier_reliability = nic::BarrierReliability::kUnreliable;
         } else if (v == "shared") {
@@ -339,16 +412,16 @@ WorkloadSpec parse_workload_spec(std::istream& in) {
         } else if (v == "separate") {
           spec.cluster.nic.barrier_reliability = nic::BarrierReliability::kSeparateAcks;
         } else {
-          fail_at(line_no, line, "reliability must be unreliable, shared, or separate");
+          rd.fail("reliability must be unreliable, shared, or separate");
         }
       } else if (key == "nic-slots") {
         // Like `reliability`, this must follow `nic` (which replaces the
         // whole NIC config).
-        const double v = parse_number(is, line_no, line, "nic-slots");
-        if (v < 0) fail_at(line_no, line, "nic-slots must be non-negative");
+        const double v = rd.number("nic-slots");
+        if (v < 0) rd.fail("nic-slots must be non-negative");
         spec.cluster.nic.barrier_slots = static_cast<int>(v);
       } else if (key == "placement") {
-        const std::string v = parse_word(is, line_no, line, "placement");
+        const std::string_view v = rd.word("placement");
         if (v == "disjoint") {
           spec.placement = Placement::kDisjoint;
         } else if (v == "strided") {
@@ -356,52 +429,49 @@ WorkloadSpec parse_workload_spec(std::istream& in) {
         } else if (v == "overlapping") {
           spec.placement = Placement::kOverlapping;
         } else {
-          fail_at(line_no, line, "placement must be disjoint, strided, or overlapping");
+          rd.fail("placement must be disjoint, strided, or overlapping");
         }
       } else if (key == "arrival") {
-        const std::string v = parse_word(is, line_no, line, "arrival");
+        const std::string_view v = rd.word("arrival");
         if (v == "fixed") {
           spec.arrival.kind = ArrivalKind::kFixed;
-          spec.arrival.interval =
-              sim::microseconds(parse_number(is, line_no, line, "fixed gap"));
+          spec.arrival.interval = sim::microseconds(rd.number("fixed gap"));
         } else if (v == "poisson") {
           spec.arrival.kind = ArrivalKind::kPoisson;
-          spec.arrival.interval =
-              sim::microseconds(parse_number(is, line_no, line, "poisson mean gap"));
+          spec.arrival.interval = sim::microseconds(rd.number("poisson mean gap"));
         } else if (v == "closed-loop") {
           spec.arrival.kind = ArrivalKind::kClosedLoop;
-          const double width = parse_number(is, line_no, line, "closed-loop width");
-          if (width < 1) fail_at(line_no, line, "closed-loop width must be >= 1");
+          const double width = rd.number("closed-loop width");
+          if (width < 1) rd.fail("closed-loop width must be >= 1");
           spec.arrival.width = static_cast<std::size_t>(width);
-          spec.arrival.think =
-              sim::microseconds(parse_number(is, line_no, line, "closed-loop think time"));
+          spec.arrival.think = sim::microseconds(rd.number("closed-loop think time"));
         } else {
-          fail_at(line_no, line, "arrival must be fixed, poisson, or closed-loop");
+          rd.fail("arrival must be fixed, poisson, or closed-loop");
         }
       } else if (key == "seed") {
-        const double v = parse_number(is, line_no, line, "seed");
+        const double v = rd.number("seed");
         spec.seed = static_cast<std::uint64_t>(v);
       } else if (key == "hist-max-us") {
-        spec.hist_max_us = parse_number(is, line_no, line, "hist-max-us");
+        spec.hist_max_us = rd.number("hist-max-us");
       } else {
-        fail_at(line_no, line, "unknown key '" + key + "' (before the first job)");
+        rd.fail("unknown key '" + std::string(key) + "' (before the first job)");
       }
-      expect_end(is, line_no, line);
+      rd.expect_end();
       continue;
     }
 
     // Job-class keys.
     if (key == "count") {
-      const double v = parse_number(is, line_no, line, "count");
-      if (v < 1) fail_at(line_no, line, "count must be >= 1");
+      const double v = rd.number("count");
+      if (v < 1) rd.fail("count must be >= 1");
       job->count = static_cast<std::size_t>(v);
     } else if (key == "nodes") {
-      const double v = parse_number(is, line_no, line, "nodes");
-      if (v < 1) fail_at(line_no, line, "nodes must be >= 1");
+      const double v = rd.number("nodes");
+      if (v < 1) rd.fail("nodes must be >= 1");
       job->nodes = static_cast<std::size_t>(v);
     } else if (key == "iters") {
-      const double v = parse_number(is, line_no, line, "iters");
-      if (v < 1) fail_at(line_no, line, "iters must be >= 1");
+      const double v = rd.number("iters");
+      if (v < 1) rd.fail("iters must be >= 1");
       job->iterations = static_cast<int>(v);
     } else if (key == "mix") {
       if (!any_mix_term) {
@@ -409,31 +479,30 @@ WorkloadSpec parse_workload_spec(std::istream& in) {
         job->mix = CollectiveMix{0.0, 0.0, 0.0, 0.0};
         any_mix_term = true;
       }
-      std::string term;
       bool saw_term = false;
-      while (is >> term) {
-        parse_mix_term(term, job->mix, line_no, line);
+      for (std::string_view term = rd.next_word(); !term.empty(); term = rd.next_word()) {
+        parse_mix_term(term, job->mix, rd);
         saw_term = true;
       }
-      if (!saw_term) fail_at(line_no, line, "mix needs at least one kind=weight term");
+      if (!saw_term) rd.fail("mix needs at least one kind=weight term");
       continue;  // consumed the rest of the line
     } else if (key == "compute-us") {
-      job->compute_mean = sim::microseconds(parse_number(is, line_no, line, "compute-us"));
+      job->compute_mean = sim::microseconds(rd.number("compute-us"));
     } else if (key == "imbalance") {
-      job->compute_imbalance = parse_number(is, line_no, line, "imbalance");
+      job->compute_imbalance = rd.number("imbalance");
     } else if (key == "skew-us") {
-      job->start_skew = sim::microseconds(parse_number(is, line_no, line, "skew-us"));
+      job->start_skew = sim::microseconds(rd.number("skew-us"));
     } else if (key == "location") {
-      const std::string v = parse_word(is, line_no, line, "location");
+      const std::string_view v = rd.word("location");
       if (v == "nic") {
         job->location = coll::Location::kNic;
       } else if (v == "host") {
         job->location = coll::Location::kHost;
       } else {
-        fail_at(line_no, line, "location must be nic or host");
+        rd.fail("location must be nic or host");
       }
     } else if (key == "algorithm") {
-      const std::string v = parse_word(is, line_no, line, "algorithm");
+      const std::string_view v = rd.word("algorithm");
       // The families are mutually exclusive and the key is last-wins, so
       // each arm resets the other families' selectors.
       job->rdma = coll::RdmaAlgorithm::kNone;
@@ -442,51 +511,47 @@ WorkloadSpec parse_workload_spec(std::istream& in) {
         job->algorithm = nic::BarrierAlgorithm::kPairwiseExchange;
       } else if (v == "gb") {
         job->algorithm = nic::BarrierAlgorithm::kGatherBroadcast;
-        job->gb_dimension =
-            static_cast<std::size_t>(parse_number(is, line_no, line, "gb dimension"));
+        job->gb_dimension = static_cast<std::size_t>(rd.number("gb dimension"));
       } else if (v == "hier") {
         job->hierarchical = true;
-        job->gb_dimension =
-            static_cast<std::size_t>(parse_number(is, line_no, line, "hier intra dimension"));
+        job->gb_dimension = static_cast<std::size_t>(rd.number("hier intra dimension"));
       } else if (v == "host-dissem") {
         job->rdma = coll::RdmaAlgorithm::kDissemination;
       } else if (v == "host-tree") {
         job->rdma = coll::RdmaAlgorithm::kTreePut;
-        job->gb_dimension =
-            static_cast<std::size_t>(parse_number(is, line_no, line, "host-tree radix"));
+        job->gb_dimension = static_cast<std::size_t>(rd.number("host-tree radix"));
       } else {
-        fail_at(line_no, line, "algorithm must be pe, gb <dim>, hier <dim>, "
-                               "host-dissem, or host-tree <radix>");
+        rd.fail("algorithm must be pe, gb <dim>, hier <dim>, host-dissem, or host-tree <radix>");
       }
     } else if (key == "fuzzy-chunk-us") {
-      job->fuzzy_chunk = sim::microseconds(parse_number(is, line_no, line, "fuzzy-chunk-us"));
+      job->fuzzy_chunk = sim::microseconds(rd.number("fuzzy-chunk-us"));
     } else if (key == "deadline-us") {
-      job->deadline = sim::microseconds(parse_number(is, line_no, line, "deadline-us"));
+      job->deadline = sim::microseconds(rd.number("deadline-us"));
     } else if (key == "layer-us") {
-      job->layer_overhead = sim::microseconds(parse_number(is, line_no, line, "layer-us"));
+      job->layer_overhead = sim::microseconds(rd.number("layer-us"));
     } else if (key == "slo-us") {
-      job->slo = sim::microseconds(parse_number(is, line_no, line, "slo-us"));
+      job->slo = sim::microseconds(rd.number("slo-us"));
     } else if (key == "slo-target") {
-      job->slo_target = parse_number(is, line_no, line, "slo-target");
+      job->slo_target = rd.number("slo-target");
     } else if (key == "slo-window-us") {
-      job->slo_window = sim::microseconds(parse_number(is, line_no, line, "slo-window-us"));
+      job->slo_window = sim::microseconds(rd.number("slo-window-us"));
     } else if (key == "lifecycle") {
-      const std::string v = parse_word(is, line_no, line, "lifecycle");
+      const std::string_view v = rd.word("lifecycle");
       if (v == "managed") {
         job->managed = true;
       } else if (v == "none") {
         job->managed = false;
       } else {
-        fail_at(line_no, line, "lifecycle must be none or managed");
+        rd.fail("lifecycle must be none or managed");
       }
     } else if (key == "promote-every") {
-      const double v = parse_number(is, line_no, line, "promote-every");
-      if (v < 0) fail_at(line_no, line, "promote-every must be non-negative");
+      const double v = rd.number("promote-every");
+      if (v < 0) rd.fail("promote-every must be non-negative");
       job->promote_every = static_cast<int>(v);
     } else {
-      fail_at(line_no, line, "unknown job key '" + key + "'");
+      rd.fail("unknown job key '" + std::string(key) + "'");
     }
-    expect_end(is, line_no, line);
+    rd.expect_end();
   }
 
   try {

@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -167,6 +169,65 @@ TEST(LanePool, RethrowsFirstErrorByWorkerRank) {
   std::atomic<int> ok{0};
   pool.run(8, [&](std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 8);
+}
+
+// Many short rounds with plain (non-atomic) data in both directions: the
+// coordinator writes each lane's input before run(), the lane writes its
+// output, and the coordinator reads it after run(). Only the pool's round
+// hand-off orders those accesses, so TSan checks its happens-before edges.
+TEST(LanePool, ManyShortRoundsPublishPlainLaneData) {
+  constexpr std::size_t kLanes = 7;
+  constexpr std::uint64_t kRounds = 20000;
+  exec::LanePool pool(3);
+  std::vector<std::uint64_t> in(kLanes);
+  std::vector<std::uint64_t> out(kLanes);
+  for (std::uint64_t r = 0; r < kRounds; ++r) {
+    for (std::size_t i = 0; i < kLanes; ++i) in[i] = r * kLanes + i;
+    pool.run(kLanes, [&](std::size_t i) { out[i] = 2 * in[i] + 1; });
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      ASSERT_EQ(out[i], 2 * (r * kLanes + i) + 1) << "round " << r << " lane " << i;
+    }
+  }
+}
+
+// More workers than hardware threads (capped at 8): the helpers park instead
+// of spinning, and the pool still completes rounds and rethrows by rank.
+TEST(LanePool, OversubscribedPoolCompletesRoundsAndRethrowsByRank) {
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned workers = std::min(hw + 1, 8u);
+  exec::LanePool pool(workers);
+  ASSERT_EQ(pool.workers(), workers);
+  const std::size_t lanes = 2 * workers;
+  std::vector<int> hits(lanes, 0);
+  for (int r = 0; r < 500; ++r) pool.run(lanes, [&](std::size_t i) { ++hits[i]; });
+  for (const int h : hits) EXPECT_EQ(h, 500);
+  try {
+    // Every helper's lanes throw; worker 1's first lane is lane 1.
+    pool.run(lanes, [&](std::size_t i) {
+      if (i % workers != 0) throw std::runtime_error("lane " + std::to_string(i));
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "lane 1");
+  }
+  std::atomic<std::size_t> ok{0};
+  pool.run(lanes, [&](std::size_t) { ok.fetch_add(1); });
+  EXPECT_EQ(ok.load(), lanes);
+}
+
+// Helpers idle past the spin budget park in std::atomic::wait. A round must
+// still wake them, and the destructor must wake and join them at once.
+TEST(LanePool, DestroyingAParkedPoolReturnsPromptly) {
+  auto pool = std::make_unique<exec::LanePool>(3);
+  std::atomic<int> ran{0};
+  const auto park = [] { std::this_thread::sleep_for(exec::LanePool::kSpinBudget * 100); };
+  park();
+  pool->run(3, [&](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 3);
+  park();
+  const auto t0 = std::chrono::steady_clock::now();
+  pool.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
 }
 
 // --- Thread ownership (debug builds) ----------------------------------------

@@ -120,6 +120,65 @@ TEST(WorkloadSpecTest, ParserNamesTheOffendingLine) {
   expect_error("job j\n  nodes 4\n  mix fuzzy=0.5 allreduce=0.5\n", "separate class");
 }
 
+// Numbers read as `std::istream >> double` read them: the longest
+// [sign] digits [. digits] [e [sign] digits] prefix, which may stop inside a
+// word and leave the rest for the next read.
+TEST(WorkloadSpecTest, NumbersParseWhatTheStreamParsed) {
+  auto compute_us = [](const std::string& value) {
+    return parse_workload_spec("job j\n  nodes 4\n  compute-us " + value + "\n")
+        .classes[0]
+        .compute_mean.us();
+  };
+  EXPECT_DOUBLE_EQ(compute_us("+12.5"), 12.5);
+  EXPECT_DOUBLE_EQ(compute_us(".5"), 0.5);
+  EXPECT_DOUBLE_EQ(compute_us("5."), 5.0);
+  EXPECT_DOUBLE_EQ(compute_us("2.5E1"), 25.0);
+  EXPECT_DOUBLE_EQ(compute_us("007\t"), 7.0);
+  EXPECT_DOUBLE_EQ(compute_us("1e-400"), 0.0);  // underflow reads as zero, as before
+  // Whitespace between numbers is any of the stream's space characters.
+  const WorkloadSpec s = parse_workload_spec("topology fat-tree\t8 \v3\r\njob j\n  nodes 4\n");
+  EXPECT_EQ(s.cluster.fabric_radix, 8u);
+  EXPECT_EQ(s.cluster.fabric_oversub, 3u);
+  // A number may end inside a word; the next read starts where it stopped.
+  const WorkloadSpec t =
+      parse_workload_spec("arrival closed-loop 4+10\ncluster-nodes 8\njob j\n  nodes 4\n");
+  EXPECT_EQ(t.arrival.width, 4u);
+  EXPECT_DOUBLE_EQ(t.arrival.think.us(), 10.0);
+}
+
+TEST(WorkloadSpecTest, NonFiniteOutOfRangeAndGarbledNumbersAreRejected) {
+  auto expect_error = [](const std::string& line, const std::string& needle) {
+    const std::string text = "job j\n  nodes 4\n" + line + "\n";
+    try {
+      (void)parse_workload_spec(text);
+      FAIL() << "no error for: " << line;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 3 ('" + line + "')"), std::string::npos) << what;
+      EXPECT_NE(what.find(needle), std::string::npos) << what;
+    }
+  };
+  for (const char* bad : {"inf", "-inf", "nan", "infinity", "1e400", "-1e400", "1e", "1e+",
+                          ".", "-", "+-1", "e5", "abc"}) {
+    expect_error(std::string("  compute-us ") + bad, "expected a number for compute-us");
+  }
+  // Garbage inside a numeric token: the number stops there and the rest is
+  // a trailing token (or the next field, which then fails).
+  expect_error("  compute-us 12abc", "unexpected trailing token 'abc'");
+  expect_error("  compute-us 0x10", "unexpected trailing token 'x10'");
+  expect_error("  compute-us 1.5.3", "unexpected trailing token '.3'");
+  expect_error("  count 5x", "unexpected trailing token 'x'");
+  expect_error("  algorithm gb 4x", "unexpected trailing token 'x'");
+  // Mix weights are whole tokens read by the same rule.
+  for (const char* bad : {"inf", "nan", "1e400", "0x1p3", "0.5x", "", "1e"}) {
+    expect_error(std::string("  mix barrier=") + bad, "bad weight in 'barrier=");
+  }
+  const CollectiveMix mix =
+      parse_workload_spec("job j\n  nodes 4\n  mix barrier=+.5 bcast=5e-1\n").classes[0].mix;
+  EXPECT_DOUBLE_EQ(mix.barrier, 0.5);
+  EXPECT_DOUBLE_EQ(mix.broadcast, 0.5);
+}
+
 TEST(WorkloadSpecTest, ReliabilityKeySelectsTheRetransmissionMode) {
   EXPECT_EQ(parse_workload_spec("reliability shared\njob j\n  nodes 4\n")
                 .cluster.nic.barrier_reliability,
