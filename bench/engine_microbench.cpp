@@ -1,18 +1,21 @@
 // Wall-clock performance of the simulation engine itself (google-benchmark):
 // event throughput, coroutine switching, the PDES window barrier, the NIC
-// connection lookup, and end-to-end barrier simulation rate. These are the
-// only benches that measure real time, not simulated.
+// connection lookup, barrier-member set-up, and end-to-end barrier
+// simulation rate. These are the only benches that measure real time, not
+// simulated.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <random>
 #include <utility>
 #include <vector>
 
 #include "coll/runner.hpp"
+#include "coll/sweep.hpp"
 #include "host/cluster.hpp"
 #include "nic/connection_table.hpp"
 #include "sim/exec.hpp"
@@ -250,6 +253,45 @@ void BM_ConnectionLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ConnectionLookup)->Args({4096, 12})->Args({64, 60})->Args({16, 15});
+
+// Barrier-member set-up: construct and destroy range(0) members from one
+// group vector, on already-open ports of fabric4k's 4096-node radix-18 8:1
+// fat-tree (the first range(0) nodes). Items are members, so the inverse
+// of the item rate is the per-member cost; with one shared MemberList per
+// group it must not grow with N.
+void BM_MemberSetup(benchmark::State& state, const coll::BarrierSpec& spec) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  host::ClusterParams cp;
+  cp.nodes = 4096;
+  cp.topology = host::Topology::kFatTree;
+  cp.fabric_radix = 18;
+  cp.fabric_oversub = 8;
+  host::Cluster cluster(cp);
+  std::vector<coll::Endpoint> group;
+  std::vector<std::unique_ptr<gm::Port>> ports;
+  for (std::size_t i = 0; i < n; ++i) {
+    group.push_back(coll::Endpoint{static_cast<net::NodeId>(i), 2});
+    ports.push_back(cluster.open_port(static_cast<net::NodeId>(i), 2));
+  }
+  std::vector<std::unique_ptr<coll::BarrierMember>> members;
+  members.reserve(n);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < n; ++i) {
+      members.push_back(std::make_unique<coll::BarrierMember>(*ports[i], group, spec));
+    }
+    benchmark::DoNotOptimize(members.back()->my_index());
+    members.clear();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+void BM_MemberSetup_NicPe(benchmark::State& state) {
+  BM_MemberSetup(state, coll::spec(coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange));
+}
+void BM_MemberSetup_Hier(benchmark::State& state) {
+  BM_MemberSetup(state, coll::hier_spec(2, 16));  // one block per 16-host leaf
+}
+BENCHMARK(BM_MemberSetup_NicPe)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MemberSetup_Hier)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_BarrierSimulation(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));

@@ -15,7 +15,11 @@
 //      4-worker row has a thread of its own and the checker demands a
 //      speedup > 1 there; on smaller hosts the threads timeshare cores, the
 //      honest result is speedup <= 1, and the rows characterize the
-//      partition-count overhead instead (see EXPERIMENTS.md).
+//      partition-count overhead instead (see EXPERIMENTS.md). The host row
+//      also records `sanitized`: an ASan or TSan build times the sanitizer
+//      runtime and the host's load as much as the engine (the same binary
+//      reads 1.5x on an idle host and 0.8x beside a compile), so the checker
+//      holds only unsanitized artifacts to the speedup gate.
 //
 // Env knobs: NICBAR_PDES_MAX_NODES caps the grid (default 4096),
 // NICBAR_PDES_REPS overrides the per-case repetition count (default 10),
@@ -30,7 +34,22 @@
 #include "common.hpp"
 #include "coll/runner.hpp"
 
+// The same compile-time test as tests/integration/alloc_budget_test.cpp.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define NICBAR_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define NICBAR_SANITIZED 1
+#endif
+#endif
+
 namespace {
+
+#ifdef NICBAR_SANITIZED
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
 
 std::size_t env_or(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
@@ -62,7 +81,8 @@ int main() {
               "speedup", "identical");
 
   bench::BenchSummary summary("pdes_speedup", "nicbar-pdes-v1");
-  summary.add("host", {{"hw_threads", static_cast<double>(hw)}});
+  summary.add("host", {{"hw_threads", static_cast<double>(hw)},
+                       {"sanitized", kSanitized ? 1.0 : 0.0}});
   double best_speedup = 0.0;
 
   for (const std::size_t n : node_counts) {
@@ -108,7 +128,11 @@ int main() {
   }
   summary.write();
 
-  if (hw >= 4) {
+  if (kSanitized) {
+    std::printf("\nspeedup: best %.3fx at >= 4 workers on %u hardware threads; a sanitizer\n"
+                "build, so the > 1 gate does not apply (bit identity still does).\n",
+                best_speedup, hw);
+  } else if (hw >= 4) {
     std::printf("\nspeedup: best %.3fx at >= 4 workers on %u hardware threads (%s the > 1 "
                 "gate).\n",
                 best_speedup, hw, best_speedup > 1.0 ? "passes" : "FAILS");

@@ -11,17 +11,17 @@ using nic::BarrierAlgorithm;
 using nic::GmEvent;
 using nic::GmEventType;
 
-BarrierMember::BarrierMember(gm::Port& port, std::vector<Endpoint> group, BarrierSpec spec)
-    : port_(port), group_(std::move(group)), spec_(spec) {
-  bool found = false;
-  for (std::size_t i = 0; i < group_.size(); ++i) {
-    if (group_[i] == port_.endpoint()) {
-      my_index_ = i;
-      found = true;
-      break;
-    }
-  }
-  if (!found) throw std::invalid_argument("port's endpoint is not in the barrier group");
+BarrierMember::BarrierMember(gm::Port& port, const std::vector<Endpoint>& group,
+                             BarrierSpec spec)
+    : BarrierMember(port, MemberList::of(group), spec) {}
+
+BarrierMember::BarrierMember(gm::Port& port, std::shared_ptr<const MemberList> members,
+                             BarrierSpec spec)
+    : port_(port), members_(std::move(members)), spec_(spec) {
+  const std::optional<std::size_t> me = members_->rank_of(port_.endpoint());
+  if (!me) throw std::invalid_argument("port's endpoint is not in the barrier group");
+  my_index_ = *me;
+  const std::span<const Endpoint> group = members_->members();
   if (spec_.rdma != RdmaAlgorithm::kNone) {
     if (spec_.group != 0) {
       throw std::invalid_argument("host-RDMA barriers cannot join a managed group");
@@ -31,16 +31,16 @@ BarrierMember::BarrierMember(gm::Port& port, std::vector<Endpoint> group, Barrie
     rdma_domain_ = std::make_unique<rma::Domain>(port_);
     if (spec_.rdma == RdmaAlgorithm::kDissemination) {
       const std::uint64_t words =
-          std::max<std::uint64_t>(1, rma::DisseminationBarrier::rounds_for(group_.size()));
+          std::max<std::uint64_t>(1, rma::DisseminationBarrier::rounds_for(group.size()));
       rma::Segment& seg = rdma_domain_->register_segment(words);
       rdma_barrier_ =
-          std::make_unique<rma::DisseminationBarrier>(*rdma_domain_, seg, group_, my_index_);
+          std::make_unique<rma::DisseminationBarrier>(*rdma_domain_, seg, group, my_index_);
     } else {
       const std::size_t radix = std::max<std::size_t>(1, spec_.gb_dimension);
       rma::Segment& seg =
           rdma_domain_->register_segment(rma::TreePutBarrier::words_for(radix));
       rdma_barrier_ =
-          std::make_unique<rma::TreePutBarrier>(*rdma_domain_, seg, group_, my_index_, radix);
+          std::make_unique<rma::TreePutBarrier>(*rdma_domain_, seg, group, my_index_, radix);
     }
     return;
   }
@@ -48,7 +48,7 @@ BarrierMember::BarrierMember(gm::Port& port, std::vector<Endpoint> group, Barrie
     if (spec_.location != Location::kNic) {
       throw std::invalid_argument("hierarchical barriers require the NIC-based location");
     }
-    const std::size_t n = group_.size();
+    const std::size_t n = group.size();
     const std::size_t block =
         (spec_.hier_block == 0 || spec_.hier_block > n) ? n : spec_.hier_block;
     const std::size_t b = my_index_ / block;
@@ -57,8 +57,7 @@ BarrierMember::BarrierMember(gm::Port& port, std::vector<Endpoint> group, Barrie
     hier_block_size_ = hi - lo;
     hier_num_blocks_ = (n + block - 1) / block;
     hier_is_rep_ = my_index_ == lo;
-    const std::vector<Endpoint> mates(group_.begin() + static_cast<std::ptrdiff_t>(lo),
-                                      group_.begin() + static_cast<std::ptrdiff_t>(hi));
+    const std::span<const Endpoint> mates = group.subspan(lo, hi - lo);
     hier_gb_ = gb_tree(mates, my_index_ - lo, spec_.gb_dimension);
     if (hier_is_rep_) {
       // Multidestination release fan-out: every block mate, directly.
@@ -70,23 +69,16 @@ BarrierMember::BarrierMember(gm::Port& port, std::vector<Endpoint> group, Barrie
     if (hier_is_rep_ && hier_num_blocks_ > 1) {
       std::vector<Endpoint> reps;
       reps.reserve(hier_num_blocks_);
-      for (std::size_t r = 0; r < hier_num_blocks_; ++r) reps.push_back(group_[r * block]);
+      for (std::size_t r = 0; r < hier_num_blocks_; ++r) reps.push_back(group[r * block]);
       hier_rep_peers_ = pe_schedule(reps, b);
     }
     return;
   }
   if (spec_.algorithm == BarrierAlgorithm::kPairwiseExchange) {
-    pe_peers_ = pe_schedule(group_, my_index_);
+    pe_peers_ = pe_schedule(group, my_index_);
   } else {
-    gb_ = gb_tree(group_, my_index_, spec_.gb_dimension);
+    gb_ = gb_tree(group, my_index_, spec_.gb_dimension);
   }
-}
-
-bool BarrierMember::group_contains(net::NodeId node) const {
-  for (const Endpoint& ep : group_) {
-    if (ep.node == node) return true;
-  }
-  return false;
 }
 
 sim::ValueTask<BarrierStatus> BarrierMember::run() {
@@ -178,7 +170,7 @@ sim::ValueTask<BarrierStatus> BarrierMember::wait_msg_from(Endpoint peer) {
         break;
       case GmEventType::kPeerDead:
         if (sink_) sink_(ev);  // the layer above needs to see the failure too
-        if (group_contains(ev.peer.node)) {
+        if (members_->contains(ev.peer.node)) {
           peer_dead_ = true;
           co_return BarrierStatus::kPeerDead;
         }
@@ -302,7 +294,7 @@ sim::ValueTask<BarrierStatus> BarrierMember::wait_barrier_complete(gm::Epoch epo
         break;
       case GmEventType::kPeerDead:
         if (sink_) sink_(ev);
-        if (group_contains(ev.peer.node)) {
+        if (members_->contains(ev.peer.node)) {
           peer_dead_ = true;
           co_return BarrierStatus::kPeerDead;
         }
@@ -352,7 +344,7 @@ sim::ValueTask<std::uint64_t> BarrierMember::run_fuzzy_impl(sim::Duration chunk)
         break;
       case GmEventType::kPeerDead:
         if (sink_) sink_(*ev);
-        if (group_contains(ev->peer.node)) {
+        if (members_->contains(ev->peer.node)) {
           // Abort: the caller learns via peer_failed(); the chunk count is
           // still meaningful (work completed before the failure).
           peer_dead_ = true;

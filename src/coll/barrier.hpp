@@ -96,8 +96,12 @@ struct BarrierSpec {
 class BarrierMember {
  public:
   /// `group` lists every participating endpoint; this member is the entry
-  /// whose endpoint equals port.endpoint().
-  BarrierMember(gm::Port& port, std::vector<Endpoint> group, BarrierSpec spec);
+  /// whose endpoint equals port.endpoint() (its first occurrence). Members
+  /// built from the same vector share one MemberList (MemberList::of).
+  BarrierMember(gm::Port& port, const std::vector<Endpoint>& group, BarrierSpec spec);
+  /// Joins an existing shared list (a GroupMember or mpi::Communicator hands
+  /// its own list to the barrier members it owns).
+  BarrierMember(gm::Port& port, std::shared_ptr<const MemberList> members, BarrierSpec spec);
 
   /// Runs one barrier. Returns kOk on completion; kPeerDead/kDeadline mean
   /// the barrier was aborted cleanly (the NIC token is cancelled, the
@@ -110,6 +114,7 @@ class BarrierMember {
   /// Returns the number of chunks completed before the barrier finished.
   [[nodiscard]] sim::ValueTask<std::uint64_t> run_fuzzy(sim::Duration chunk);
 
+  [[nodiscard]] const std::shared_ptr<const MemberList>& member_list() const { return members_; }
   [[nodiscard]] const std::vector<Endpoint>& pe_peers() const { return pe_peers_; }
   [[nodiscard]] const GbTreeSlice& gb_slice() const { return gb_; }
   [[nodiscard]] std::size_t my_index() const { return my_index_; }
@@ -140,7 +145,7 @@ class BarrierMember {
 
   /// Higher layer drained a kPeerDead for `node` from the shared stream.
   void note_peer_dead(net::NodeId node) {
-    if (group_contains(node)) peer_dead_ = true;
+    if (members_->contains(node)) peer_dead_ = true;
   }
 
   /// True once any group member's connection has been declared dead; every
@@ -165,11 +170,12 @@ class BarrierMember {
   sim::ValueTask<BarrierStatus> wait_msg_from(Endpoint peer);
   /// Next port event, bounded by the current deadline (nullopt = expired).
   sim::ValueTask<std::optional<nic::GmEvent>> next_event();
-  [[nodiscard]] bool group_contains(net::NodeId node) const;
   sim::Task ensure_provisioned();
 
   gm::Port& port_;
-  std::vector<Endpoint> group_;
+  /// Shared with every member built from the same list. Declared before
+  /// rdma_barrier_, which views it, so it outlives that barrier.
+  std::shared_ptr<const MemberList> members_;
   BarrierSpec spec_;
   std::size_t my_index_ = 0;
   std::vector<Endpoint> pe_peers_;

@@ -53,20 +53,19 @@ const char* to_string(GroupState s) {
   return "?";
 }
 
-GroupMember::GroupMember(gm::Port& port, std::vector<Endpoint> members, GroupConfig config)
+GroupMember::GroupMember(gm::Port& port, const std::vector<Endpoint>& members,
+                         GroupConfig config)
+    : GroupMember(port, MemberList::of(members), config) {}
+
+GroupMember::GroupMember(gm::Port& port, std::shared_ptr<const MemberList> members,
+                         GroupConfig config)
     : port_(port), members_(std::move(members)), config_(config) {
   if (config_.id == 0 || config_.id > kMaxGroupId) {
     throw std::invalid_argument("group id must be non-zero and fit in 47 bits");
   }
-  bool found = false;
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    if (members_[i] == port_.endpoint()) {
-      my_index_ = i;
-      found = true;
-      break;
-    }
-  }
-  if (!found) throw std::invalid_argument("port's endpoint is not in the group");
+  const std::optional<std::size_t> me = members_->rank_of(port_.endpoint());
+  if (!me) throw std::invalid_argument("port's endpoint is not in the group");
+  my_index_ = *me;
 
   BarrierSpec nic_spec;
   nic_spec.location = Location::kNic;
@@ -99,7 +98,7 @@ GroupMember::GroupMember(gm::Port& port, std::vector<Endpoint> members, GroupCon
     if (ev.type == GmEventType::kPeerDead) {
       nic_bm_->note_peer_dead(ev.peer.node);
       host_bm_->note_peer_dead(ev.peer.node);
-      if (group_contains(ev.peer.node)) peer_dead_ = true;
+      if (members_->contains(ev.peer.node)) peer_dead_ = true;
     }
     if (sink_) sink_(ev);
   };
@@ -109,13 +108,6 @@ GroupMember::GroupMember(gm::Port& port, std::vector<Endpoint> members, GroupCon
 
 void GroupMember::set_event_sink(std::function<void(const nic::GmEvent&)> sink) {
   sink_ = std::move(sink);
-}
-
-bool GroupMember::group_contains(net::NodeId node) const {
-  for (const Endpoint& ep : members_) {
-    if (ep.node == node) return true;
-  }
-  return false;
 }
 
 void GroupMember::note_ctrl(const GmEvent& ev) {
@@ -131,7 +123,7 @@ void GroupMember::note_ctrl(const GmEvent& ev) {
 void GroupMember::note_peer_dead(net::NodeId node) {
   nic_bm_->note_peer_dead(node);
   host_bm_->note_peer_dead(node);
-  if (group_contains(node)) peer_dead_ = true;
+  if (members_->contains(node)) peer_dead_ = true;
 }
 
 void GroupMember::release_local_slot() {
@@ -145,7 +137,7 @@ sim::Task GroupMember::ensure_provisioned() {
   provisioned_ = true;
   // Each member sends us at most one ack per handshake phase (and the
   // coordinator one commit); double it for cross-phase overlap, plus slack.
-  for (std::size_t i = 0; i < 2 * members_.size() + 4; ++i) {
+  for (std::size_t i = 0; i < 2 * members_->size() + 4; ++i) {
     co_await port_.provide_receive_buffer(ctrl_bytes_);
   }
 }
@@ -220,7 +212,7 @@ sim::ValueTask<GroupMember::CtrlWait> GroupMember::collect_ctrl(std::uint8_t kin
         if (sink_) sink_(ev);
         nic_bm_->note_peer_dead(ev.peer.node);
         host_bm_->note_peer_dead(ev.peer.node);
-        if (group_contains(ev.peer.node)) {
+        if (members_->contains(ev.peer.node)) {
           peer_dead_ = true;
           r.status = BarrierStatus::kPeerDead;
           co_return r;
@@ -251,7 +243,7 @@ sim::ValueTask<BarrierStatus> GroupMember::admission_handshake(std::uint8_t ack_
 
   if (my_index_ == 0) {
     // Phase 1 (coordinator): collect every member's vote.
-    const CtrlWait acks = co_await collect_ctrl(ack_kind, members_.size() - 1);
+    const CtrlWait acks = co_await collect_ctrl(ack_kind, members_->size() - 1);
     if (acks.status != BarrierStatus::kOk) {
       release_local_slot();
       co_return acks.status;
@@ -260,8 +252,8 @@ sim::ValueTask<BarrierStatus> GroupMember::admission_handshake(std::uint8_t ack_
     // Phase 2: broadcast the commit; NIC offload only if *everyone* holds a
     // slot — a half-offloaded barrier would deadlock (host members never
     // answer NIC barrier packets).
-    for (std::size_t i = 1; i < members_.size(); ++i) {
-      co_await send_ctrl(members_[i], commit_kind, nic_mode);
+    for (std::size_t i = 1; i < members_->size(); ++i) {
+      co_await send_ctrl((*members_)[i], commit_kind, nic_mode);
     }
     if (!nic_mode) release_local_slot();
     *nic_out = nic_mode;
@@ -269,7 +261,7 @@ sim::ValueTask<BarrierStatus> GroupMember::admission_handshake(std::uint8_t ack_
   }
 
   // Phase 1 (member): vote, then wait for the commit.
-  co_await send_ctrl(members_[0], ack_kind, slot_held_);
+  co_await send_ctrl((*members_)[0], ack_kind, slot_held_);
   const CtrlWait commit = co_await collect_ctrl(commit_kind, 1);
   if (commit.status != BarrierStatus::kOk) {
     release_local_slot();
@@ -371,15 +363,15 @@ sim::ValueTask<BarrierStatus> GroupMember::run_destroy() {
   // acks, no in-flight round remains anywhere.
   BarrierStatus st = BarrierStatus::kOk;
   if (my_index_ == 0) {
-    const CtrlWait acks = co_await collect_ctrl(kDestroyAck, members_.size() - 1);
+    const CtrlWait acks = co_await collect_ctrl(kDestroyAck, members_->size() - 1);
     st = acks.status;
     if (st == BarrierStatus::kOk) {
-      for (std::size_t i = 1; i < members_.size(); ++i) {
-        co_await send_ctrl(members_[i], kDestroyCommit, true);
+      for (std::size_t i = 1; i < members_->size(); ++i) {
+        co_await send_ctrl((*members_)[i], kDestroyCommit, true);
       }
     }
   } else {
-    co_await send_ctrl(members_[0], kDestroyAck, true);
+    co_await send_ctrl((*members_)[0], kDestroyAck, true);
     const CtrlWait commit = co_await collect_ctrl(kDestroyCommit, 1);
     st = commit.status;
   }

@@ -98,8 +98,12 @@ struct GroupConfig {
 class GroupMember {
  public:
   /// `members` lists every participating endpoint; this member is the entry
-  /// whose endpoint equals port.endpoint(). members[0] coordinates.
-  GroupMember(gm::Port& port, std::vector<Endpoint> members, GroupConfig config);
+  /// whose endpoint equals port.endpoint(). members[0] coordinates. Members
+  /// built from the same vector share one MemberList (MemberList::of).
+  GroupMember(gm::Port& port, const std::vector<Endpoint>& members, GroupConfig config);
+  /// Joins an existing shared list (mpi::Communicator hands its own). Both
+  /// barrier paths this member owns hold the same list.
+  GroupMember(gm::Port& port, std::shared_ptr<const MemberList> members, GroupConfig config);
 
   /// Phase 1+2 group creation. Returns kOk (NIC-offloaded), kOkDegraded
   /// (slot admission rejected somewhere — host fallback), or a failure
@@ -120,7 +124,8 @@ class GroupMember {
   [[nodiscard]] GroupState state() const { return state_; }
   [[nodiscard]] std::uint64_t id() const { return config_.id; }
   [[nodiscard]] bool is_coordinator() const { return my_index_ == 0; }
-  [[nodiscard]] std::size_t size() const { return members_.size(); }
+  [[nodiscard]] std::size_t size() const { return members_->size(); }
+  [[nodiscard]] const std::shared_ptr<const MemberList>& member_list() const { return members_; }
 
   /// Lifetime counters for reports and tests.
   [[nodiscard]] std::uint64_t barriers_run() const { return barriers_run_; }
@@ -158,10 +163,9 @@ class GroupMember {
   sim::ValueTask<BarrierStatus> attempt_promotion();
   sim::Task ensure_provisioned();
   void release_local_slot();
-  [[nodiscard]] bool group_contains(net::NodeId node) const;
 
   gm::Port& port_;
-  std::vector<Endpoint> members_;
+  std::shared_ptr<const MemberList> members_;
   GroupConfig config_;
   std::size_t my_index_ = 0;
 

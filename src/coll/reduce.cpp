@@ -8,19 +8,17 @@ namespace nicbar::coll {
 using nic::GmEvent;
 using nic::GmEventType;
 
-ReduceMember::ReduceMember(gm::Port& port, std::vector<Endpoint> group, Location location,
-                           nic::ReduceOp op, std::size_t dimension)
-    : port_(port), group_(std::move(group)), location_(location), op_(op) {
-  bool found = false;
-  for (std::size_t i = 0; i < group_.size(); ++i) {
-    if (group_[i] == port_.endpoint()) {
-      my_index_ = i;
-      found = true;
-      break;
-    }
-  }
-  if (!found) throw std::invalid_argument("port's endpoint is not in the reduce group");
-  gb_ = gb_tree(group_, my_index_, dimension);
+ReduceMember::ReduceMember(gm::Port& port, const std::vector<Endpoint>& group,
+                           Location location, nic::ReduceOp op, std::size_t dimension)
+    : ReduceMember(port, MemberList::of(group), location, op, dimension) {}
+
+ReduceMember::ReduceMember(gm::Port& port, std::shared_ptr<const MemberList> members,
+                           Location location, nic::ReduceOp op, std::size_t dimension)
+    : port_(port), members_(std::move(members)), location_(location), op_(op) {
+  const std::optional<std::size_t> me = members_->rank_of(port_.endpoint());
+  if (!me) throw std::invalid_argument("port's endpoint is not in the reduce group");
+  my_index_ = *me;
+  gb_ = gb_tree(members_->members(), my_index_, dimension);
 }
 
 sim::ValueTask<std::int64_t> ReduceMember::allreduce(std::int64_t contribution) {

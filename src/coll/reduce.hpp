@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "coll/barrier.hpp"
@@ -20,12 +21,19 @@ namespace nicbar::coll {
 
 class ReduceMember {
  public:
-  ReduceMember(gm::Port& port, std::vector<Endpoint> group, Location location,
+  /// `group` lists every participating endpoint; this member is the entry
+  /// whose endpoint equals port.endpoint(). Members built from the same
+  /// vector share one MemberList (MemberList::of).
+  ReduceMember(gm::Port& port, const std::vector<Endpoint>& group, Location location,
+               nic::ReduceOp op, std::size_t dimension = 2);
+  /// Joins an existing shared list (mpi::Communicator hands its own).
+  ReduceMember(gm::Port& port, std::shared_ptr<const MemberList> members, Location location,
                nic::ReduceOp op, std::size_t dimension = 2);
 
   /// Runs one allreduce; every member gets the combined value.
   [[nodiscard]] sim::ValueTask<std::int64_t> allreduce(std::int64_t contribution);
 
+  [[nodiscard]] const std::shared_ptr<const MemberList>& member_list() const { return members_; }
   [[nodiscard]] const GbTreeSlice& tree() const { return gb_; }
   [[nodiscard]] std::size_t my_index() const { return my_index_; }
 
@@ -42,7 +50,7 @@ class ReduceMember {
   sim::Task ensure_provisioned();
 
   gm::Port& port_;
-  std::vector<Endpoint> group_;
+  std::shared_ptr<const MemberList> members_;
   Location location_;
   nic::ReduceOp op_;
   std::size_t my_index_ = 0;

@@ -1,6 +1,8 @@
 #include "coll/schedule.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 
 namespace nicbar::coll {
@@ -13,9 +15,48 @@ std::size_t floor_pow2(std::size_t n) {
   return p;
 }
 
+std::uint64_t endpoint_key(Endpoint e) {
+  return (std::uint64_t{e.node} << 8) | e.port;
+}
+
 }  // namespace
 
-std::vector<Endpoint> pe_schedule(const std::vector<Endpoint>& group, std::size_t me) {
+std::shared_ptr<const MemberList> MemberList::of(std::span<const Endpoint> members) {
+  thread_local std::weak_ptr<const MemberList> last;
+  if (std::shared_ptr<const MemberList> list = last.lock()) {
+    if (list->size() == members.size() &&
+        (members.empty() ||
+         std::memcmp(list->members_.data(), members.data(), members.size_bytes()) == 0)) {
+      return list;
+    }
+  }
+  auto list = std::make_shared<const MemberList>(members);
+  last = list;
+  return list;
+}
+
+MemberList::MemberList(std::span<const Endpoint> members)
+    : members_(members.begin(), members.end()) {
+  index_.reserve(members_.size());
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    index_.push_back((endpoint_key(members_[i]) << 32) | i);
+  }
+  std::sort(index_.begin(), index_.end());
+}
+
+std::optional<std::size_t> MemberList::rank_of(Endpoint e) const {
+  const std::uint64_t key = endpoint_key(e);
+  const auto it = std::lower_bound(index_.begin(), index_.end(), key << 32);
+  if (it == index_.end() || (*it >> 32) != key) return std::nullopt;
+  return static_cast<std::size_t>(*it & 0xffffffffu);
+}
+
+bool MemberList::contains(net::NodeId node) const {
+  const auto it = std::lower_bound(index_.begin(), index_.end(), std::uint64_t{node} << 40);
+  return it != index_.end() && (*it >> 40) == node;
+}
+
+std::vector<Endpoint> pe_schedule(std::span<const Endpoint> group, std::size_t me) {
   const std::size_t n = group.size();
   if (n == 0) throw std::invalid_argument("empty barrier group");
   if (me >= n) throw std::invalid_argument("member index out of range");
@@ -52,7 +93,7 @@ std::size_t pe_round_count(std::size_t n, std::size_t me) {
   return rounds + (me < extras ? 2 : 0);
 }
 
-GbTreeSlice gb_tree(const std::vector<Endpoint>& group, std::size_t me,
+GbTreeSlice gb_tree(std::span<const Endpoint> group, std::size_t me,
                     std::size_t dimension) {
   const std::size_t n = group.size();
   if (n == 0) throw std::invalid_argument("empty barrier group");

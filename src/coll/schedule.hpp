@@ -6,9 +6,15 @@
 //                  pairing), extended to non-power-of-two group sizes.
 //   gb_tree      — k-ary ("dimension k") gather/broadcast tree slice:
 //                  this member's parent and children.
+//   MemberList   — the ordered member list both take, shared by every
+//                  member object built from it (one copy per group).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "nic/tokens.hpp"
@@ -16,6 +22,48 @@
 namespace nicbar::coll {
 
 using nic::Endpoint;
+
+/// An immutable, ordered list of a collective's members with its rank and
+/// node indexes built once. Every member object of a group (BarrierMember,
+/// GroupMember, ReduceMember, mpi::Communicator) holds the same list through
+/// a shared_ptr instead of a private copy, so N members of an N-endpoint
+/// group cost O(N) memory, not O(N^2). ("Group" already names a managed NIC
+/// barrier-group id, hence the distinct name.)
+///
+/// Nothing changes after construction; the shared_ptr's atomic reference
+/// count is the only shared state, so members holding one list may be built
+/// and destroyed on any thread or PDES lane.
+class MemberList {
+ public:
+  /// The list for `members`. Reuses the list this thread built last when it
+  /// is still alive and holds the same endpoint bytes (same size, memcmp 0),
+  /// so the N member objects a caller builds from one vector share one list
+  /// with no change at the call site. Equal bytes imply equal members, so a
+  /// miss (e.g. different padding bytes) only costs a fresh list, never a
+  /// wrong one. The per-thread cache is a weak_ptr: it never keeps a list
+  /// alive once its members are gone.
+  [[nodiscard]] static std::shared_ptr<const MemberList> of(std::span<const Endpoint> members);
+
+  explicit MemberList(std::span<const Endpoint> members);
+
+  [[nodiscard]] std::size_t size() const { return members_.size(); }
+  [[nodiscard]] const Endpoint& operator[](std::size_t i) const { return members_[i]; }
+  [[nodiscard]] std::span<const Endpoint> members() const { return members_; }
+
+  /// Index of the first occurrence of `e` (as a linear scan would find it),
+  /// or nullopt when `e` is not a member. O(log N).
+  [[nodiscard]] std::optional<std::size_t> rank_of(Endpoint e) const;
+
+  /// True when any member endpoint lives on `node`. O(log N).
+  [[nodiscard]] bool contains(net::NodeId node) const;
+
+ private:
+  std::vector<Endpoint> members_;
+  /// (node << 8 | port) << 32 | index for every member, ascending: equal
+  /// endpoints sort by index, so the lower bound is the first occurrence,
+  /// and a node's endpoints form one contiguous run.
+  std::vector<std::uint64_t> index_;
+};
 
 /// Pairwise-exchange schedule for member `me` of `group` (paper §5.1).
 ///
@@ -26,7 +74,7 @@ using nic::Endpoint;
 /// partner exchanges with its extra before and after the power-of-two rounds.
 /// This preserves the invariant that a member's exchange with peer k only
 /// completes after all members have entered the barrier.
-[[nodiscard]] std::vector<Endpoint> pe_schedule(const std::vector<Endpoint>& group,
+[[nodiscard]] std::vector<Endpoint> pe_schedule(std::span<const Endpoint> group,
                                                 std::size_t me);
 
 /// This member's slice of a `dimension`-ary gather/broadcast tree laid out
@@ -37,7 +85,7 @@ struct GbTreeSlice {
   [[nodiscard]] bool is_root() const { return parent.node == net::kInvalidNode; }
 };
 
-[[nodiscard]] GbTreeSlice gb_tree(const std::vector<Endpoint>& group, std::size_t me,
+[[nodiscard]] GbTreeSlice gb_tree(std::span<const Endpoint> group, std::size_t me,
                                   std::size_t dimension);
 
 /// Number of PE rounds for a group of size n (log2 ceiling + extra folds).

@@ -75,15 +75,26 @@ void Cluster::setup_partitions() {
   if (fabric_) {
     // Leaf-aligned blocks: a node shares a lane with its leaf switch, so the
     // dense host↔leaf traffic is lane-local and only switch↔switch links
-    // cross partitions. Leaves are switch ids 0..num_leaves-1 (the builders
-    // add them first); spine/agg/core stay on lane 0.
+    // cross partitions. The builders add switches in a fixed id order
+    // (pinned by fabric_topology_test): leaves 0..L-1, then, three levels
+    // up, the aggregation switches agg[p·u + j], then the cores (or, two
+    // levels up, the spines). An aggregation switch joins the lane of its
+    // pod's first leaf, so leaf↔agg traffic stays lane-local; the cores or
+    // spines, which every pod reaches alike, are dealt round-robin so no
+    // lane carries the whole upper tier.
     const std::size_t leaves = fabric_->num_leaves;
+    const auto leaf_lane = [&](std::size_t leaf) { return static_cast<int>(leaf * want / leaves); };
     for (std::size_t i = 0; i < params_.nodes; ++i) {
-      node_partition_[i] = static_cast<int>(fabric_->leaf_of(static_cast<net::NodeId>(i)) *
-                                            want / leaves);
+      node_partition_[i] = leaf_lane(fabric_->leaf_of(static_cast<net::NodeId>(i)));
     }
-    for (std::size_t s = 0; s < leaves && s < switch_partition_.size(); ++s) {
-      switch_partition_[s] = static_cast<int>(s * want / leaves);
+    std::size_t s = 0;
+    for (; s < leaves; ++s) switch_partition_[s] = leaf_lane(s);
+    const std::size_t aggs = fabric_->num_pods * fabric_->uplinks_per_leaf;
+    for (std::size_t a = 0; a < aggs; ++a, ++s) {
+      switch_partition_[s] = leaf_lane(a / fabric_->uplinks_per_leaf * fabric_->leaves_per_pod);
+    }
+    for (std::size_t top = 0; s < switch_partition_.size(); ++top, ++s) {
+      switch_partition_[s] = static_cast<int>(top % want);
     }
   } else {
     // Single switch: contiguous node blocks; the switch stays on lane 0, so

@@ -96,6 +96,13 @@ class Cluster {
     return node_partition_.empty() ? 0 : node_partition_.at(id);
   }
 
+  /// The partition owning switch `id` (0 when not partitioned).
+  [[nodiscard]] std::size_t switch_partition_of(int id) const {
+    return switch_partition_.empty()
+               ? 0
+               : static_cast<std::size_t>(switch_partition_.at(static_cast<std::size_t>(id)));
+  }
+
   /// The partitioned engine, or nullptr when pdes_partitions resolved to 1.
   [[nodiscard]] sim::pdes::PartitionedSimulator* pdes() { return pdes_.get(); }
 

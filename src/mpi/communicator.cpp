@@ -28,8 +28,9 @@ int split_key(std::int64_t v) {
 
 }  // namespace
 
-Communicator::Communicator(gm::Port& port, std::vector<gm::Endpoint> group, CommConfig config)
-    : port_(port), group_(std::move(group)), config_(config) {
+Communicator::Communicator(gm::Port& port, const std::vector<gm::Endpoint>& group,
+                           CommConfig config)
+    : port_(port), group_(coll::MemberList::of(group)), config_(config) {
   rank_ = rank_of(port_.endpoint());
   if (rank_ < 0) throw std::invalid_argument("port's endpoint is not in the communicator");
   // The MPI layer's matching/progress cost applies to every GM call made
@@ -80,8 +81,8 @@ Communicator::Communicator(gm::Port& port, std::vector<gm::Endpoint> group, Comm
   reducer_->set_event_sink(sink);
 }
 
-Communicator::Communicator(gm::Port& port, std::vector<gm::Endpoint> group, CommConfig config,
-                           Communicator* parent, std::uint64_t group_id)
+Communicator::Communicator(gm::Port& port, std::shared_ptr<const coll::MemberList> group,
+                           CommConfig config, Communicator* parent, std::uint64_t group_id)
     : port_(port),
       group_(std::move(group)),
       config_(config),
@@ -176,23 +177,14 @@ void Communicator::register_group(coll::GroupMember* g) {
 void Communicator::unregister_group(std::uint64_t id) { child_groups_.erase(id); }
 
 int Communicator::rank_of(gm::Endpoint e) const {
-  for (std::size_t i = 0; i < group_.size(); ++i) {
-    if (group_[i] == e) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-bool Communicator::group_has_node(net::NodeId node) const {
-  for (const gm::Endpoint& ep : group_) {
-    if (ep.node == node) return true;
-  }
-  return false;
+  const std::optional<std::size_t> r = group_->rank_of(e);
+  return r ? static_cast<int>(*r) : -1;
 }
 
 void Communicator::note_peer_dead(net::NodeId node) {
   if (barrier_ != nullptr) barrier_->note_peer_dead(node);
   if (managed_ != nullptr) managed_->note_peer_dead(node);
-  if (group_has_node(node)) failed_ = true;
+  if (group_->contains(node)) failed_ = true;
   // A dead node poisons every communicator that contains it, up the tree.
   if (parent_ != nullptr) parent_->note_peer_dead(node);
 }
@@ -222,7 +214,7 @@ sim::Task Communicator::send(int dst_rank, std::int64_t bytes, std::uint64_t tag
 sim::Task Communicator::send_impl(int dst_rank, std::int64_t bytes, std::uint64_t tag,
                                   std::int64_t value) {
   // per-GM-call layer cost is charged by the port itself
-  co_await port_.send(group_[static_cast<std::size_t>(dst_rank)], bytes, tag, value);
+  co_await port_.send((*group_)[static_cast<std::size_t>(dst_rank)], bytes, tag, value);
 }
 
 sim::ValueTask<Message> Communicator::recv(int src_rank) {
@@ -362,13 +354,13 @@ sim::ValueTask<std::unique_ptr<Communicator>> Communicator::split_impl(int color
   });
   std::vector<gm::Endpoint> child_eps;
   child_eps.reserve(members.size());
-  for (int r : members) child_eps.push_back(group_[static_cast<std::size_t>(r)]);
+  for (int r : members) child_eps.push_back((*group_)[static_cast<std::size_t>(r)]);
 
   const std::uint64_t child_id = (group_id_ << 20) |
                                  (static_cast<std::uint64_t>(seq) << 10) |
                                  static_cast<std::uint64_t>(color + 1);
   std::unique_ptr<Communicator> child(
-      new Communicator(port_, std::move(child_eps), config_, this, child_id));
+      new Communicator(port_, coll::MemberList::of(child_eps), config_, this, child_id));
 
   // Phase 3: the managed-group admission handshake (slot allocation on every
   // member NIC, or degraded host-fallback mode).

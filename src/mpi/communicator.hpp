@@ -45,13 +45,17 @@ struct CommConfig {
 };
 
 /// One rank's communicator; wraps a GM port whose endpoint must appear in
-/// `group` (rank = its index there).
+/// `group` (rank = its index there). Communicators built from the same
+/// vector share one coll::MemberList, and so do the collectives each owns.
 class Communicator {
  public:
-  Communicator(gm::Port& port, std::vector<gm::Endpoint> group, CommConfig config = {});
+  Communicator(gm::Port& port, const std::vector<gm::Endpoint>& group, CommConfig config = {});
 
   [[nodiscard]] int rank() const { return rank_; }
-  [[nodiscard]] int size() const { return static_cast<int>(group_.size()); }
+  [[nodiscard]] int size() const { return static_cast<int>(group_->size()); }
+  [[nodiscard]] const std::shared_ptr<const coll::MemberList>& member_list() const {
+    return group_;
+  }
   [[nodiscard]] const CommConfig& config() const { return config_; }
 
   /// MPI_Send (eager, asynchronous completion as in GM). `value` is a 64-bit
@@ -109,15 +113,14 @@ class Communicator {
 
  private:
   /// Child-communicator constructor (split() path): wraps a managed group.
-  Communicator(gm::Port& port, std::vector<gm::Endpoint> group, CommConfig config,
-               Communicator* parent, std::uint64_t group_id);
+  Communicator(gm::Port& port, std::shared_ptr<const coll::MemberList> group,
+               CommConfig config, Communicator* parent, std::uint64_t group_id);
 
   sim::Task ensure_provisioned();
   sim::Task send_impl(int dst_rank, std::int64_t bytes, std::uint64_t tag, std::int64_t value);
   sim::ValueTask<Message> recv_impl(int src_rank);
   sim::ValueTask<std::unique_ptr<Communicator>> split_impl(int color, int key);
   int rank_of(gm::Endpoint e) const;
-  bool group_has_node(net::NodeId node) const;
   void note_peer_dead(net::NodeId node);
   /// Sink for a child communicator's collectives: queue own-group traffic,
   /// route control messages via the root registry, cascade the rest up.
@@ -130,7 +133,7 @@ class Communicator {
   void unregister_group(std::uint64_t id);
 
   gm::Port& port_;
-  std::vector<gm::Endpoint> group_;
+  std::shared_ptr<const coll::MemberList> group_;
   CommConfig config_;
   int rank_ = -1;
   std::unique_ptr<coll::BarrierMember> barrier_;   // root: anonymous barriers

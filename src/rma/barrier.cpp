@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace nicbar::rma {
 
@@ -10,7 +11,7 @@ namespace {
 /// Waits for a flag, treating deaths of nodes *outside* the member set as
 /// non-events (re-issue the wait); a member death aborts with kPeerDead.
 sim::ValueTask<coll::Status> wait_member_flag(Domain& domain, Segment& seg,
-                                              const std::vector<nic::Endpoint>& members,
+                                              std::span<const nic::Endpoint> members,
                                               std::size_t self, std::uint64_t index,
                                               std::int64_t target, sim::SimTime deadline_at) {
   for (;;) {
@@ -33,8 +34,9 @@ std::uint64_t DisseminationBarrier::rounds_for(std::size_t n) {
 }
 
 DisseminationBarrier::DisseminationBarrier(Domain& domain, Segment& seg,
-                                           std::vector<nic::Endpoint> members, std::size_t rank)
-    : domain_(domain), seg_(seg), members_(std::move(members)), rank_(rank) {
+                                           std::span<const nic::Endpoint> members,
+                                           std::size_t rank)
+    : domain_(domain), seg_(seg), members_(members), rank_(rank) {
   if (rank_ >= members_.size()) throw std::invalid_argument("dissemination: rank out of range");
   if (seg_.size() < rounds_for(members_.size())) {
     throw std::invalid_argument("dissemination: segment too small for member count");
@@ -61,9 +63,10 @@ sim::ValueTask<coll::Status> DisseminationBarrier::run(sim::SimTime deadline_at)
 
 // --- TreePutBarrier ----------------------------------------------------------
 
-TreePutBarrier::TreePutBarrier(Domain& domain, Segment& seg, std::vector<nic::Endpoint> members,
-                               std::size_t rank, std::size_t radix)
-    : domain_(domain), seg_(seg), members_(std::move(members)), rank_(rank), radix_(radix) {
+TreePutBarrier::TreePutBarrier(Domain& domain, Segment& seg,
+                               std::span<const nic::Endpoint> members, std::size_t rank,
+                               std::size_t radix)
+    : domain_(domain), seg_(seg), members_(members), rank_(rank), radix_(radix) {
   if (radix_ == 0) throw std::invalid_argument("tree-put: radix must be >= 1");
   if (rank_ >= members_.size()) throw std::invalid_argument("tree-put: rank out of range");
   if (seg_.size() < words_for(radix_)) {

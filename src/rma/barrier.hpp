@@ -28,7 +28,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "coll/status.hpp"
 #include "rma/domain.hpp"
@@ -51,10 +51,11 @@ class HostBarrier {
 
 /// Dissemination barrier: ceil(log2 N) rounds of one rput + one flag wait.
 /// `seg` needs at least rounds_for(members.size()) words; all members must
-/// use the same member order and segment layout.
+/// use the same member order and segment layout. `members` is a view: its
+/// owner (coll::BarrierMember's shared member list) must outlive the barrier.
 class DisseminationBarrier final : public HostBarrier {
  public:
-  DisseminationBarrier(Domain& domain, Segment& seg, std::vector<nic::Endpoint> members,
+  DisseminationBarrier(Domain& domain, Segment& seg, std::span<const nic::Endpoint> members,
                        std::size_t rank);
 
   [[nodiscard]] sim::ValueTask<coll::Status> run(
@@ -67,7 +68,7 @@ class DisseminationBarrier final : public HostBarrier {
  private:
   Domain& domain_;
   Segment& seg_;
-  std::vector<nic::Endpoint> members_;
+  std::span<const nic::Endpoint> members_;
   std::size_t rank_;
   std::uint64_t instance_ = 0;
 };
@@ -75,10 +76,10 @@ class DisseminationBarrier final : public HostBarrier {
 /// Radix-k gather/release tree barrier. `seg` needs radix+1 words: words
 /// [0..radix-1] are the per-child gather slots, word [radix] is the release
 /// flag. Rank 0 is the root; rank i's parent is (i-1)/k, its children are
-/// k*i+1 .. k*i+k.
+/// k*i+1 .. k*i+k. `members` is a view, as for DisseminationBarrier.
 class TreePutBarrier final : public HostBarrier {
  public:
-  TreePutBarrier(Domain& domain, Segment& seg, std::vector<nic::Endpoint> members,
+  TreePutBarrier(Domain& domain, Segment& seg, std::span<const nic::Endpoint> members,
                  std::size_t rank, std::size_t radix = 2);
 
   [[nodiscard]] sim::ValueTask<coll::Status> run(
@@ -91,7 +92,7 @@ class TreePutBarrier final : public HostBarrier {
  private:
   Domain& domain_;
   Segment& seg_;
-  std::vector<nic::Endpoint> members_;
+  std::span<const nic::Endpoint> members_;
   std::size_t rank_;
   std::size_t radix_;
   std::uint64_t instance_ = 0;

@@ -132,6 +132,60 @@ TEST(FabricShapeTest, PartialLastLeafPopulation) {
   EXPECT_EQ(f.leaf_first(16), NodeId{96});
 }
 
+/// The switch at the far end of switch `id`'s output `port` (from the
+/// "sw<a>->sw<b>" link name).
+int far_switch(Network& net, int id, std::size_t port) {
+  const std::string& name = net.switch_at(id).out_link(port)->name();
+  const std::string prefix = "sw" + std::to_string(id) + "->sw";
+  EXPECT_EQ(name.rfind(prefix, 0), 0u) << name;
+  return std::stoi(name.substr(prefix.size()));
+}
+
+// host::Cluster's PDES lane map derives each switch's role from its id, so
+// the builders' id order is a contract: leaves, then agg[p·u + j], then
+// core[j·u + m] (three levels) or spine j (two levels).
+TEST(FabricShapeTest, SwitchIdsRunLeavesThenAggregationThenCores) {
+  Simulator sim;
+  Network net(sim);
+  // radix 6 at 2:1: u = 2, h = 4; 64 nodes -> 16 leaves, 4 pods.
+  const Fabric f = build_fat_tree(net, 64, 6, 2);
+  ASSERT_EQ(f.levels, 3);
+  const std::size_t h = f.hosts_per_leaf;
+  const std::size_t u = f.uplinks_per_leaf;
+  const std::size_t aggs = f.num_pods * u;
+  ASSERT_EQ(net.switch_count(), f.num_leaves + aggs + u * u);
+  for (std::size_t leaf = 0; leaf < f.num_leaves; ++leaf) {
+    const std::size_t pod = leaf / f.leaves_per_pod;
+    for (std::size_t j = 0; j < u; ++j) {
+      EXPECT_EQ(far_switch(net, static_cast<int>(leaf), h + j),
+                static_cast<int>(f.num_leaves + pod * u + j))
+          << "leaf " << leaf << " uplink " << j;
+    }
+  }
+  for (std::size_t a = 0; a < aggs; ++a) {
+    const std::size_t j = a % u;
+    for (std::size_t m = 0; m < u; ++m) {
+      EXPECT_EQ(far_switch(net, static_cast<int>(f.num_leaves + a), h + m),
+                static_cast<int>(f.num_leaves + aggs + j * u + m))
+          << "agg " << a << " uplink " << m;
+    }
+  }
+}
+
+TEST(FabricShapeTest, SwitchIdsRunLeavesThenSpines) {
+  Simulator sim;
+  Network net(sim);
+  const Fabric f = build_leaf_spine(net, 24, 8);
+  ASSERT_EQ(net.switch_count(), f.num_leaves + f.uplinks_per_leaf);
+  for (std::size_t leaf = 0; leaf < f.num_leaves; ++leaf) {
+    for (std::size_t j = 0; j < f.uplinks_per_leaf; ++j) {
+      EXPECT_EQ(far_switch(net, static_cast<int>(leaf), f.hosts_per_leaf + j),
+                static_cast<int>(f.num_leaves + j))
+          << "leaf " << leaf << " uplink " << j;
+    }
+  }
+}
+
 TEST(FabricRouteTest, EmptyForSelfAndStableAcrossRepeatedCalls) {
   Simulator sim;
   Network net(sim);

@@ -1,11 +1,15 @@
-// Heap-allocation budget of a steady-state barrier.
+// Heap-allocation budgets: of a steady-state barrier, and of member set-up.
 //
-// This binary counts heap allocations and measures the ones one barrier
-// costs once a run is warm: the difference between a 1100-rep and a 100-rep
+// This binary counts heap allocations and the bytes they request. It
+// measures the allocations one barrier costs once a run is warm: the
+// difference between a 1100-rep and a 100-rep
 // coll::run_barrier_experiment, divided by the 1000 extra barriers, so
 // cluster construction, port opening and member setup cancel out. A warm-up
 // run first fills this thread's recycled-packet free list, so both measured
-// runs start from the same pool.
+// runs start from the same pool. It also measures the bytes allocated to
+// construct N members from one group vector, which must grow linearly in N:
+// the members share one coll::MemberList, so any per-member copy of the
+// group (a by-value parameter included) makes them grow as N².
 //
 // Plain builds count calls to a replacement global operator new. Under
 // AddressSanitizer or ThreadSanitizer the runtime owns operator new, so the
@@ -24,12 +28,15 @@
 #include <cstdlib>
 #include <new>
 #include <ostream>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "coll/runner.hpp"
 #include "coll/sweep.hpp"
+#include "host/cluster.hpp"
 #include "nic/config.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -43,6 +50,7 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 
 }  // namespace
 
@@ -54,8 +62,9 @@ extern "C" int __sanitizer_install_malloc_and_free_hooks(
 
 namespace {
 
-void count_allocation(const volatile void*, std::size_t) {
+void count_allocation(const volatile void*, std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
 }
 void ignore_free(const volatile void*) {}
 
@@ -74,6 +83,7 @@ void ignore_free(const volatile void*) {}
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc{};
 }
@@ -133,6 +143,43 @@ INSTANTIATE_TEST_SUITE_P(
         Variant{"host_pe", Location::kHost, nic::BarrierAlgorithm::kPairwiseExchange, 1762},
         Variant{"host_gb4", Location::kHost, nic::BarrierAlgorithm::kGatherBroadcast, 829}),
     [](const ::testing::TestParamInfo<Variant>& p) { return std::string(p.param.name); });
+
+/// Bytes allocated while constructing `n` NIC-PE members from one group
+/// vector on an n-node switch. Ports are opened and the member vector sized
+/// first, so only the members' own allocations count.
+std::uint64_t member_setup_bytes(std::size_t n) {
+  host::ClusterParams cp;
+  cp.nodes = n;
+  host::Cluster cluster(cp);
+  std::vector<Endpoint> group;
+  std::vector<std::unique_ptr<gm::Port>> ports;
+  for (std::size_t i = 0; i < n; ++i) {
+    group.push_back(Endpoint{static_cast<net::NodeId>(i), 2});
+    ports.push_back(cluster.open_port(static_cast<net::NodeId>(i), 2));
+  }
+  const BarrierSpec pe = spec(Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange);
+  std::vector<std::unique_ptr<BarrierMember>> members;
+  members.reserve(n);
+  const std::uint64_t before = g_allocated_bytes.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < n; ++i) {
+    members.push_back(std::make_unique<BarrierMember>(*ports[i], group, pe));
+  }
+  return g_allocated_bytes.load(std::memory_order_relaxed) - before;
+}
+
+TEST(MemberSetupBudgetTest, BytesPerMemberDoNotGrowWithTheGroup) {
+  const double per_member_64 = static_cast<double>(member_setup_bytes(64)) / 64.0;
+  const double per_member_256 = static_cast<double>(member_setup_bytes(256)) / 256.0;
+  std::printf("member set-up: %.1f B/member at N=64, %.1f B/member at N=256\n", per_member_64,
+              per_member_256);
+  // A private copy of the group costs sizeof(Endpoint) * N per member: 768 B
+  // more per member at 256 than at 64. The shared list costs 12 B per
+  // member at any N, and the PE schedule's two extra rounds fit the vector
+  // capacity it already has.
+  EXPECT_LE(per_member_256, per_member_64 + 64.0)
+      << "member set-up allocates " << per_member_64 << " B/member at N=64 but "
+      << per_member_256 << " B/member at N=256";
+}
 
 }  // namespace
 }  // namespace nicbar::coll

@@ -201,6 +201,19 @@ TEST(PdesBitIdentity, HierarchicalFatTree) {
   }
 }
 
+TEST(PdesBitIdentity, FlatPairwiseExchangeThreeLevelFatTree) {
+  // An oversubscribed three-level fat-tree (radix 6 at 2:1: 16 leaves in 4
+  // pods, 8 aggregation switches, 4 cores): flat PE crosses pods, so every
+  // lane's aggregation switches exchange through cores dealt over the lanes.
+  CaseSpec c = base_case(64, 3);
+  c.params.cluster.topology = host::Topology::kFatTree;
+  c.params.cluster.fabric_radix = 6;
+  c.params.cluster.fabric_oversub = 2;
+  c.params.spec.algorithm = nic::BarrierAlgorithm::kPairwiseExchange;
+  c.causal = true;
+  check_case(c, "pe-fat-tree-3-level-n64");
+}
+
 TEST(PdesBitIdentity, LossyWithFaultPlan) {
   // Per-link RNG substreams (drop, burst, corruption) are derived from the
   // plan seed in arming order and consumed in transmit order — both

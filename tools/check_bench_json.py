@@ -48,14 +48,16 @@ beats flat NIC-PE; 0 = never on the measured grid).
 
 bench/pdes_speedup emits an engine-scaling variant (schema "nicbar-pdes-v1"):
 the same bench/rows/label/metrics shape with exactly one "host" row carrying
-hw_threads >= 1, and grid rows (label "n<N>_w<W>") each carrying nodes,
-workers, partitions, sim_total_us, wall_ms, speedup, bit_identical. Every
-row must have bit_identical == 1 (the partitioned engine reproduced the
-serial timeline exactly); within one node count, all sim_total_us must be
-equal; and the speedup claim is conditional on the host: with hw_threads
->= 4, some row with workers >= 4 must show speedup > 1, while on smaller
-hosts (CI containers) the rows only document partition-count overhead and
-no speedup is required.
+hw_threads >= 1 and sanitized (0 or 1), and grid rows (label "n<N>_w<W>")
+each carrying nodes, workers, partitions, sim_total_us, wall_ms, speedup,
+bit_identical. Every row must have bit_identical == 1 (the partitioned
+engine reproduced the serial timeline exactly); within one node count, all
+sim_total_us must be equal; and the speedup claim is conditional on the
+build and the host: from an unsanitized build with hw_threads >= 4, some row
+with workers >= 4 must show speedup > 1. On smaller hosts (CI containers)
+the rows only document partition-count overhead, and a sanitizer build's
+wall time measures its runtime and the host's load more than the engine,
+so neither is held to a speedup.
 
 bench/churn emits a lifecycle-counter variant (schema "nicbar-churn-v1"):
 the same bench/rows/label/metrics shape plus a top-level "cluster_nodes",
@@ -99,7 +101,7 @@ HIER_METRICS = [
 ]
 
 # Every pdes_speedup grid row puts one (nodes, workers) engine point on
-# common axes; "host" rows carry hw_threads only.
+# common axes; "host" rows carry hw_threads and sanitized only.
 PDES_METRICS = [
     "nodes", "workers", "partitions", "sim_total_us", "wall_ms", "speedup",
     "bit_identical",
@@ -363,6 +365,7 @@ def check_pdes_doc(doc):
         problems.append("rows must be a non-empty array")
         return problems
     hw_threads = None
+    sanitized = None
     host_rows = 0
     sim_total_by_nodes = {}
     best_speedup_4w = 0.0
@@ -386,6 +389,10 @@ def check_pdes_doc(doc):
                 problems.append("%s.metrics.hw_threads must be >= 1" % where)
             else:
                 hw_threads = metrics["hw_threads"]
+            if metrics.get("sanitized") not in (0, 1):
+                problems.append("%s.metrics.sanitized must be 0 or 1" % where)
+            else:
+                sanitized = metrics["sanitized"]
             continue
         grid_rows += 1
         missing = [k for k in PDES_METRICS if not is_number(metrics.get(k))]
@@ -411,8 +418,9 @@ def check_pdes_doc(doc):
         problems.append("exactly one 'host' row expected, found %d" % host_rows)
     if grid_rows == 0:
         problems.append("at least one grid row (label 'n<N>_w<W>') expected")
-    # The speedup claim only binds on hosts that can express it.
-    if hw_threads is not None and hw_threads >= 4 and best_speedup_4w <= 1.0:
+    # The speedup claim only binds where it measures the engine: an
+    # unsanitized build on a host that can express it.
+    if sanitized == 0 and hw_threads is not None and hw_threads >= 4 and best_speedup_4w <= 1.0:
         problems.append(
             "host has %g threads but no row with workers >= 4 shows speedup > 1 "
             "(best %g)" % (hw_threads, best_speedup_4w)
