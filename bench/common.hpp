@@ -113,6 +113,13 @@ inline double measure(const nic::NicConfig& cfg, std::size_t nodes, coll::Locati
   return run(plan).cases.front().result.mean_us;
 }
 
+/// `prefix` followed by the decimal `n` ("n16"), the key of a summary row.
+/// Built by append: GCC 12 at -O3 misreports "literal" + std::to_string(n)
+/// as an overlapping copy (-Wrestrict).
+inline std::string row_key(const char* prefix, std::size_t n) {
+  return std::string(prefix).append(std::to_string(n));
+}
+
 inline void print_header(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }

@@ -258,8 +258,10 @@ BENCHMARK(BM_ConnectionLookup)->Args({4096, 12})->Args({64, 60})->Args({16, 15})
 // group vector, on already-open ports of fabric4k's 4096-node radix-18 8:1
 // fat-tree (the first range(0) nodes). Items are members, so the inverse
 // of the item rate is the per-member cost; with one shared MemberList per
-// group it must not grow with N.
-void BM_MemberSetup(benchmark::State& state, const coll::BarrierSpec& spec) {
+// group it must not grow with N. The _Shared variant hands every member one
+// MemberList built beforehand, as coll::run_barrier_experiment and
+// wl::Driver do, so no member compares the group against the cached list.
+void BM_MemberSetup(benchmark::State& state, const coll::BarrierSpec& spec, bool shared_list) {
   const auto n = static_cast<std::size_t>(state.range(0));
   host::ClusterParams cp;
   cp.nodes = 4096;
@@ -273,11 +275,14 @@ void BM_MemberSetup(benchmark::State& state, const coll::BarrierSpec& spec) {
     group.push_back(coll::Endpoint{static_cast<net::NodeId>(i), 2});
     ports.push_back(cluster.open_port(static_cast<net::NodeId>(i), 2));
   }
+  const auto list = std::make_shared<const coll::MemberList>(group);
   std::vector<std::unique_ptr<coll::BarrierMember>> members;
   members.reserve(n);
   for (auto _ : state) {
     for (std::size_t i = 0; i < n; ++i) {
-      members.push_back(std::make_unique<coll::BarrierMember>(*ports[i], group, spec));
+      members.push_back(shared_list
+                            ? std::make_unique<coll::BarrierMember>(*ports[i], list, spec)
+                            : std::make_unique<coll::BarrierMember>(*ports[i], group, spec));
     }
     benchmark::DoNotOptimize(members.back()->my_index());
     members.clear();
@@ -285,12 +290,18 @@ void BM_MemberSetup(benchmark::State& state, const coll::BarrierSpec& spec) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 void BM_MemberSetup_NicPe(benchmark::State& state) {
-  BM_MemberSetup(state, coll::spec(coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange));
+  BM_MemberSetup(state, coll::spec(coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange),
+                 false);
+}
+void BM_MemberSetup_NicPe_Shared(benchmark::State& state) {
+  BM_MemberSetup(state, coll::spec(coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange),
+                 true);
 }
 void BM_MemberSetup_Hier(benchmark::State& state) {
-  BM_MemberSetup(state, coll::hier_spec(2, 16));  // one block per 16-host leaf
+  BM_MemberSetup(state, coll::hier_spec(2, 16), false);  // one block per 16-host leaf
 }
 BENCHMARK(BM_MemberSetup_NicPe)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MemberSetup_NicPe_Shared)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MemberSetup_Hier)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_BarrierSimulation(benchmark::State& state) {

@@ -15,7 +15,7 @@ int main() {
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const bench::FourWay& f = rows[i];
     std::printf("%6zu %12.2f %12.2f\n", nodes[i], f.host_pe / f.nic_pe, f.host_gb / f.nic_gb);
-    summary.add(std::string("n") + std::to_string(nodes[i]),
+    summary.add(bench::row_key("n", nodes[i]),
                 {{"pe_improvement", f.host_pe / f.nic_pe},
                  {"gb_improvement", f.host_gb / f.nic_gb}});
   }

@@ -15,7 +15,7 @@ int main() {
     const bench::FourWay& f = rows[i];
     std::printf("%6zu %10.2f %10.2f %10.2f %10.2f\n", nodes[i], f.nic_pe, f.nic_gb, f.host_pe,
                 f.host_gb);
-    summary.add(std::string("n") + std::to_string(nodes[i]),
+    summary.add(bench::row_key("n", nodes[i]),
                 {{"nic_pe_us", f.nic_pe},
                  {"nic_gb_us", f.nic_gb},
                  {"host_pe_us", f.host_pe},

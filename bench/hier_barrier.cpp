@@ -109,7 +109,7 @@ int main() {
     std::printf("%6zu %12.2f %12.2f %12.2f %12.2f %10.3f\n", n, pe_us, gb_us, dissem_us,
                 hier_us, hier_us / pe_us);
     if (crossover_nodes == 0 && hier_us < pe_us) crossover_nodes = n;
-    summary.add("n" + std::to_string(n),
+    summary.add(bench::row_key("n", n),
                 {{"nodes", static_cast<double>(n)},
                  {"nic_pe_us", pe_us},
                  {"nic_gb_us", gb_us},

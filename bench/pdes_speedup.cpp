@@ -112,7 +112,7 @@ int main() {
       if (w >= 4 && speedup > best_speedup) best_speedup = speedup;
       std::printf("%6zu %8zu %12.1f %12.2f %10.3f %10s\n", n, w, r.total_us, wall_ms,
                   speedup, identical ? "yes" : "NO");
-      summary.add("n" + std::to_string(n) + "_w" + std::to_string(w),
+      summary.add(bench::row_key("n", n).append(bench::row_key("_w", w)),
                   {{"nodes", static_cast<double>(n)},
                    {"workers", static_cast<double>(w)},
                    {"partitions", static_cast<double>(w)},

@@ -53,11 +53,11 @@ int main() {
     all_exact = all_exact && exact;
     std::printf("%6zu %10.2f %10.2f %12.2f %10.2f %12s\n", nodes[i], nic_pe, nic_gb, dissem,
                 tree, exact ? "yes" : "NO");
-    summary.add("n" + std::to_string(nodes[i]), {{"nic_pe_us", nic_pe},
-                                                 {"nic_gb_us", nic_gb},
-                                                 {"host_dissem_us", dissem},
-                                                 {"host_tree_us", tree},
-                                                 {"exact_match", exact ? 1.0 : 0.0}});
+    summary.add(bench::row_key("n", nodes[i]), {{"nic_pe_us", nic_pe},
+                                                {"nic_gb_us", nic_gb},
+                                                {"host_dissem_us", dissem},
+                                                {"host_tree_us", tree},
+                                                {"exact_match", exact ? 1.0 : 0.0}});
   }
   std::printf("\ncrossover: host-RDMA beats the NIC families only where the flag-wait\n"
               "round count stays flat while the firmware pays per-member work; see\n"

@@ -37,7 +37,7 @@ int main() {
     const double nic_us = r.cases[2 * i + 1].result.mean_us;
     std::printf("%6zu %12.2f %12.2f %12.2f\n", node_counts[i], host_us, nic_us,
                 host_us / nic_us);
-    summary.add("n" + std::to_string(node_counts[i]),
+    summary.add(bench::row_key("n", node_counts[i]),
                 {{"nodes", static_cast<double>(node_counts[i])},
                  {"host_us", host_us},
                  {"nic_us", nic_us},

@@ -82,6 +82,8 @@ ExperimentResult run_barrier_experiment(const ExperimentParams& params) {
   for (std::size_t i = 0; i < params.nodes; ++i) {
     group.push_back(Endpoint{order[i], params.port});
   }
+  // One list for the whole group, handed to every member.
+  const auto list = std::make_shared<const MemberList>(group);
 
   std::vector<std::unique_ptr<gm::Port>> ports;
   std::vector<std::unique_ptr<BarrierMember>> members;
@@ -89,7 +91,7 @@ ExperimentResult run_barrier_experiment(const ExperimentParams& params) {
   members.reserve(params.nodes);
   for (std::size_t i = 0; i < params.nodes; ++i) {
     ports.push_back(cluster.open_port(order[i], params.port));
-    members.push_back(std::make_unique<BarrierMember>(*ports.back(), group, spec));
+    members.push_back(std::make_unique<BarrierMember>(*ports.back(), list, spec));
   }
 
   sim::Rng rng(params.seed);

@@ -30,7 +30,11 @@ int split_key(std::int64_t v) {
 
 Communicator::Communicator(gm::Port& port, const std::vector<gm::Endpoint>& group,
                            CommConfig config)
-    : port_(port), group_(coll::MemberList::of(group)), config_(config) {
+    : Communicator(port, coll::MemberList::of(group), config) {}
+
+Communicator::Communicator(gm::Port& port, std::shared_ptr<const coll::MemberList> group,
+                           CommConfig config)
+    : port_(port), group_(std::move(group)), config_(config) {
   rank_ = rank_of(port_.endpoint());
   if (rank_ < 0) throw std::invalid_argument("port's endpoint is not in the communicator");
   // The MPI layer's matching/progress cost applies to every GM call made

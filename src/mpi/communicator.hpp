@@ -50,6 +50,10 @@ struct CommConfig {
 class Communicator {
  public:
   Communicator(gm::Port& port, const std::vector<gm::Endpoint>& group, CommConfig config = {});
+  /// Same, for a caller that builds the group's MemberList once and hands
+  /// it to every rank.
+  Communicator(gm::Port& port, std::shared_ptr<const coll::MemberList> group,
+               CommConfig config = {});
 
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int size() const { return static_cast<int>(group_->size()); }

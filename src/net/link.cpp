@@ -8,41 +8,57 @@
 namespace nicbar::net {
 
 void Link::set_down(bool down) {
-  if (down == down_) return;
-  down_ = down;
+  Faults& f = faults();
+  if (down == f.down) return;
+  f.down = down;
   if (down) {
-    down_since_ = sim_->now();
+    f.down_since = sim_->now();
   } else {
-    down_total_ += sim_->now() - down_since_;
+    f.down_total += sim_->now() - f.down_since;
   }
 }
 
 sim::Duration Link::down_time_total() const {
-  if (!down_) return down_total_;
-  return down_total_ + (sim_->now() - down_since_);
+  if (faults_ == nullptr) return sim::Duration{0};
+  if (!faults_->down) return faults_->down_total;
+  return faults_->down_total + (sim_->now() - faults_->down_since);
+}
+
+bool Link::Faults::lose(const Packet& p) {
+  bool drop = (drop_prob > 0.0 && rng.chance(drop_prob)) || (drop_pred && drop_pred(p));
+  if (burst_enter > 0.0) {
+    if (burst_bad ? burst_rng.chance(burst_exit) : burst_rng.chance(burst_enter)) {
+      burst_bad = !burst_bad;
+    }
+    const double loss = burst_bad ? burst_loss_bad : burst_loss_good;
+    if (loss > 0.0 && burst_rng.chance(loss)) drop = true;
+  }
+  return drop;
 }
 
 sim::SimTime Link::transmit(PacketPtr p) {
   assert(deliver_ && "link has no receiver attached");
-  if (down_) {
-    // Unplugged cable: the packet vanishes without even occupying the wire.
-    ++dropped_;
-    ++down_drops_;
-    return sim_->now();
+  bool drop = false;
+  if (faults_ != nullptr) {
+    Faults& f = *faults_;
+    if (f.down) {
+      // Unplugged cable: the packet vanishes without even occupying the wire.
+      ++f.dropped;
+      ++f.down_drops;
+      return sim_->now();
+    }
+    drop = f.lose(*p);
+    if (drop) {
+      ++f.dropped;
+    } else if (f.corrupt_prob > 0.0 && f.corrupt_rng.chance(f.corrupt_prob)) {
+      p->corrupted = true;
+      ++f.corrupted;
+    }
   }
   ++sent_;
   bytes_sent_ += p->wire_bytes(params_.header_bytes);
-  bool drop = (drop_prob_ > 0.0 && rng_.chance(drop_prob_)) || (drop_pred_ && drop_pred_(*p));
-  if (burst_enter_ > 0.0) {
-    if (burst_bad_ ? burst_rng_.chance(burst_exit_) : burst_rng_.chance(burst_enter_)) {
-      burst_bad_ = !burst_bad_;
-    }
-    const double loss = burst_bad_ ? burst_loss_bad_ : burst_loss_good_;
-    if (loss > 0.0 && burst_rng_.chance(loss)) drop = true;
-  }
   const sim::Duration occupy = wire_time(*p);
   if (drop) {
-    ++dropped_;
     const sim::SimTime done = wire_.submit(occupy);
     if (trace_sink_ != nullptr) {
       trace_sink_->duration(trace_track_, "drop", done - occupy, occupy, "net",
@@ -58,10 +74,6 @@ sim::SimTime Link::transmit(PacketPtr p) {
     return done;
   }
   const sim::Duration prop = params_.propagation;
-  if (corrupt_prob_ > 0.0 && corrupt_rng_.chance(corrupt_prob_)) {
-    p->corrupted = true;
-    ++corrupted_;
-  }
   const sim::SimTime done = wire_.submit(occupy);
   if (trace_sink_ != nullptr) {
     trace_sink_->duration(trace_track_, to_string(p->type), done - occupy, occupy, "net",
@@ -103,11 +115,12 @@ void Link::verify_conservation() const {
   const sim::SimTime now = sim_->now();
   const std::uint64_t delivered = delivered_.load(std::memory_order_relaxed);
   const std::uint64_t in_flight = in_flight_.load(std::memory_order_relaxed);
-  NICBAR_CHECK(sent_ == delivered + (dropped_ - down_drops_) + in_flight, "net.link", now,
+  const std::uint64_t wire_drops = packets_dropped() - drops_while_down();
+  NICBAR_CHECK(sent_ == delivered + wire_drops + in_flight, "net.link", now,
                "link '%s': sent=%llu != delivered=%llu + wire_drops=%llu + in_flight=%llu",
                name().c_str(), static_cast<unsigned long long>(sent_),
                static_cast<unsigned long long>(delivered),
-               static_cast<unsigned long long>(dropped_ - down_drops_),
+               static_cast<unsigned long long>(wire_drops),
                static_cast<unsigned long long>(in_flight));
   NICBAR_CHECK(in_flight == 0, "net.link", now,
                "link '%s': %llu packet(s) still in flight at quiescence", name().c_str(),

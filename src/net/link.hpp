@@ -7,12 +7,15 @@
 //
 // Fault injection: a drop probability and/or an arbitrary drop predicate can
 // be set per link; dropped packets consume wire time but are not delivered
-// (as on real hardware, where a corrupted packet still burned the slot).
+// (as on real hardware, where a corrupted packet still burned the slot). All
+// fault state lives in one block that the first set_* fault call allocates,
+// so a link in a run without a fault plan carries a null pointer instead.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -80,14 +83,15 @@ class Link {
 
   /// Fault injection: drop each packet with probability `prob`.
   void set_drop_probability(double prob, std::uint64_t seed = 1) {
-    drop_prob_ = prob;
-    rng_.reseed(seed);
+    Faults& f = faults();
+    f.drop_prob = prob;
+    f.rng.reseed(seed);
   }
 
   /// Fault injection: drop packets for which `pred` returns true (applied
   /// in addition to the probabilistic drop).
   void set_drop_predicate(std::function<bool(const Packet&)> pred) {
-    drop_pred_ = std::move(pred);
+    faults().drop_pred = std::move(pred);
   }
 
   /// Fault injection: Gilbert–Elliott bursty loss. Each packet first
@@ -96,20 +100,22 @@ class Link {
   /// with uniform loss keeps both reproducible.
   void set_burst_loss(double p_enter_bad, double p_exit_bad, double loss_good, double loss_bad,
                       std::uint64_t seed) {
-    burst_enter_ = p_enter_bad;
-    burst_exit_ = p_exit_bad;
-    burst_loss_good_ = loss_good;
-    burst_loss_bad_ = loss_bad;
-    burst_bad_ = false;
-    burst_rng_.reseed(seed);
+    Faults& f = faults();
+    f.burst_enter = p_enter_bad;
+    f.burst_exit = p_exit_bad;
+    f.burst_loss_good = loss_good;
+    f.burst_loss_bad = loss_bad;
+    f.burst_bad = false;
+    f.burst_rng.reseed(seed);
   }
 
   /// Fault injection: flip bits in each packet with probability `prob`. The
   /// packet is still delivered; the receiver's CRC check pays for and
   /// discards it (see Nic::rx_packet).
   void set_corrupt_probability(double prob, std::uint64_t seed) {
-    corrupt_prob_ = prob;
-    corrupt_rng_.reseed(seed);
+    Faults& f = faults();
+    f.corrupt_prob = prob;
+    f.corrupt_rng.reseed(seed);
   }
 
   /// Fault injection: unplug / replug the cable. While down, packets vanish
@@ -117,7 +123,7 @@ class Link {
   /// accumulated for the metrics snapshot.
   void set_down(bool down);
 
-  [[nodiscard]] bool is_down() const { return down_; }
+  [[nodiscard]] bool is_down() const { return faults_ != nullptr && faults_->down; }
 
   /// Total time this link has spent down, up to now (open windows count).
   [[nodiscard]] sim::Duration down_time_total() const;
@@ -130,9 +136,13 @@ class Link {
   [[nodiscard]] const sim::BusyServer& wire() const { return wire_; }
   [[nodiscard]] const std::string& name() const { return wire_.name(); }
   [[nodiscard]] std::uint64_t packets_sent() const { return sent_; }
-  [[nodiscard]] std::uint64_t packets_dropped() const { return dropped_; }
-  [[nodiscard]] std::uint64_t packets_corrupted() const { return corrupted_; }
-  [[nodiscard]] std::uint64_t drops_while_down() const { return down_drops_; }
+  [[nodiscard]] std::uint64_t packets_dropped() const { return faults_ ? faults_->dropped : 0; }
+  [[nodiscard]] std::uint64_t packets_corrupted() const {
+    return faults_ ? faults_->corrupted : 0;
+  }
+  [[nodiscard]] std::uint64_t drops_while_down() const {
+    return faults_ ? faults_->down_drops : 0;
+  }
   [[nodiscard]] std::uint64_t packets_delivered() const {
     return delivered_.load(std::memory_order_relaxed);
   }
@@ -160,6 +170,37 @@ class Link {
   void set_causal(sim::causal::CausalTracer* causal) { causal_ = causal; }
 
  private:
+  /// Every fault-injection setting, its random streams and its counters.
+  struct Faults {
+    double drop_prob = 0.0;
+    std::function<bool(const Packet&)> drop_pred;
+    sim::Rng rng{12345};
+    // Gilbert–Elliott burst-loss chain (inactive until set_burst_loss).
+    double burst_enter = 0.0;
+    double burst_exit = 0.0;
+    double burst_loss_good = 0.0;
+    double burst_loss_bad = 1.0;
+    bool burst_bad = false;
+    sim::Rng burst_rng{12345};
+    double corrupt_prob = 0.0;
+    sim::Rng corrupt_rng{12345};
+    bool down = false;
+    sim::SimTime down_since{0};
+    sim::Duration down_total{0};
+    std::uint64_t dropped = 0;
+    std::uint64_t corrupted = 0;
+    std::uint64_t down_drops = 0;
+
+    /// Draws whether `p` is lost: uniform loss, then the predicate, then
+    /// one step of the burst chain.
+    bool lose(const Packet& p);
+  };
+
+  Faults& faults() {
+    if (!faults_) faults_ = std::make_unique<Faults>();
+    return *faults_;
+  }
+
   sim::Simulator* sim_;
   LinkParams params_;
   sim::BusyServer wire_;
@@ -167,25 +208,8 @@ class Link {
   RemotePostFn remote_post_;
   std::uint32_t uid_ = 0;
   std::uint32_t delivery_seq_ = 0;  // per-link, deterministic by transmit order
-  double drop_prob_ = 0.0;
-  std::function<bool(const Packet&)> drop_pred_;
-  sim::Rng rng_{12345};
-  // Gilbert–Elliott burst-loss chain (inactive until set_burst_loss).
-  double burst_enter_ = 0.0;
-  double burst_exit_ = 0.0;
-  double burst_loss_good_ = 0.0;
-  double burst_loss_bad_ = 1.0;
-  bool burst_bad_ = false;
-  sim::Rng burst_rng_{12345};
-  double corrupt_prob_ = 0.0;
-  sim::Rng corrupt_rng_{12345};
-  bool down_ = false;
-  sim::SimTime down_since_{0};
-  sim::Duration down_total_{0};
+  std::unique_ptr<Faults> faults_;  // null until a set_* fault call
   std::uint64_t sent_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t corrupted_ = 0;
-  std::uint64_t down_drops_ = 0;
   // Transmit-side counters above are touched only by the owning lane; these
   // two are also decremented/incremented by the *delivery* closure, which
   // for a cross-partition link runs on the receiving lane — concurrently

@@ -43,10 +43,12 @@ void Network::connect_terminal(NodeId terminal, int switch_id, std::size_t port)
 
   const LinkEnd term_end{false, static_cast<std::int64_t>(terminal)};
   const LinkEnd sw_end{true, switch_id};
-  t.up = new_link("t" + std::to_string(terminal) + "->sw" + std::to_string(switch_id),
-                  term_end, sw_end);
-  t.down = new_link("sw" + std::to_string(switch_id) + "->t" + std::to_string(terminal),
-                    sw_end, term_end);
+  // Names are built by append: GCC 12 at -O3 misreports "literal" +
+  // std::to_string(...) as an overlapping copy (-Wrestrict).
+  const std::string t_name = std::string("t").append(std::to_string(terminal));
+  const std::string sw_name = std::string("sw").append(std::to_string(switch_id));
+  t.up = new_link(std::string(t_name).append("->").append(sw_name), term_end, sw_end);
+  t.down = new_link(std::string(sw_name).append("->").append(t_name), sw_end, term_end);
 
   // Uplink delivers into the switch; downlink hangs off the switch port.
   Switch* swp = &sw;

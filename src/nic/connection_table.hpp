@@ -70,6 +70,13 @@ class ConnectionTable {
 
   [[nodiscard]] std::size_t allocated() const { return count_; }
 
+  /// How many of the allocated connections hold reliability state.
+  [[nodiscard]] std::size_t reliability_blocks() const {
+    std::size_t n = 0;
+    for (const Slot& s : slots_) n += s.conn && s.conn->rel ? 1 : 0;
+    return n;
+  }
+
  private:
   struct Slot {
     NodeId key = 0;

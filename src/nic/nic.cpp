@@ -33,12 +33,12 @@ const char* to_string(McpEngine e) {
   return "?";
 }
 
-Nic::Nic(sim::Simulator& sim, net::Network& net, NodeId node, NicConfig config,
+Nic::Nic(sim::Simulator& sim, net::Network& net, NodeId node, const NicConfig& config,
          sim::BusyServer& pci)
     : sim_(sim),
       net_(net),
       node_(node),
-      config_(std::move(config)),
+      config_(config),
       proc_(sim, config_.clock_mhz, "nic" + std::to_string(node)),
       pci_(pci),
       ports_(static_cast<std::size_t>(config_.max_ports)),
@@ -305,7 +305,7 @@ void Nic::enqueue_reliable(const Packet& p, std::function<void()> on_sent) {
   }
   net::PacketPtr packet = net::make_packet(p);
   packet->seq = c.next_send_seq++;
-  c.sent_list.push_back(SentRecord{*packet, std::move(on_sent), sim_.now(), false});
+  c.reliability().sent_list.push_back(SentRecord{*packet, std::move(on_sent), sim_.now(), false});
   arm_retransmit(p.dst_node);
   ++stats_.data_sent;
   transmit(std::move(packet));
@@ -484,7 +484,7 @@ void Nic::recv_data(net::PacketPtr packet) {
       return;
     }
     ++c.next_expected_seq;
-    c.nack_outstanding = false;
+    if (c.rel) c.rel->nack_outstanding = false;
     send_ack(p.src_node);
     accept_in_order(std::move(packet));
   } else if (p.seq < c.next_expected_seq) {
@@ -492,8 +492,9 @@ void Nic::recv_data(net::PacketPtr packet) {
     send_ack(p.src_node);  // re-ack so the sender can retire it
   } else {
     ++stats_.out_of_order_dropped;
-    if (!c.nack_outstanding) {
-      c.nack_outstanding = true;
+    ConnectionReliability& r = c.reliability();
+    if (!r.nack_outstanding) {
+      r.nack_outstanding = true;
       send_nack(p.src_node);
     }
   }
@@ -532,36 +533,40 @@ void Nic::accept_in_order(net::PacketPtr packet) {
 void Nic::recv_ack(const Packet& p) {
   ++stats_.acks_received;
   Connection& c = conn(p.src_node);
+  if (!c.rel) return;  // nothing was ever sent reliably: nothing to retire
+  ConnectionReliability& r = *c.rel;
   bool retired = false;
   bool sampled = false;
-  while (!c.sent_list.empty() && c.sent_list.front().packet.seq <= p.ack) {
-    SentRecord rec = std::move(c.sent_list.front());
-    c.sent_list.pop_front();
+  while (!r.sent_list.empty() && r.sent_list.front().packet.seq <= p.ack) {
+    SentRecord rec = std::move(r.sent_list.front());
+    r.sent_list.pop_front();
     retired = true;
     // Karn's rule: a retransmitted packet's ack is ambiguous (original or
     // copy?), so only unambiguous records feed the estimator — and one
     // sample per ack, like TCP's per-ack clocking.
     if (!sampled && !rec.retransmitted) {
-      sample_rtt(c, sim_.now() - rec.first_sent);
+      sample_rtt(r, sim_.now() - rec.first_sent);
       sampled = true;
     }
     if (rec.on_sent) sim_.schedule_now(std::move(rec.on_sent));
   }
   if (retired) {
-    c.retransmissions = 0;
-    c.backoff = 0;
-    sim_.cancel(c.retransmit_timer);
-    if (!c.sent_list.empty()) arm_retransmit(p.src_node);
+    r.retransmissions = 0;
+    r.backoff = 0;
+    sim_.cancel(r.retransmit_timer);
+    if (!r.sent_list.empty()) arm_retransmit(p.src_node);
   }
 }
 
 void Nic::recv_nack(const Packet& p) {
   ++stats_.nacks_received;
   Connection& c = conn(p.src_node);
+  if (!c.rel) return;  // nothing was ever sent reliably: nothing to resend
+  ConnectionReliability& r = *c.rel;
   // NACK(n): receiver has everything below n; retire those, resend the rest.
-  while (!c.sent_list.empty() && c.sent_list.front().packet.seq < p.ack) {
-    SentRecord rec = std::move(c.sent_list.front());
-    c.sent_list.pop_front();
+  while (!r.sent_list.empty() && r.sent_list.front().packet.seq < p.ack) {
+    SentRecord rec = std::move(r.sent_list.front());
+    r.sent_list.pop_front();
     if (rec.on_sent) sim_.schedule_now(std::move(rec.on_sent));
   }
   retransmit_all(p.src_node);
@@ -569,7 +574,7 @@ void Nic::recv_nack(const Packet& p) {
 
 // --- Reliability timers -------------------------------------------------------------------
 
-sim::Duration Nic::current_rto(const Connection& c) const {
+sim::Duration Nic::current_rto(const ConnectionReliability& c) const {
   if (!config_.adaptive_rto) return config_.retransmit_timeout;
   sim::Duration rto = config_.retransmit_timeout;  // initial RTO, pre-sample
   if (c.rtt_valid) {
@@ -591,7 +596,7 @@ sim::Duration Nic::current_rto(const Connection& c) const {
   return rto;
 }
 
-void Nic::sample_rtt(Connection& c, sim::Duration rtt) {
+void Nic::sample_rtt(ConnectionReliability& c, sim::Duration rtt) {
   if (!config_.adaptive_rto) return;
   ++stats_.rtt_samples;
   const double sample = static_cast<double>(rtt.ps());
@@ -616,11 +621,12 @@ void Nic::sample_rtt(Connection& c, sim::Duration rtt) {
 }
 
 void Nic::arm_retransmit(NodeId remote) {
-  Connection& c = conn(remote);
+  Connection& conn_state = conn(remote);
+  ConnectionReliability& c = conn_state.reliability();
   sim_.cancel(c.retransmit_timer);
-  if (crashed_ || c.dead) return;
+  if (crashed_ || conn_state.dead) return;
   c.retransmit_timer = sim_.schedule_in(current_rto(c), [this, remote] {
-    Connection& cc = conn(remote);
+    ConnectionReliability& cc = conn(remote).reliability();
     if (cc.sent_list.empty()) return;
     ++stats_.retransmit_timeouts;
     if (++cc.retransmissions > config_.max_retransmissions) {
@@ -636,7 +642,7 @@ void Nic::arm_retransmit(NodeId remote) {
 }
 
 void Nic::retransmit_all(NodeId remote) {
-  Connection& c = conn(remote);
+  ConnectionReliability& c = conn(remote).reliability();
   for (SentRecord& rec : c.sent_list) {
     rec.retransmitted = true;  // Karn: its ack can no longer be sampled
     ++stats_.retransmissions;
@@ -652,10 +658,12 @@ void Nic::declare_peer_dead(NodeId remote) {
   if (c.dead) return;
   c.dead = true;
   ++stats_.connections_failed;
-  sim_.cancel(c.retransmit_timer);
-  sim_.cancel(c.barrier_retransmit_timer);
-  c.sent_list.clear();
-  c.barrier_sent_list.clear();
+  if (c.rel) {
+    sim_.cancel(c.rel->retransmit_timer);
+    sim_.cancel(c.rel->barrier_retransmit_timer);
+    c.rel->sent_list.clear();
+    c.rel->barrier_sent_list.clear();
+  }
   NICBAR_NIC_TRACE(sim::TraceCategory::kReliab, "connection to %u failed (retries exhausted)",
                    remote);
   if (tsink_ != nullptr) tsink_->instant(fault_track_, "peer_dead", sim_.now(), "fault");
@@ -682,8 +690,9 @@ void Nic::crash() {
   // The firmware's timers die with the processor; connection bookkeeping
   // survives in host/NIC SRAM and is replayed by restart().
   conns_.for_each([this](NodeId, Connection& c) {
-    sim_.cancel(c.retransmit_timer);
-    sim_.cancel(c.barrier_retransmit_timer);
+    if (!c.rel) return;
+    sim_.cancel(c.rel->retransmit_timer);
+    sim_.cancel(c.rel->barrier_retransmit_timer);
   });
 }
 
@@ -696,12 +705,13 @@ void Nic::restart() {
   // Replay everything unacknowledged on both streams; the receiver's
   // duplicate suppression makes this safe.
   conns_.for_each([this](NodeId remote, Connection& c) {
-    if (c.dead) return;
-    c.retransmissions = 0;
-    c.barrier_retransmissions = 0;
-    c.backoff = 0;
-    if (!c.sent_list.empty()) retransmit_all(remote);
-    if (!c.barrier_sent_list.empty()) barrier_retransmit_all(remote);
+    if (c.dead || !c.rel) return;
+    ConnectionReliability& r = *c.rel;
+    r.retransmissions = 0;
+    r.barrier_retransmissions = 0;
+    r.backoff = 0;
+    if (!r.sent_list.empty()) retransmit_all(remote);
+    if (!r.barrier_sent_list.empty()) barrier_retransmit_all(remote);
   });
 }
 

@@ -22,9 +22,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -36,6 +36,7 @@
 #include "nic/slots.hpp"
 #include "nic/tokens.hpp"
 #include "sim/causal.hpp"
+#include "sim/fifo.hpp"
 #include "sim/server.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
@@ -123,8 +124,13 @@ struct NicStats {
 class Nic {
  public:
   /// `pci` is the node's shared PCI bus (SDMA and RDMA arbitrate for it).
-  Nic(sim::Simulator& sim, net::Network& net, NodeId node, NicConfig config,
+  /// The NIC reads `config` in place, so it must outlive the NIC; every NIC
+  /// of a host::Cluster shares the cluster's one copy.
+  Nic(sim::Simulator& sim, net::Network& net, NodeId node, const NicConfig& config,
       sim::BusyServer& pci);
+  /// A temporary config would dangle.
+  Nic(sim::Simulator& sim, net::Network& net, NodeId node, NicConfig&& config,
+      sim::BusyServer& pci) = delete;
 
   Nic(const Nic&) = delete;
   Nic& operator=(const Nic&) = delete;
@@ -234,6 +240,9 @@ class Nic {
   /// How many peers this NIC has actually contacted — the footprint the
   /// sparse connection table pays for (vs N-1 under a dense table).
   [[nodiscard]] std::size_t connections_allocated() const { return conns_.allocated(); }
+  /// How many of those connections have allocated their reliability state
+  /// (none on the paper's unreliable barrier path).
+  [[nodiscard]] std::size_t reliability_blocks() const { return conns_.reliability_blocks(); }
   void set_tracer(sim::Tracer* tracer) { tracer_ = tracer; }
 
   /// Attaches the cluster's telemetry bundle (nullptr detaches). The NIC
@@ -252,7 +261,7 @@ class Nic {
   struct PortState {
     bool open = false;
     sim::Mailbox<GmEvent>* events = nullptr;
-    std::deque<RecvToken> recv_tokens;
+    sim::Fifo<RecvToken> recv_tokens;
     int barrier_buffers = 0;
     std::unique_ptr<BarrierToken> active_barrier;
     /// Most recently completed barrier, kept so §3.2 closed-port NACKs can
@@ -267,7 +276,7 @@ class Nic {
     /// arrived before their segment registered (flushed on rma_register).
     std::map<std::uint64_t, RmaMemory*> rma_segments;
     RmaSink* rma_sink = nullptr;
-    std::deque<net::Packet> rma_parked;
+    sim::Fifo<net::Packet> rma_parked;
   };
 
   Connection& conn(NodeId remote);
@@ -330,11 +339,11 @@ class Nic {
   void retransmit_all(NodeId remote);
   void send_ack(NodeId remote);
   void send_nack(NodeId remote);
-  /// Current timeout for `c`: fixed config value, or the Jacobson/Karels
-  /// estimate shifted left by the connection's backoff.
-  [[nodiscard]] sim::Duration current_rto(const Connection& c) const;
+  /// Current timeout for a connection: fixed config value, or the
+  /// Jacobson/Karels estimate shifted left by the connection's backoff.
+  [[nodiscard]] sim::Duration current_rto(const ConnectionReliability& r) const;
   /// Feeds one RTT measurement into the estimator (adaptive mode only).
-  void sample_rtt(Connection& c, sim::Duration rtt);
+  void sample_rtt(ConnectionReliability& r, sim::Duration rtt);
   /// Give-up: marks the connection dead, drops its streams, and raises
   /// kPeerDead on every open port.
   void declare_peer_dead(NodeId remote);
@@ -344,6 +353,11 @@ class Nic {
   void barrier_rx(net::PacketPtr p);                      // RDMA side
   void barrier_rx_in_order(const net::Packet& p);         // after stream check
   void barrier_record(const net::Packet& p, bool for_closed_port);
+  /// The side record of `remote`'s recorded message from `remote_port`
+  /// (zero when none was kept).
+  [[nodiscard]] RecordExtra record_extra(NodeId remote, PortId remote_port) const;
+  /// Clears that record's bit and drops its side record.
+  void clear_record(Connection& c, NodeId remote, PortId remote_port);
   void barrier_try_advance_pe(PortId local_port);
   void barrier_check_gather(PortId local_port);
   void barrier_hier_check_gather(PortId local_port);
@@ -395,11 +409,16 @@ class Nic {
   sim::Simulator& sim_;
   net::Network& net_;
   NodeId node_;
-  NicConfig config_;
+  const NicConfig& config_;
   sim::CycleServer proc_;
   sim::BusyServer& pci_;
   std::vector<std::unique_ptr<PortState>> ports_;  // lazy; see port()
   ConnectionTable conns_;
+  /// RecordExtra of the recorded messages that carry one, keyed by
+  /// (remote node << 8 | remote port). Only reduce packets and a causal
+  /// tracer write it, and clear_record erases, so it holds at most the
+  /// NIC's outstanding unexpected records.
+  std::vector<std::pair<std::uint32_t, RecordExtra>> record_extra_;
   NicStats stats_;
   SlotTable slots_;
   bool crashed_ = false;

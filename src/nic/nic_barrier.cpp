@@ -29,6 +29,11 @@ bool contains(const std::vector<Endpoint>& v, Endpoint e) {
   return false;
 }
 
+/// Key of a record's entry in Nic::record_extra_.
+std::uint32_t record_key(NodeId remote, PortId remote_port) {
+  return (std::uint32_t{remote} << 8) | remote_port;
+}
+
 }  // namespace
 
 // --- Initiation (SDMA side) ------------------------------------------------------
@@ -247,10 +252,41 @@ void Nic::barrier_record(const Packet& p, bool for_closed_port) {
   } else {
     ++stats_.unexpected_recorded;
   }
-  c.set_bit(p.src_port, BarrierBitInfo{p.type, p.barrier_epoch, p.dst_port, for_closed_port,
-                                       p.value, p.causal});
+  c.set_bit(p.src_port, BarrierBitInfo{p.barrier_epoch, p.type, p.dst_port, for_closed_port});
+  if (causal_ != nullptr || p.type == PacketType::kReduceUp ||
+      p.type == PacketType::kReduceDown) {
+    const std::uint32_t key = record_key(p.src_node, p.src_port);
+    const RecordExtra extra{p.value, p.causal};
+    auto it = record_extra_.begin();
+    while (it != record_extra_.end() && it->first != key) ++it;
+    if (it != record_extra_.end()) {
+      it->second = extra;  // a collision keeps the newer record
+    } else {
+      record_extra_.emplace_back(key, extra);
+    }
+  }
   NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "record unexpected %s%s",
                    p.describe().c_str(), for_closed_port ? " (closed port)" : "");
+}
+
+RecordExtra Nic::record_extra(NodeId remote, PortId remote_port) const {
+  const std::uint32_t key = record_key(remote, remote_port);
+  for (const auto& [k, extra] : record_extra_) {
+    if (k == key) return extra;
+  }
+  return {};
+}
+
+void Nic::clear_record(Connection& c, NodeId remote, PortId remote_port) {
+  c.clear_bit(remote_port);
+  const std::uint32_t key = record_key(remote, remote_port);
+  for (auto& entry : record_extra_) {
+    if (entry.first == key) {
+      entry = record_extra_.back();
+      record_extra_.pop_back();
+      return;
+    }
+  }
 }
 
 // --- Pairwise exchange (§5.2) ----------------------------------------------------------
@@ -302,8 +338,8 @@ void Nic::barrier_try_advance_pe(PortId local_port) {
     Connection& c = conn(peer.node);
     if (!c.bit(peer.port)) return;  // wait for the RDMA engine to advance us
     // Already received (recorded as unexpected): test-and-clear, advance.
-    const std::uint64_t arrival = c.bit_info[peer.port].causal;
-    c.clear_bit(peer.port);
+    const std::uint64_t arrival = record_extra(peer.node, peer.port).causal;
+    clear_record(c, peer.node, peer.port);
     breakdown_nic(local_port, tok->epoch, config_.barrier_pe_cycles);
     const sim::SimTime end =
         engine_submit(McpEngine::kRdma, "pe_advance", config_.barrier_pe_cycles);  // bookkeeping
@@ -337,11 +373,11 @@ void Nic::barrier_check_gather(PortId local_port) {
                                                "gather_ready", sim_.now(), sim_.now(),
                                                tok->causal);
     for (const Endpoint& child : tok->children) {
-      causal_->add_parent(join, conn(child.node).bit_info[child.port].causal);
+      causal_->add_parent(join, record_extra(child.node, child.port).causal);
     }
     tok->causal = join;
   }
-  for (const Endpoint& child : tok->children) conn(child.node).clear_bit(child.port);
+  for (const Endpoint& child : tok->children) clear_record(conn(child.node), child.node, child.port);
 
   if (tok->is_root()) {
     // §5.2: the root notifies the host *first*, then broadcasts.
@@ -360,9 +396,10 @@ void Nic::barrier_check_gather(PortId local_port) {
     if (causal_ != nullptr) {
       tok->causal = causal_->record(sim::causal::Segment::kFirmware, node_, "bcast_seen",
                                     sim_.now(), sim_.now(),
-                                    pc.bit_info[tok->parent.port].causal, tok->causal);
+                                    record_extra(tok->parent.node, tok->parent.port).causal,
+                                    tok->causal);
     }
-    pc.clear_bit(tok->parent.port);
+    clear_record(pc, tok->parent.node, tok->parent.port);
     barrier_complete(local_port);
     barrier_enter_broadcast(local_port);
   }
@@ -391,11 +428,11 @@ void Nic::barrier_hier_check_gather(PortId local_port) {
                                                "gather_ready", sim_.now(), sim_.now(),
                                                tok->causal);
     for (const Endpoint& child : tok->children) {
-      causal_->add_parent(join, conn(child.node).bit_info[child.port].causal);
+      causal_->add_parent(join, record_extra(child.node, child.port).causal);
     }
     tok->causal = join;
   }
-  for (const Endpoint& child : tok->children) conn(child.node).clear_bit(child.port);
+  for (const Endpoint& child : tok->children) clear_record(conn(child.node), child.node, child.port);
 
   if (!tok->is_root()) {
     barrier_send(local_port, tok->parent, PacketType::kBarrierGather, tok->epoch);
@@ -408,11 +445,11 @@ void Nic::barrier_hier_check_gather(PortId local_port) {
       if (rc.bit(tok->release[0].port) &&
           rc.bit_info[tok->release[0].port].type == PacketType::kBarrierBcast) {
         if (causal_ != nullptr) {
-          tok->causal = causal_->record(sim::causal::Segment::kFirmware, node_, "bcast_seen",
-                                        sim_.now(), sim_.now(),
-                                        rc.bit_info[tok->release[0].port].causal, tok->causal);
+          tok->causal = causal_->record(
+              sim::causal::Segment::kFirmware, node_, "bcast_seen", sim_.now(), sim_.now(),
+              record_extra(tok->release[0].node, tok->release[0].port).causal, tok->causal);
         }
-        rc.clear_bit(tok->release[0].port);
+        clear_record(rc, tok->release[0].node, tok->release[0].port);
         barrier_complete(local_port);
       }
     }
@@ -500,7 +537,7 @@ void Nic::barrier_send(PortId local_port, Endpoint dst, PacketType type, std::ui
         break;
       }
       p.seq = c.next_send_seq++;
-      c.sent_list.push_back(SentRecord{p, nullptr, sim_.now(), false});
+      c.reliability().sent_list.push_back(SentRecord{p, nullptr, sim_.now(), false});
       arm_retransmit(p.dst_node);
       transmit(net::make_packet(p), tx_cost);
       break;
@@ -606,11 +643,11 @@ void Nic::flush_closed_port_records(PortId opened_port) {
       if (info.dst_port != opened_port) continue;
       switch (config_.closed_port_policy) {
         case ClosedPortPolicy::kClearOnOpen:
-          c.clear_bit(rp);
+          clear_record(c, remote, rp);
           break;
         case ClosedPortPolicy::kRecordThenRejectOnOpen:
           if (info.for_closed_port) {
-            c.clear_bit(rp);
+            clear_record(c, remote, rp);
             Packet original;
             original.type = info.type;
             original.src_node = remote;
@@ -681,7 +718,7 @@ void Nic::barrier_enqueue_separate(Packet p, std::int64_t tx_cost) {
     return;
   }
   p.barrier_seq = c.next_barrier_send_seq++;
-  c.barrier_sent_list.push_back(SentRecord{p, nullptr, sim_.now(), false});
+  c.reliability().barrier_sent_list.push_back(SentRecord{p, nullptr, sim_.now(), false});
   arm_barrier_retransmit(p.dst_node);
   transmit(net::make_packet(p), tx_cost);
 }
@@ -697,7 +734,7 @@ void Nic::barrier_recv_separate(net::PacketPtr packet) {
 
   if (p.barrier_seq == c.next_expected_barrier_seq) {
     ++c.next_expected_barrier_seq;
-    c.barrier_nack_outstanding = false;
+    if (c.rel) c.rel->barrier_nack_outstanding = false;
     ack.ack = c.next_expected_barrier_seq - 1;
     send_control(ack);
     const std::int64_t cost = barrier_rx_cost(p);
@@ -714,8 +751,9 @@ void Nic::barrier_recv_separate(net::PacketPtr packet) {
   } else {
     // Out of order: drop; the cumulative ack + sender timer recover it.
     ++stats_.out_of_order_dropped;
-    if (!c.barrier_nack_outstanding) {
-      c.barrier_nack_outstanding = true;
+    ConnectionReliability& r = c.reliability();
+    if (!r.barrier_nack_outstanding) {
+      r.barrier_nack_outstanding = true;
       ack.ack = c.next_expected_barrier_seq - 1;
       send_control(ack);
     }
@@ -724,7 +762,9 @@ void Nic::barrier_recv_separate(net::PacketPtr packet) {
 
 void Nic::barrier_recv_barrier_ack(const Packet& p) {
   ++stats_.acks_received;
-  Connection& c = conn(p.src_node);
+  Connection& conn_state = conn(p.src_node);
+  if (!conn_state.rel) return;  // nothing was ever sent on this stream
+  ConnectionReliability& c = *conn_state.rel;
   bool retired = false;
   bool sampled = false;
   while (!c.barrier_sent_list.empty() &&
@@ -748,11 +788,12 @@ void Nic::barrier_recv_barrier_ack(const Packet& p) {
 }
 
 void Nic::arm_barrier_retransmit(NodeId remote) {
-  Connection& c = conn(remote);
+  Connection& conn_state = conn(remote);
+  ConnectionReliability& c = conn_state.reliability();
   sim_.cancel(c.barrier_retransmit_timer);
-  if (crashed_ || c.dead) return;
+  if (crashed_ || conn_state.dead) return;
   c.barrier_retransmit_timer = sim_.schedule_in(current_rto(c), [this, remote] {
-    Connection& cc = conn(remote);
+    ConnectionReliability& cc = conn(remote).reliability();
     if (cc.barrier_sent_list.empty()) return;
     ++stats_.retransmit_timeouts;
     if (++cc.barrier_retransmissions > config_.max_retransmissions) {
@@ -768,7 +809,7 @@ void Nic::arm_barrier_retransmit(NodeId remote) {
 }
 
 void Nic::barrier_retransmit_all(NodeId remote) {
-  Connection& c = conn(remote);
+  ConnectionReliability& c = conn(remote).reliability();
   for (SentRecord& rec : c.barrier_sent_list) {
     rec.retransmitted = true;
     ++stats_.retransmissions;

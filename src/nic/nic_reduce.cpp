@@ -115,9 +115,8 @@ void Nic::reduce_check_children(PortId local_port) {
   }
   // All child partials present: combine and clear.
   for (const Endpoint& child : tok->children) {
-    Connection& c = conn(child.node);
-    tok->acc = apply_reduce_op(tok->op, tok->acc, c.bit_info[child.port].value);
-    c.clear_bit(child.port);
+    tok->acc = apply_reduce_op(tok->op, tok->acc, record_extra(child.node, child.port).value);
+    clear_record(conn(child.node), child.node, child.port);
     engine_submit(McpEngine::kRdma, "combine", config_.barrier_gb_cycles);  // per child
   }
 
@@ -137,8 +136,8 @@ void Nic::reduce_check_children(PortId local_port) {
   Connection& pc = conn(tok->parent.node);
   if (pc.bit(tok->parent.port) &&
       pc.bit_info[tok->parent.port].type == PacketType::kReduceDown) {
-    const std::int64_t result = pc.bit_info[tok->parent.port].value;
-    pc.clear_bit(tok->parent.port);
+    const std::int64_t result = record_extra(tok->parent.node, tok->parent.port).value;
+    clear_record(pc, tok->parent.node, tok->parent.port);
     reduce_complete(local_port, result);
     ReduceToken* done = ps.last_reduce.get();
     for (const Endpoint& child : done->children) {
@@ -181,7 +180,7 @@ void Nic::reduce_send(PortId local_port, Endpoint dst, PacketType type, std::uin
     case BarrierReliability::kSharedStream: {
       Connection& c = conn(p.dst_node);
       p.seq = c.next_send_seq++;
-      c.sent_list.push_back(SentRecord{p, nullptr});
+      c.reliability().sent_list.push_back(SentRecord{p, nullptr});
       arm_retransmit(p.dst_node);
       transmit(net::make_packet(p));
       break;

@@ -79,16 +79,17 @@ void Nic::post_rma_token(RmaToken token) {
 void Nic::rma_register(PortId p, std::uint64_t segment, RmaMemory* mem) {
   PortState& ps = port(p);
   ps.rma_segments[segment] = mem;
-  // Flush ops that raced ahead of registration, preserving arrival order.
-  std::deque<Packet> still_parked;
-  for (Packet& parked : ps.rma_parked) {
+  // Flush ops that raced ahead of registration, preserving arrival order:
+  // one pass rotates the queue, re-parking the ops for other segments.
+  for (std::size_t n = ps.rma_parked.size(); n > 0; --n) {
+    Packet parked = std::move(ps.rma_parked.front());
+    ps.rma_parked.pop_front();
     if (parked.rma_segment == segment) {
       rma_rx_in_order(net::make_packet(parked));
     } else {
-      still_parked.push_back(std::move(parked));
+      ps.rma_parked.push_back(std::move(parked));
     }
   }
-  ps.rma_parked = std::move(still_parked);
 }
 
 void Nic::set_rma_sink(PortId p, RmaSink* sink) { port(p).rma_sink = sink; }

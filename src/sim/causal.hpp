@@ -3,7 +3,7 @@
 // Every packet transmission, DMA transfer, firmware decision, ack, and host
 // wakeup records a Span with edges to the spans it causally waited on
 // (packet-id / event-id provenance threaded through net::Packet,
-// nic::BarrierToken, nic::BarrierBitInfo, and nic::GmEvent). Each completed
+// nic::BarrierToken, nic::RecordExtra, and nic::GmEvent). Each completed
 // barrier therefore yields a dependency DAG rooted at the host's completion
 // (the sink) and terminating at the host's post (the origin).
 //

@@ -8,6 +8,11 @@
 //   Resource   — counted FIFO semaphore (models a bus, a CPU, a DMA engine
 //                when used by coroutines).
 //
+// Mailbox and Resource keep their suspended waiters in a WaiterList: an
+// intrusive FIFO threaded through the awaiters, which live in the suspended
+// coroutine frames. An idle primitive therefore owns no heap memory, and a
+// timed receive that expires unlinks itself in O(1).
+//
 // All wakeups go through Simulator::schedule_now rather than resuming
 // inline. This keeps notify/send non-reentrant: state updates made by the
 // notifier complete before any waiter observes them.
@@ -34,14 +39,47 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <deque>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
 
 namespace nicbar::sim {
+
+/// Intrusive FIFO of suspended waiters. `Node` supplies `prev` and `next`
+/// pointers; a node is linked from await_suspend until it is popped or
+/// erased, and its awaiter stays at one address all that time.
+template <typename Node>
+class WaiterList {
+ public:
+  [[nodiscard]] bool empty() const { return head_ == nullptr; }
+
+  void push_back(Node* n) {
+    n->prev = tail_;
+    n->next = nullptr;
+    (tail_ != nullptr ? tail_->next : head_) = n;
+    tail_ = n;
+  }
+
+  /// Unlinks and returns the oldest waiter; the list must not be empty.
+  Node* pop_front() {
+    Node* n = head_;
+    erase(n);
+    return n;
+  }
+
+  /// Unlinks `n`, which must be linked here.
+  void erase(Node* n) {
+    (n->prev != nullptr ? n->prev->next : head_) = n->next;
+    (n->next != nullptr ? n->next->prev : tail_) = n->prev;
+  }
+
+ private:
+  Node* head_ = nullptr;
+  Node* tail_ = nullptr;
+};
 
 /// Broadcast wakeup. Waiters queue up; notify_all() releases every current
 /// waiter (later waiters wait for the next notification).
@@ -120,8 +158,7 @@ class Mailbox {
 
   void send(T value) {
     if (!waiters_.empty()) {
-      Waiter* w = waiters_.front();
-      waiters_.pop_front();
+      Waiter* w = waiters_.pop_front();
       w->value.emplace(std::move(value));
       std::coroutine_handle<> h = w->handle;
       sim_.schedule_now([h] { h.resume(); });
@@ -153,6 +190,8 @@ class Mailbox {
   struct Waiter {
     std::optional<T> value;
     std::coroutine_handle<> handle;
+    Waiter* prev = nullptr;
+    Waiter* next = nullptr;
   };
 
   struct RecvAwaiter : Waiter {
@@ -196,7 +235,7 @@ class Mailbox {
         // A send() at this same instant may have already claimed us (its
         // resume is queued behind this event); value set means it won.
         if (this->value.has_value()) return;
-        std::erase(mb.waiters_, static_cast<Waiter*>(this));
+        mb.waiters_.erase(this);
         this->handle.resume();
       });
     }
@@ -207,41 +246,25 @@ class Mailbox {
   };
 
   Simulator& sim_;
-  std::deque<T> queue_;
-  std::deque<Waiter*> waiters_;
+  Fifo<T> queue_;
+  WaiterList<Waiter> waiters_;
 };
 
 /// Counted FIFO semaphore. acquire() suspends while all slots are taken;
 /// release() hands a slot to the oldest waiter. Use ScopedHold for RAII.
 class Resource {
+  struct Awaiter;
+
  public:
   Resource(Simulator& sim, std::size_t capacity = 1) : sim_(sim), capacity_(capacity) {}
 
-  [[nodiscard]] auto acquire() {
-    struct Awaiter {
-      Resource& r;
-      bool suspended = false;
-      // Fresh acquirers may not jump the waiter queue.
-      bool await_ready() const noexcept { return r.waiters_.empty() && r.in_use_ < r.capacity_; }
-      void await_suspend(std::coroutine_handle<> h) {
-        suspended = true;
-        r.waiters_.push_back(h);
-      }
-      // A suspended waiter is resumed by release(), which transfers the slot
-      // without ever decrementing in_use_; only the fast path claims one.
-      void await_resume() const noexcept {
-        if (!suspended) ++r.in_use_;
-      }
-    };
-    return Awaiter{*this};
-  }
+  [[nodiscard]] Awaiter acquire() { return Awaiter{*this}; }
 
   void release() {
     if (!waiters_.empty()) {
       // Hand the slot directly to the oldest waiter: in_use_ is unchanged,
       // so late acquirers cannot steal it before the waiter runs.
-      std::coroutine_handle<> h = waiters_.front();
-      waiters_.pop_front();
+      std::coroutine_handle<> h = waiters_.pop_front()->handle;
       sim_.schedule_now([h] { h.resume(); });
       return;
     }
@@ -257,13 +280,32 @@ class Resource {
 
   [[nodiscard]] std::size_t in_use() const { return in_use_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t queue_length() const { return waiters_.size(); }
 
  private:
+  struct Awaiter {
+    Resource& r;
+    std::coroutine_handle<> handle{};
+    Awaiter* prev = nullptr;
+    Awaiter* next = nullptr;
+    bool suspended = false;
+    // Fresh acquirers may not jump the waiter queue.
+    bool await_ready() const noexcept { return r.waiters_.empty() && r.in_use_ < r.capacity_; }
+    void await_suspend(std::coroutine_handle<> h) {
+      suspended = true;
+      handle = h;
+      r.waiters_.push_back(this);
+    }
+    // A suspended waiter is resumed by release(), which transfers the slot
+    // without ever decrementing in_use_; only the fast path claims one.
+    void await_resume() const noexcept {
+      if (!suspended) ++r.in_use_;
+    }
+  };
+
   Simulator& sim_;
   std::size_t capacity_;
   std::size_t in_use_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaiterList<Awaiter> waiters_;
 };
 
 }  // namespace nicbar::sim

@@ -335,6 +335,8 @@ Report Driver::run_impl(SloReport* slo_out) {
           group.push_back(nic::Endpoint{jr.node_set[m], job_ports[j][m]});
         }
         jr.endpoints = group;
+        // One list for the whole group, handed to every member.
+        const auto list = std::make_shared<const coll::MemberList>(group);
 
         jr.members.resize(klass.nodes);
         jr.remaining = klass.nodes;
@@ -360,7 +362,7 @@ Report Driver::run_impl(SloReport* slo_out) {
             // in flight to it, so no kPeerDead ever arrives).
             gc.ctrl_deadline = klass.deadline;
             gc.promote_every = klass.promote_every;
-            me.gmember = std::make_unique<coll::GroupMember>(*me.port, group, gc);
+            me.gmember = std::make_unique<coll::GroupMember>(*me.port, list, gc);
           } else if (klass.mix.barrier_only()) {
             coll::BarrierSpec bspec;
             bspec.location = klass.location;
@@ -371,7 +373,7 @@ Report Driver::run_impl(SloReport* slo_out) {
             bspec.hierarchical = klass.hierarchical;
             bspec.hier_block = hier_block;
             bspec.deadline = klass.deadline;
-            me.member = std::make_unique<coll::BarrierMember>(*me.port, group, bspec);
+            me.member = std::make_unique<coll::BarrierMember>(*me.port, list, bspec);
           } else {
             mpi::CommConfig cfg;
             cfg.per_call_overhead = klass.layer_overhead;
@@ -379,7 +381,7 @@ Report Driver::run_impl(SloReport* slo_out) {
             cfg.barrier_algorithm = klass.algorithm;
             cfg.gb_dimension = klass.gb_dimension;
             cfg.barrier_deadline = klass.deadline;
-            me.comm = std::make_unique<mpi::Communicator>(*me.port, group, cfg);
+            me.comm = std::make_unique<mpi::Communicator>(*me.port, list, cfg);
           }
         }
       }

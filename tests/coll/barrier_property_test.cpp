@@ -117,9 +117,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Location::kHost, Location::kNic),
                        ::testing::Values(BarrierAlgorithm::kPairwiseExchange,
                                          BarrierAlgorithm::kGatherBroadcast)),
-    [](const auto& info) {
-      std::string s = std::get<0>(info.param) == Location::kHost ? "Host" : "Nic";
-      s += std::get<1>(info.param) == BarrierAlgorithm::kPairwiseExchange ? "PE" : "GB";
+    [](const auto& p) {
+      std::string s = std::get<0>(p.param) == Location::kHost ? "Host" : "Nic";
+      s += std::get<1>(p.param) == BarrierAlgorithm::kPairwiseExchange ? "PE" : "GB";
       return s;
     });
 

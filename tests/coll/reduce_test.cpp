@@ -88,7 +88,7 @@ INSTANTIATE_TEST_SUITE_P(Ops, AllreduceOps,
                          ::testing::Values(ReduceOp::kSum, ReduceOp::kProd, ReduceOp::kMin,
                                            ReduceOp::kMax, ReduceOp::kBitAnd,
                                            ReduceOp::kBitOr),
-                         [](const auto& info) { return nic::to_string(info.param); });
+                         [](const auto& p) { return nic::to_string(p.param); });
 
 class AllreduceSizes : public ::testing::TestWithParam<std::size_t> {};
 

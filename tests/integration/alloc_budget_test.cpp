@@ -1,4 +1,7 @@
-// Heap-allocation budgets: of a steady-state barrier, and of member set-up.
+// Heap-allocation budgets: of a steady-state barrier, of member set-up, of
+// opening a port, and of the per-connection reliability state; plus the
+// sizes of the objects a 4096-node run keeps one of per node, port,
+// connection or link (DESIGN.md "Memory layout").
 //
 // This binary counts heap allocations and the bytes they request. It
 // measures the allocations one barrier costs once a run is warm: the
@@ -21,6 +24,11 @@
 // firmware jobs became move-only (NIC-PE 864, NIC-GB 459, host-PE 1762,
 // host-GB 829). Packet::describe() allocates its string, so a trace
 // argument evaluated with tracing off shows up here too.
+//
+// State a run does not use is not allocated: opening a port allocates only
+// the gm::Port and the NIC's PortState (their queues allocate on first
+// push), and a connection allocates its reliability block only when it
+// first sends reliably, which the paper's unreliable barrier never does.
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -35,9 +43,15 @@
 #include <gtest/gtest.h>
 
 #include "coll/runner.hpp"
+#include "coll/schedule.hpp"
 #include "coll/sweep.hpp"
+#include "gm/port.hpp"
 #include "host/cluster.hpp"
+#include "net/link.hpp"
 #include "nic/config.hpp"
+#include "nic/connection.hpp"
+#include "nic/nic.hpp"
+#include "sim/sync.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define NICBAR_SANITIZER_HEAP 1
@@ -95,6 +109,18 @@ void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace nicbar::coll {
 namespace {
+
+// The hot objects of a 4096-node run, at their sizes under GCC 12 and
+// libstdc++ on x86-64 (a 4096-node fat-tree keeps about 49 000 connections,
+// 4096 NICs and ports and 12 000 links live). Connection holds the paper's
+// one-byte unexpected record with an 8-byte sidecar per remote port; cold
+// state lives behind pointers. A field added to one of these must earn its
+// bytes here.
+static_assert(sizeof(nic::Connection) <= 96);
+static_assert(sizeof(net::Link) <= 248);
+static_assert(sizeof(nic::Nic) <= 792);
+static_assert(sizeof(gm::Port) <= 144);
+static_assert(sizeof(sim::Mailbox<nic::GmEvent>) <= 48);
 
 struct Variant {
   const char* name;
@@ -179,6 +205,72 @@ TEST(MemberSetupBudgetTest, BytesPerMemberDoNotGrowWithTheGroup) {
   EXPECT_LE(per_member_256, per_member_64 + 64.0)
       << "member set-up allocates " << per_member_64 << " B/member at N=64 but "
       << per_member_256 << " B/member at N=256";
+}
+
+TEST(OpenPortBudgetTest, OpeningAPortOnAFreshNodeAllocatesAtMost512Bytes) {
+  host::ClusterParams cp;
+  cp.nodes = 2;
+  host::Cluster cluster(cp);
+  const std::uint64_t before = g_allocated_bytes.load(std::memory_order_relaxed);
+  const std::unique_ptr<gm::Port> port = cluster.open_port(0, 2);
+  const std::uint64_t bytes = g_allocated_bytes.load(std::memory_order_relaxed) - before;
+  std::printf("open_port: %llu B\n", static_cast<unsigned long long>(bytes));
+  // The gm::Port and the NIC's PortState; an empty event mailbox, receive
+  // token queue or parked-RMA queue allocates nothing.
+  EXPECT_LE(bytes, 512u);
+  EXPECT_TRUE(port->is_open());
+}
+
+sim::Task barrier_loop(BarrierMember& member, int reps, int& completed) {
+  for (int r = 0; r < reps; ++r) {
+    if (co_await member.run() != BarrierStatus::kOk) co_return;
+    ++completed;
+  }
+}
+
+/// Connections holding a reliability block after 10 NIC-PE barriers on a
+/// 64-node switch, summed over every NIC.
+std::size_t reliability_blocks_after_pe(nic::BarrierReliability mode) {
+  constexpr std::size_t kNodes = 64;
+  constexpr int kReps = 10;
+  host::ClusterParams cp;
+  cp.nodes = kNodes;
+  cp.nic.barrier_reliability = mode;
+  host::Cluster cluster(cp);
+  std::vector<Endpoint> group;
+  std::vector<std::unique_ptr<gm::Port>> ports;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    group.push_back(Endpoint{static_cast<net::NodeId>(i), 2});
+    ports.push_back(cluster.open_port(static_cast<net::NodeId>(i), 2));
+  }
+  const auto list = std::make_shared<const MemberList>(group);
+  const BarrierSpec pe = spec(Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange);
+  std::vector<std::unique_ptr<BarrierMember>> members;
+  std::vector<int> completed(kNodes, 0);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    members.push_back(std::make_unique<BarrierMember>(*ports[i], list, pe));
+    cluster.sim().spawn(barrier_loop(*members[i], kReps, completed[i]));
+  }
+  cluster.run_all();
+  std::size_t blocks = 0;
+  std::size_t connections = 0;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    EXPECT_EQ(completed[i], kReps) << "member " << i;
+    blocks += cluster.nic(static_cast<net::NodeId>(i)).reliability_blocks();
+    connections += cluster.nic(static_cast<net::NodeId>(i)).connections_allocated();
+  }
+  EXPECT_GT(connections, 0u);
+  return blocks;
+}
+
+TEST(ConnectionReliabilityBudgetTest, UnreliableBarrierAllocatesNoReliabilityBlock) {
+  EXPECT_EQ(reliability_blocks_after_pe(nic::BarrierReliability::kUnreliable), 0u);
+}
+
+TEST(ConnectionReliabilityBudgetTest, SharedStreamBarrierAllocatesReliabilityBlocks) {
+  // Every PE peer gets a sequenced packet, so each connection that sends
+  // holds a block: 64 nodes x log2(64) peers.
+  EXPECT_EQ(reliability_blocks_after_pe(nic::BarrierReliability::kSharedStream), 64u * 6u);
 }
 
 }  // namespace

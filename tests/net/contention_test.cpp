@@ -144,8 +144,8 @@ INSTANTIATE_TEST_SUITE_P(Topologies, BarrierOverTopology,
                          ::testing::Values(host::Topology::kSingleSwitch,
                                            host::Topology::kFatTree,
                                            host::Topology::kLeafSpine),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& p) {
+                           switch (p.param) {
                              case host::Topology::kSingleSwitch: return "SingleSwitch";
                              case host::Topology::kFatTree: return "FatTree";
                              case host::Topology::kLeafSpine: return "Tree";

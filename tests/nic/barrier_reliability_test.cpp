@@ -83,8 +83,8 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ReliabilityModes,
                          ::testing::Values(BarrierReliability::kUnreliable,
                                            BarrierReliability::kSharedStream,
                                            BarrierReliability::kSeparateAcks),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& p) {
+                           switch (p.param) {
                              case BarrierReliability::kUnreliable: return "Unreliable";
                              case BarrierReliability::kSharedStream: return "SharedStream";
                              case BarrierReliability::kSeparateAcks: return "SeparateAcks";
@@ -173,8 +173,7 @@ TEST(BarrierOrderingTest, SharedStreamPreservesDataBarrierOrder) {
   }(*p0, group));
   // Node 1: enter the barrier, then receive; the data event must already be
   // queued before the completion event.
-  cluster.sim().spawn([](gm::Port& port, std::vector<gm::Endpoint> g,
-                         std::vector<std::string>* log) -> sim::Task {
+  cluster.sim().spawn([](gm::Port& port, std::vector<std::string>* log) -> sim::Task {
     co_await port.provide_receive_buffer(64);
     nic::BarrierToken tok;
     tok.algorithm = BarrierAlgorithm::kPairwiseExchange;
@@ -185,7 +184,7 @@ TEST(BarrierOrderingTest, SharedStreamPreservesDataBarrierOrder) {
       const gm::GmEvent ev = co_await port.receive();
       log->push_back(ev.type == gm::GmEventType::kRecv ? "data" : "barrier");
     }
-  }(*p1, group, &order));
+  }(*p1, &order));
   cluster.sim().run();
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], "data");
@@ -208,8 +207,7 @@ TEST(BarrierOrderingTest, UnreliableModeCanReorderAroundData) {
                                                BarrierAlgorithm::kPairwiseExchange, 2});
     co_await m.run();
   }(*p0, group));
-  cluster.sim().spawn([](gm::Port& port, std::vector<gm::Endpoint> g,
-                         std::vector<std::string>* log) -> sim::Task {
+  cluster.sim().spawn([](gm::Port& port, std::vector<std::string>* log) -> sim::Task {
     co_await port.provide_receive_buffer(64 * 1024);
     nic::BarrierToken tok;
     tok.algorithm = BarrierAlgorithm::kPairwiseExchange;
@@ -220,7 +218,7 @@ TEST(BarrierOrderingTest, UnreliableModeCanReorderAroundData) {
       const gm::GmEvent ev = co_await port.receive();
       log->push_back(ev.type == gm::GmEventType::kRecv ? "data" : "barrier");
     }
-  }(*p1, group, &order));
+  }(*p1, &order));
   cluster.sim().run();
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], "barrier");  // overtook the large data message

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -185,6 +187,88 @@ TEST(MailboxTest, MoveOnlyValues) {
   EXPECT_EQ(*got, 5);
 }
 
+// --- Mailbox::recv_for ------------------------------------------------------------
+
+/// Receives once with `timeout`, recording the outcome and when it came.
+Task timed_consumer(Simulator& sim, Mailbox<int>& mb, Duration timeout,
+                    std::optional<int>& got, SimTime& when) {
+  got = co_await mb.recv_for(timeout);
+  when = sim.now();
+}
+
+TEST(MailboxTest, RecvForTimesOutAtExactlyNowPlusTimeout) {
+  Simulator sim;
+  Mailbox<int> mb(sim);
+  std::optional<int> got = 1;
+  SimTime when{};
+  sim.schedule_in(3_us, [&] { sim.spawn(timed_consumer(sim, mb, 5_us, got, when)); });
+  sim.run();
+  EXPECT_FALSE(got.has_value());
+  EXPECT_EQ(when.ps(), (8_us).ps());
+  // The expired receiver left the mailbox: a later value stays queued.
+  mb.send(4);
+  sim.run();
+  EXPECT_EQ(mb.size(), 1u);
+}
+
+TEST(MailboxTest, RecvForTimeoutInTheMiddleLeavesTheOthersServedFifo) {
+  Simulator sim;
+  Mailbox<int> mb(sim);
+  std::vector<int> got_a, got_c;
+  std::optional<int> got_b = 1;
+  SimTime when_b{};
+  sim.spawn(mb_consumer(mb, got_a, 1));
+  sim.spawn(timed_consumer(sim, mb, 2_us, got_b, when_b));
+  sim.spawn(mb_consumer(mb, got_c, 1));
+  sim.schedule_in(5_us, [&] {
+    mb.send(1);
+    mb.send(2);
+  });
+  sim.run();
+  EXPECT_FALSE(got_b.has_value());
+  EXPECT_EQ(when_b.ps(), (2_us).ps());
+  EXPECT_EQ(got_a, (std::vector<int>{1}));
+  EXPECT_EQ(got_c, (std::vector<int>{2}));
+  EXPECT_TRUE(mb.empty());
+}
+
+TEST(MailboxTest, RecvForSendAtTheTimeoutInstantWins) {
+  Simulator sim;
+  Mailbox<int> mb(sim);
+  std::optional<int> got;
+  SimTime when{};
+  // Scheduled before the receiver arms its timer, so at 5 us the send runs
+  // first and claims the waiter; the timer then finds the value and yields.
+  sim.schedule_in(5_us, [&] { mb.send(7); });
+  sim.spawn(timed_consumer(sim, mb, 5_us, got, when));
+  sim.run();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, 7);
+  EXPECT_EQ(when.ps(), (5_us).ps());
+  EXPECT_TRUE(mb.empty());
+}
+
+TEST(MailboxTest, RecvForNonPositiveTimeoutNeverSuspends) {
+  for (const Duration timeout : {Duration{0}, Duration{-1}}) {
+    Simulator sim;
+    Mailbox<int> mb(sim);
+    std::optional<int> got = 1;
+    SimTime when{};
+    sim.spawn(timed_consumer(sim, mb, timeout, got, when));
+    // One event: the consumer's start. A suspension would add its timer.
+    EXPECT_EQ(sim.run(), 1u) << timeout.ps();
+    EXPECT_FALSE(got.has_value());
+    EXPECT_EQ(when.ps(), 0);
+    mb.send(4);
+    EXPECT_EQ(mb.size(), 1u) << "a non-positive timeout registered a waiter";
+    // A queued value is still taken without suspending.
+    sim.spawn(timed_consumer(sim, mb, timeout, got, when));
+    EXPECT_EQ(sim.run(), 1u);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, 4);
+  }
+}
+
 // --- Resource --------------------------------------------------------------------
 
 Task res_user(Simulator& sim, Resource& r, Duration hold, std::vector<int>& log, int id) {
@@ -232,6 +316,34 @@ TEST(ResourceTest, NoSlotStealingOnHandOff) {
   sim.schedule_in(10_us, [&] { sim.spawn(res_user(sim, res, 10_us, log, 2)); });
   sim.run();
   EXPECT_EQ(log, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(res.in_use(), 0u);
+}
+
+TEST(ResourceTest, WaitersAreHandedSlotsInFifoOrder) {
+  Simulator sim;
+  Resource res(sim, 2);
+  std::vector<int> log;
+  std::vector<SimTime> granted(6);
+  // Six users arrive 1 us apart and hold 10 us each: two run at once, and
+  // the four that queue take the freed slots in arrival order.
+  for (int i = 0; i < 6; ++i) {
+    sim.schedule_in(microseconds(i), [&, i] {
+      sim.spawn([](Simulator& s, Resource& r, std::vector<int>& l, SimTime& at,
+                   int id) -> Task {
+        co_await r.acquire();
+        l.push_back(id);
+        at = s.now();
+        co_await s.delay(10_us);
+        r.release();
+      }(sim, res, log, granted[static_cast<std::size_t>(i)], i));
+    });
+  }
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  const std::vector<std::int64_t> expect_us{0, 1, 10, 11, 20, 21};
+  for (std::size_t i = 0; i < granted.size(); ++i) {
+    EXPECT_EQ(granted[i].ps(), microseconds(static_cast<double>(expect_us[i])).ps()) << i;
+  }
   EXPECT_EQ(res.in_use(), 0u);
 }
 
