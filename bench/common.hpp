@@ -58,19 +58,27 @@ struct FourWay {
   double nic_pe, nic_gb, host_pe, host_gb;
 };
 
-/// Adds the four paper variants at `nodes` to `plan` (labels come from
-/// coll::variant_label); read back with four_way() at the same grid index.
+/// Adds `family` at `nodes` to `plan`, labelled by coll::variant_label; a GB
+/// family runs at its best dimension (the paper's methodology: sweep 1..N-1,
+/// take the minimum).
+inline void add_best(coll::SweepPlan& plan, const nic::NicConfig& cfg, std::size_t nodes,
+                     coll::Family family, int reps) {
+  coll::ExperimentParams p = coll::experiment(cfg, nodes, reps);
+  p.spec = coll::family_spec({family});
+  if (coll::family_row(family).dim == coll::DimRule::kGbDimension) {
+    plan.add_gb_sweep(coll::variant_label(p), p);
+  } else {
+    plan.add(coll::variant_label(p), p);
+  }
+}
+
+/// Adds the four paper variants at `nodes` to `plan`; read back with
+/// four_way() at the same grid index.
 inline void add_four_way(coll::SweepPlan& plan, const nic::NicConfig& cfg, std::size_t nodes,
                          int reps = 500) {
-  using coll::Location;
-  using nic::BarrierAlgorithm;
-  for (const Location loc : {Location::kNic, Location::kHost}) {
-    coll::ExperimentParams pe = coll::experiment(cfg, nodes, reps);
-    pe.spec = coll::spec(loc, BarrierAlgorithm::kPairwiseExchange);
-    plan.add(coll::variant_label(pe), pe);
-    coll::ExperimentParams gb = coll::experiment(cfg, nodes, reps);
-    gb.spec = coll::spec(loc, BarrierAlgorithm::kGatherBroadcast);
-    plan.add_gb_sweep(coll::variant_label(gb), gb);
+  using coll::Family;
+  for (const Family f : {Family::kNicPe, Family::kNicGb, Family::kHostPe, Family::kHostGb}) {
+    add_best(plan, cfg, nodes, f, reps);
   }
 }
 
@@ -98,18 +106,11 @@ inline FourWay measure_all(const nic::NicConfig& cfg, std::size_t nodes, int rep
   return measure_grid(cfg, {nodes}, reps).front();
 }
 
-/// Mean barrier latency (us) for one variant; GB runs at its best dimension
-/// (the paper's methodology: sweep 1..N-1, take the minimum).
-inline double measure(const nic::NicConfig& cfg, std::size_t nodes, coll::Location loc,
-                      nic::BarrierAlgorithm alg, int reps = 500) {
-  coll::ExperimentParams p = coll::experiment(cfg, nodes, reps);
-  p.spec = coll::spec(loc, alg);
+/// Mean barrier latency (us) of one family, GB at its best dimension.
+inline double measure(const nic::NicConfig& cfg, std::size_t nodes, coll::Family family,
+                      int reps = 500) {
   coll::SweepPlan plan;
-  if (alg == nic::BarrierAlgorithm::kGatherBroadcast) {
-    plan.add_gb_sweep(coll::variant_label(p), p);
-  } else {
-    plan.add(coll::variant_label(p), p);
-  }
+  add_best(plan, cfg, nodes, family, reps);
   return run(plan).cases.front().result.mean_us;
 }
 

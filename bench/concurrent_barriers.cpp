@@ -29,8 +29,7 @@ double run_concurrent(std::size_t nodes, int groups, int reps) {
     for (std::size_t i = 0; i < nodes; ++i) {
       ports.push_back(cluster.open_port(static_cast<net::NodeId>(i), port_id));
       members.push_back(std::make_unique<coll::BarrierMember>(
-          *ports.back(), group,
-          coll::spec(coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange)));
+          *ports.back(), group, coll::family_spec({coll::Family::kNicPe})));
     }
   }
   for (auto& m : members) {
@@ -55,8 +54,7 @@ double run_intra_node(bool loopback, int reps) {
   for (const gm::Endpoint& e : group) {
     ports.push_back(cluster.open_port(e.node, e.port));
     members.push_back(std::make_unique<coll::BarrierMember>(
-        *ports.back(), group,
-        coll::spec(coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange)));
+        *ports.back(), group, coll::family_spec({coll::Family::kNicPe})));
   }
   for (auto& m : members) {
     cluster.sim().spawn([](coll::BarrierMember& mem, int r) -> sim::Task {

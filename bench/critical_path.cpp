@@ -79,7 +79,7 @@ int check_exact(std::size_t nodes, bench::BenchSummary& summary) {
   for (std::size_t n = nodes; n > 1; n /= 2) ++r;
 
   coll::ExperimentParams p = coll::experiment(nic::lanai43(), nodes, 50);
-  p.spec = coll::spec(coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange);
+  p.spec = coll::family_spec({coll::Family::kNicPe});
   sim::telemetry::Telemetry tele;
   (void)run_traced(p, tele);
   const sim::causal::CausalTracer& causal = *tele.causal();
@@ -177,13 +177,13 @@ int main() {
   bench::print_header("attribution shift under contention and loss (16 nodes)");
   {
     coll::ExperimentParams p = coll::experiment(nic::lanai43(), 16, 50);
-    p.spec = coll::spec(coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange);
+    p.spec = coll::family_spec({coll::Family::kNicPe});
     p.max_start_skew = sim::microseconds(50.0);
     report_profile("start skew 50us:", "skew-50us", p, summary);
   }
   {
     coll::ExperimentParams p = coll::experiment(nic::lanai43(), 16, 50);
-    p.spec = coll::spec(coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange);
+    p.spec = coll::family_spec({coll::Family::kNicPe});
     p.cluster.nic.barrier_reliability = nic::BarrierReliability::kSharedStream;
     p.cluster.faults.loss.push_back({"", 0.02});
     p.cluster.faults.seed = p.seed;

@@ -290,11 +290,11 @@ void BM_MemberSetup(benchmark::State& state, const coll::BarrierSpec& spec, bool
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 void BM_MemberSetup_NicPe(benchmark::State& state) {
-  BM_MemberSetup(state, coll::spec(coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange),
+  BM_MemberSetup(state, coll::family_spec({coll::Family::kNicPe}),
                  false);
 }
 void BM_MemberSetup_NicPe_Shared(benchmark::State& state) {
-  BM_MemberSetup(state, coll::spec(coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange),
+  BM_MemberSetup(state, coll::family_spec({coll::Family::kNicPe}),
                  true);
 }
 void BM_MemberSetup_Hier(benchmark::State& state) {
@@ -310,8 +310,7 @@ void BM_BarrierSimulation(benchmark::State& state) {
     coll::ExperimentParams p;
     p.nodes = nodes;
     p.reps = 10;
-    p.spec.location = coll::Location::kNic;
-    p.spec.algorithm = nic::BarrierAlgorithm::kPairwiseExchange;
+    p.spec = coll::family_spec({coll::Family::kNicPe});
     benchmark::DoNotOptimize(coll::run_barrier_experiment(p).mean_us);
   }
   state.SetItemsProcessed(state.iterations() * 10);  // barriers per iteration

@@ -26,7 +26,7 @@ using namespace nicbar;
 
 coll::ExperimentResult run_lossy(double loss, bool adaptive, int reps) {
   coll::ExperimentParams p = coll::experiment(nic::lanai43(), 8, reps);
-  p.spec = coll::spec(coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange);
+  p.spec = coll::family_spec({coll::Family::kNicPe});
   p.cluster.nic.barrier_reliability = nic::BarrierReliability::kSharedStream;
   p.cluster.nic.adaptive_rto = adaptive;
   if (loss > 0.0) {
@@ -55,8 +55,7 @@ double time_to_recover_us(bool adaptive, sim::SimTime from, sim::SimTime until) 
   for (net::NodeId i = 0; i < 8; ++i) {
     ports.push_back(cluster.open_port(i, 2));
     members.push_back(std::make_unique<coll::BarrierMember>(
-        *ports.back(), group,
-        coll::spec(coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange)));
+        *ports.back(), group, coll::family_spec({coll::Family::kNicPe})));
   }
   // Member 0's completion times stand in for the group (a barrier completes
   // everywhere within one round-trip of completing anywhere).

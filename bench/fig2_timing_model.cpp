@@ -10,8 +10,7 @@
 
 int main() {
   using namespace nicbar;
-  using coll::Location;
-  using nic::BarrierAlgorithm;
+  using coll::Family;
 
   for (const nic::NicConfig& cfg : {nic::lanai43(), nic::lanai72()}) {
     gm::GmConfig gmc;
@@ -29,9 +28,9 @@ int main() {
     // One sweep covers every simulated point; larger sizes are model-only.
     coll::SweepPlan plan;
     for (std::size_t n : {2u, 4u, 8u, 16u}) {
-      for (const Location loc : {Location::kHost, Location::kNic}) {
+      for (const Family f : {Family::kHostPe, Family::kNicPe}) {
         coll::ExperimentParams p = coll::experiment(cfg, n, 200);
-        p.spec = coll::spec(loc, BarrierAlgorithm::kPairwiseExchange);
+        p.spec = coll::family_spec({f});
         plan.add(coll::variant_label(p), p);
       }
     }

@@ -33,8 +33,7 @@ FuzzyResult run_fuzzy(std::size_t nodes, sim::Duration chunk, int reps) {
   for (std::size_t i = 0; i < nodes; ++i) {
     ports.push_back(cluster.open_port(static_cast<net::NodeId>(i), 2));
     members.push_back(std::make_unique<coll::BarrierMember>(
-        *ports.back(), group,
-        coll::spec(coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange)));
+        *ports.back(), group, coll::family_spec({coll::Family::kNicPe})));
   }
   std::vector<std::uint64_t> chunks(nodes, 0);
   for (std::size_t i = 0; i < nodes; ++i) {

@@ -9,8 +9,7 @@
 
 int main() {
   using namespace nicbar;
-  using coll::Location;
-  using nic::BarrierAlgorithm;
+  using coll::Family;
 
   const nic::NicConfig cfg = nic::lanai43();
   const std::vector<std::size_t> node_counts{8, 16};
@@ -18,9 +17,9 @@ int main() {
   coll::SweepPlan plan;
   for (const std::size_t n : node_counts) {
     for (std::size_t dim = 1; dim < n; ++dim) {
-      for (const Location loc : {Location::kNic, Location::kHost}) {
+      for (const Family f : {Family::kNicGb, Family::kHostGb}) {
         coll::ExperimentParams p = coll::experiment(cfg, n);
-        p.spec = coll::spec(loc, BarrierAlgorithm::kGatherBroadcast, dim);
+        p.spec = coll::family_spec({f, dim});
         plan.add(coll::variant_label(p) + "-d" + std::to_string(dim), p);
       }
     }

@@ -45,8 +45,6 @@ std::size_t env_or(const char* name, std::size_t fallback) {
 
 int main() {
   using namespace nicbar;
-  using coll::Location;
-  using nic::BarrierAlgorithm;
 
   constexpr std::size_t kRadix = 18;
   constexpr std::size_t kOversub = 8;
@@ -70,22 +68,13 @@ int main() {
 
   coll::SweepPlan plan;
   for (const std::size_t n : node_counts) {
-    coll::ExperimentParams pe = base(n);
-    pe.spec = coll::spec(Location::kNic, BarrierAlgorithm::kPairwiseExchange);
-    plan.add(coll::variant_label(pe), pe);
-
-    coll::ExperimentParams gb = base(n);
-    gb.spec = coll::spec(Location::kNic, BarrierAlgorithm::kGatherBroadcast, kHierDim);
-    plan.add(coll::variant_label(gb), gb);
-
-    coll::ExperimentParams dissem = base(n);
-    dissem.spec = coll::rdma_spec(coll::RdmaAlgorithm::kDissemination);
-    plan.add(coll::variant_label(dissem), dissem);
-
-    coll::ExperimentParams hier = base(n);
-    // hier_block 0: the runner derives one block per leaf switch (h hosts).
-    hier.spec = coll::hier_spec(kHierDim, 0);
-    plan.add(coll::variant_label(hier), hier);
+    // hier_block stays 0: the runner derives one block per leaf switch.
+    for (const coll::Family f : {coll::Family::kNicPe, coll::Family::kNicGb,
+                                 coll::Family::kHostDissem, coll::Family::kHier}) {
+      coll::ExperimentParams p = base(n);
+      p.spec = coll::family_spec({f, kHierDim});
+      plan.add(coll::variant_label(p), p);
+    }
   }
   const coll::SweepResult r = bench::run(plan);
 

@@ -10,18 +10,17 @@
 
 int main() {
   using namespace nicbar;
-  using coll::Location;
-  using nic::BarrierAlgorithm;
+  using coll::Family;
 
   const std::vector<double> layers{0.0, 2.0, 5.0, 10.0, 15.0, 20.0};
 
   coll::SweepPlan plan;
   for (const double layer : layers) {
     for (const std::size_t nodes : {std::size_t{16}, std::size_t{8}}) {
-      for (const Location loc : {Location::kHost, Location::kNic}) {
+      for (const Family f : {Family::kHostPe, Family::kNicPe}) {
         coll::ExperimentParams p = coll::experiment(nic::lanai43(), nodes);
         p.cluster.gm.layer_overhead = sim::microseconds(layer);
-        p.spec = coll::spec(loc, BarrierAlgorithm::kPairwiseExchange);
+        p.spec = coll::family_spec({f});
         plan.add(coll::variant_label(p) + "+l" + std::to_string(layer), p);
       }
     }

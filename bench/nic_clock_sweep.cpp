@@ -9,18 +9,17 @@
 
 int main() {
   using namespace nicbar;
-  using coll::Location;
-  using nic::BarrierAlgorithm;
+  using coll::Family;
 
   const std::vector<double> clocks{33.0, 50.0, 66.0, 100.0, 132.0, 200.0};
 
   coll::SweepPlan plan;
   for (const double mhz : clocks) {
-    for (const Location loc : {Location::kHost, Location::kNic}) {
+    for (const Family f : {Family::kHostPe, Family::kNicPe}) {
       nic::NicConfig cfg = nic::lanai43();
       cfg.clock_mhz = mhz;
       coll::ExperimentParams p = coll::experiment(cfg, 8);
-      p.spec = coll::spec(loc, BarrierAlgorithm::kPairwiseExchange);
+      p.spec = coll::family_spec({f});
       plan.add(coll::variant_label(p) + "@" + std::to_string(static_cast<int>(mhz)), p);
     }
   }

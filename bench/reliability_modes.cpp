@@ -41,8 +41,7 @@ ModeResult run_mode(nic::BarrierReliability mode, double loss, int reps) {
   for (net::NodeId i = 0; i < 8; ++i) {
     ports.push_back(cluster.open_port(i, 2));
     members.push_back(std::make_unique<coll::BarrierMember>(
-        *ports.back(), group,
-        coll::spec(coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange)));
+        *ports.back(), group, coll::family_spec({coll::Family::kNicPe})));
   }
   std::vector<sim::SimTime> ends(members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {

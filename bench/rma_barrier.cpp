@@ -16,7 +16,7 @@
 
 int main() {
   using namespace nicbar;
-  using coll::RdmaAlgorithm;
+  using coll::Family;
   bench::print_header("Host-RDMA barriers vs NIC firmware, LANai 4.3 (us)");
   std::printf("%6s %10s %10s %12s %10s %12s\n", "nodes", "NIC-PE", "NIC-GB", "host-dissem",
               "host-tree", "exact_match");
@@ -30,9 +30,9 @@ int main() {
   // Both host-RDMA families as one sweep spanning the grid.
   coll::SweepPlan plan;
   for (const std::size_t n : nodes) {
-    for (const RdmaAlgorithm alg : {RdmaAlgorithm::kDissemination, RdmaAlgorithm::kTreePut}) {
+    for (const Family f : {Family::kHostDissem, Family::kHostTree}) {
       coll::ExperimentParams p = coll::experiment(cfg, n, 500);
-      p.spec = coll::rdma_spec(alg, /*radix=*/2);
+      p.spec = coll::family_spec({f, /*radix=*/2});
       plan.add(coll::variant_label(p), p);
     }
   }
@@ -47,8 +47,7 @@ int main() {
     const double tree = rdma.cases[2 * i + 1].result.mean_us;
     // Contention-free NIC-PE must be bit-identical between the fig5a grid
     // and an independently built single-case plan.
-    const double pe_again = bench::measure(cfg, nodes[i], coll::Location::kNic,
-                                           nic::BarrierAlgorithm::kPairwiseExchange);
+    const double pe_again = bench::measure(cfg, nodes[i], Family::kNicPe);
     const bool exact = pe_again == nic_pe;
     all_exact = all_exact && exact;
     std::printf("%6zu %10.2f %10.2f %12.2f %10.2f %12s\n", nodes[i], nic_pe, nic_gb, dissem,

@@ -11,19 +11,18 @@
 
 int main() {
   using namespace nicbar;
-  using coll::Location;
-  using nic::BarrierAlgorithm;
+  using coll::Family;
 
   const std::vector<std::size_t> node_counts{16, 32, 64, 128, 256, 512, 1024};
 
   coll::SweepPlan plan;
   for (const std::size_t n : node_counts) {
-    for (const Location loc : {Location::kHost, Location::kNic}) {
+    for (const Family f : {Family::kHostPe, Family::kNicPe}) {
       coll::ExperimentParams p = coll::experiment(nic::lanai43(), n, n >= 256 ? 20 : 100);
       p.cluster.topology = host::Topology::kFatTree;
       p.cluster.fabric_radix = 16;
       p.cluster.fabric_oversub = 15;
-      p.spec = coll::spec(loc, BarrierAlgorithm::kPairwiseExchange);
+      p.spec = coll::family_spec({f});
       plan.add(coll::variant_label(p), p);
     }
   }

@@ -21,9 +21,9 @@ int main() {
 
   coll::SweepPlan plan;
   for (const Row& row : rows) {
-    for (const coll::Location loc : {coll::Location::kHost, coll::Location::kNic}) {
+    for (const coll::Family f : {coll::Family::kHostPe, coll::Family::kNicPe}) {
       coll::ExperimentParams p = coll::experiment(nic::lanai43(), 16, 300);
-      p.spec = coll::spec(loc, nic::BarrierAlgorithm::kPairwiseExchange);
+      p.spec = coll::family_spec({f});
       p.cluster.topology = row.t;
       p.cluster.fabric_radix = 8;
       p.cluster.fabric_oversub = row.oversub;

@@ -40,12 +40,10 @@ int main() {
     for (net::NodeId i = 1; i < n; ++i) {
       std::vector<gm::Endpoint> pair{{0, 2}, {i, 2}};
       node0_members.push_back(std::make_unique<coll::BarrierMember>(
-          *p0, pair,
-          coll::spec(coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange)));
+          *p0, pair, coll::family_spec({coll::Family::kNicPe})));
       ports.push_back(cluster.open_port(i, 2));
       members.push_back(std::make_unique<coll::BarrierMember>(
-          *ports.back(), pair,
-          coll::spec(coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange)));
+          *ports.back(), pair, coll::family_spec({coll::Family::kNicPe})));
       cluster.sim().spawn(pair_barrier_proc(*members.back(), 1));
     }
     // The slow node enters its barriers only after everyone has fired.

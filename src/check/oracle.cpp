@@ -1,9 +1,9 @@
 #include "check/oracle.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 #include "coll/schedule.hpp"
+#include "coll/sweep.hpp"
 
 namespace nicbar::sim::check {
 
@@ -198,12 +198,8 @@ Duration predict_barrier(const OracleCase& c, const gm::GmConfig& gm,
 }
 
 Duration measure_barrier(const OracleCase& c) {
-  coll::ExperimentParams p;
-  p.nodes = c.nodes;
-  p.spec.location = c.location;
-  p.spec.algorithm = c.algorithm;
-  p.spec.gb_dimension = c.gb_dimension;
-  p.cluster.nic = c.nic;
+  coll::ExperimentParams p = coll::experiment(c.nic, c.nodes);
+  p.spec = coll::spec(c.location, c.algorithm, c.gb_dimension);
   const int r = 6;
   p.reps = r;
   const Duration total_r = coll::run_barrier_experiment(p).total;
@@ -214,12 +210,9 @@ Duration measure_barrier(const OracleCase& c) {
 
 OracleOutcome run_oracle_case(const OracleCase& c) {
   OracleOutcome out;
-  char label[128];
-  std::snprintf(label, sizeof label, "%s-%s-n%zu-%s",
-                c.location == coll::Location::kNic ? "nic" : "host",
-                c.algorithm == nic::BarrierAlgorithm::kPairwiseExchange ? "pe" : "gb", c.nodes,
-                c.nic.model.c_str());
-  out.label = label;
+  coll::ExperimentParams p = coll::experiment(c.nic, c.nodes);
+  p.spec = coll::spec(c.location, c.algorithm, c.gb_dimension);
+  out.label = coll::variant_label(p);
   const gm::GmConfig gm;
   const net::LinkParams link;
   const net::SwitchParams sw;
@@ -240,24 +233,20 @@ OracleOutcome run_oracle_case(const OracleCase& c) {
 OracleReport run_differential_oracle() {
   OracleReport rep;
   for (const bool lanai72 : {false, true}) {
-    for (const coll::Location loc : {coll::Location::kHost, coll::Location::kNic}) {
-      for (const nic::BarrierAlgorithm alg :
-           {nic::BarrierAlgorithm::kPairwiseExchange, nic::BarrierAlgorithm::kGatherBroadcast}) {
-        for (std::size_t n = 2; n <= 16; ++n) {
-          OracleCase c;
-          c.location = loc;
-          c.algorithm = alg;
-          c.nodes = n;
-          c.nic = lanai72 ? nic::lanai72() : nic::lanai43();
-          const OracleOutcome out = run_oracle_case(c);
-          ++rep.checked;
-          if (out.exact) ++rep.exact_cases;
-          if (!out.pass) ++rep.failures;
-          if (!out.exact && out.rel_error > rep.max_rel_error) {
-            rep.max_rel_error = out.rel_error;
-          }
-          rep.outcomes.push_back(out);
-        }
+    for (const coll::FamilyRow& row : coll::kFamilies) {
+      if (!row.closed_form) continue;
+      for (std::size_t n = 2; n <= 16; ++n) {
+        OracleCase c;
+        c.location = row.spec.location;
+        c.algorithm = row.spec.algorithm;
+        c.nodes = n;
+        c.nic = lanai72 ? nic::lanai72() : nic::lanai43();
+        const OracleOutcome out = run_oracle_case(c);
+        ++rep.checked;
+        if (out.exact) ++rep.exact_cases;
+        if (!out.pass) ++rep.failures;
+        if (!out.exact && out.rel_error > rep.max_rel_error) rep.max_rel_error = out.rel_error;
+        rep.outcomes.push_back(out);
       }
     }
   }

@@ -84,7 +84,8 @@ inline constexpr double kPeFoldOracleTolerance = 0.95;
 /// Runs one oracle comparison.
 [[nodiscard]] OracleOutcome run_oracle_case(const OracleCase& c);
 
-/// Full sweep: algorithm x location x N in [2,16] x {LANai 4.3, LANai 7.2}.
+/// Full sweep: the closed-form families (FamilyRow::closed_form) x N in
+/// [2,16] x {LANai 4.3, LANai 7.2}.
 [[nodiscard]] OracleReport run_differential_oracle();
 
 }  // namespace nicbar::sim::check

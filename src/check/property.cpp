@@ -6,6 +6,7 @@
 #include <numeric>
 #include <utility>
 
+#include "coll/family.hpp"
 #include "coll/sweep.hpp"
 #include "fabric/topology.hpp"
 #include "sim/check.hpp"
@@ -29,27 +30,14 @@ void fail(PropertyReport& rep, std::string property, std::uint64_t case_seed, st
   rep.failures.push_back({std::move(property), case_seed, std::move(detail)});
 }
 
-coll::ExperimentParams make_params(std::size_t nodes, coll::Location loc,
-                                   nic::BarrierAlgorithm alg, std::size_t dim,
+coll::ExperimentParams make_params(std::size_t nodes, coll::Family family, std::size_t dim,
                                    const nic::NicConfig& cfg, int reps) {
-  coll::ExperimentParams p;
-  p.nodes = nodes;
-  p.reps = reps;
-  p.spec.location = loc;
-  p.spec.algorithm = alg;
-  p.spec.gb_dimension = dim;
-  p.cluster.nic = cfg;
+  coll::ExperimentParams p = coll::experiment(cfg, nodes, reps);
+  p.spec = coll::family_spec({family, dim});
   return p;
 }
 
-const char* loc_name(coll::Location loc) { return loc == coll::Location::kNic ? "nic" : "host"; }
-const char* alg_name(nic::BarrierAlgorithm alg) {
-  return alg == nic::BarrierAlgorithm::kPairwiseExchange ? "pe" : "gb";
-}
-
-constexpr coll::Location kLocations[] = {coll::Location::kHost, coll::Location::kNic};
-constexpr nic::BarrierAlgorithm kAlgorithms[] = {nic::BarrierAlgorithm::kPairwiseExchange,
-                                                 nic::BarrierAlgorithm::kGatherBroadcast};
+const char* label(coll::Family family) { return coll::family_row(family).label.data(); }
 
 /// The topologies a case draws from, by index rather than enum order. The
 /// single switch stays at index 0, so its cases replay as they always have.
@@ -73,55 +61,59 @@ void draw_fabric_shape(Rng& rng, host::ClusterParams& c, std::size_t nodes) {
 }
 
 std::string topology_summary(const host::ClusterParams& c) {
-  if (c.topology == host::Topology::kSingleSwitch) return "switch";
-  return fmt("%s(radix %zu, %zu:1)",
-             c.topology == host::Topology::kFatTree ? "fat-tree" : "leaf-spine", c.fabric_radix,
-             c.fabric_oversub);
+  const host::TopologyName& t = host::topology_name(c.topology);
+  if (!t.shaped) return std::string(t.name);
+  return fmt("%s(radix %zu, %zu:1)", t.name.data(), c.fabric_radix, c.fabric_oversub);
+}
+
+/// A family drawn uniformly from the table rows that can run as `use` asks.
+coll::Family draw_family(Rng& rng, const coll::FamilyUse& use) {
+  std::vector<coll::Family> allowed;
+  for (const coll::FamilyRow& row : coll::kFamilies) {
+    if (coll::family_refusal(row.family, use).empty()) allowed.push_back(row.family);
+  }
+  return allowed[rng.below(static_cast<std::uint32_t>(allowed.size()))];
 }
 
 // --- Deterministic metamorphic properties ----------------------------------
 
-/// P1: per variant, one barrier can only get slower as the group grows (more
+/// P1: per family, one barrier can only get slower as the group grows (more
 /// rounds / deeper trees, same per-hop costs).
 void prop_latency_monotone_in_n(PropertyReport& rep) {
   ++rep.properties_run;
-  for (const auto loc : kLocations) {
-    for (const auto alg : kAlgorithms) {
-      Duration prev{0};
-      std::size_t prev_n = 0;
-      for (const std::size_t n : {std::size_t{2}, std::size_t{4}, std::size_t{8}, std::size_t{16}}) {
-        const std::size_t dim = n < 3 ? 1 : 2;
-        const auto res =
-            coll::run_barrier_experiment(make_params(n, loc, alg, dim, nic::lanai43(), 8));
-        if (prev_n != 0 && res.total < prev) {
-          fail(rep, "latency-monotone-in-n", 0,
-               fmt("%s-%s: total(n=%zu)=%lld ps < total(n=%zu)=%lld ps", loc_name(loc),
-                   alg_name(alg), n, static_cast<long long>(res.total.ps()), prev_n,
-                   static_cast<long long>(prev.ps())));
-        }
-        prev = res.total;
-        prev_n = n;
+  for (const coll::FamilyRow& row : coll::kFamilies) {
+    Duration prev{0};
+    std::size_t prev_n = 0;
+    for (const std::size_t n : {std::size_t{2}, std::size_t{4}, std::size_t{8}, std::size_t{16}}) {
+      const std::size_t dim = n < 3 ? 1 : 2;
+      const auto res =
+          coll::run_barrier_experiment(make_params(n, row.family, dim, nic::lanai43(), 8));
+      if (prev_n != 0 && res.total < prev) {
+        fail(rep, "latency-monotone-in-n", 0,
+             fmt("%s: total(n=%zu)=%lld ps < total(n=%zu)=%lld ps", label(row.family), n,
+                 static_cast<long long>(res.total.ps()), prev_n,
+                 static_cast<long long>(prev.ps())));
       }
+      prev = res.total;
+      prev_n = n;
     }
   }
 }
 
 /// P2: doubling the NIC clock and PCI bandwidth (LANai 4.3 -> 7.2) must
-/// strictly reduce latency for every variant.
+/// strictly reduce latency for every family.
 void prop_clock_scaling_direction(PropertyReport& rep) {
   ++rep.properties_run;
-  for (const auto loc : kLocations) {
-    for (const auto alg : kAlgorithms) {
-      const auto slow =
-          coll::run_barrier_experiment(make_params(8, loc, alg, 2, nic::lanai43(), 8));
-      const auto fast =
-          coll::run_barrier_experiment(make_params(8, loc, alg, 2, nic::lanai72(), 8));
-      if (!(fast.total < slow.total)) {
-        fail(rep, "clock-scaling-direction", 0,
-             fmt("%s-%s n=8: LANai-7.2 total %lld ps is not below LANai-4.3 total %lld ps",
-                 loc_name(loc), alg_name(alg), static_cast<long long>(fast.total.ps()),
-                 static_cast<long long>(slow.total.ps())));
-      }
+  for (const coll::FamilyRow& row : coll::kFamilies) {
+    const auto slow =
+        coll::run_barrier_experiment(make_params(8, row.family, 2, nic::lanai43(), 8));
+    const auto fast =
+        coll::run_barrier_experiment(make_params(8, row.family, 2, nic::lanai72(), 8));
+    if (!(fast.total < slow.total)) {
+      fail(rep, "clock-scaling-direction", 0,
+           fmt("%s n=8: LANai-7.2 total %lld ps is not below LANai-4.3 total %lld ps",
+               label(row.family), static_cast<long long>(fast.total.ps()),
+               static_cast<long long>(slow.total.ps())));
     }
   }
 }
@@ -137,14 +129,14 @@ void prop_rank_permutation_invariance(PropertyReport& rep, std::uint64_t suite_s
   for (std::size_t i = perm.size(); i > 1; --i) {
     std::swap(perm[i - 1], perm[rng.below(static_cast<std::uint32_t>(i))]);
   }
-  for (const auto loc : kLocations) {
-    auto p = make_params(8, loc, nic::BarrierAlgorithm::kPairwiseExchange, 1, nic::lanai43(), 8);
+  for (const coll::Family family : {coll::Family::kHostPe, coll::Family::kNicPe}) {
+    auto p = make_params(8, family, 1, nic::lanai43(), 8);
     const auto identity = coll::run_barrier_experiment(p);
     p.node_order = perm;
     const auto permuted = coll::run_barrier_experiment(p);
     if (identity.total != permuted.total) {
       fail(rep, "rank-permutation-invariance", 0,
-           fmt("%s-pe n=8: identity total %lld ps != permuted total %lld ps", loc_name(loc),
+           fmt("%s n=8: identity total %lld ps != permuted total %lld ps", label(family),
                static_cast<long long>(identity.total.ps()),
                static_cast<long long>(permuted.total.ps())));
     }
@@ -156,15 +148,9 @@ void prop_rank_permutation_invariance(PropertyReport& rep, std::uint64_t suite_s
 void prop_parallel_sweep_bit_equality(PropertyReport& rep) {
   ++rep.properties_run;
   coll::SweepPlan plan;
-  plan.add("nic-pe-n4",
-           make_params(4, coll::Location::kNic, nic::BarrierAlgorithm::kPairwiseExchange, 1,
-                       nic::lanai43(), 6));
-  plan.add("host-pe-n3",
-           make_params(3, coll::Location::kHost, nic::BarrierAlgorithm::kPairwiseExchange, 1,
-                       nic::lanai43(), 5));
-  plan.add_gb_sweep("nic-gb-n5",
-                    make_params(5, coll::Location::kNic,
-                                nic::BarrierAlgorithm::kGatherBroadcast, 2, nic::lanai72(), 5));
+  plan.add("nic-pe-n4", make_params(4, coll::Family::kNicPe, 1, nic::lanai43(), 6));
+  plan.add("host-pe-n3", make_params(3, coll::Family::kHostPe, 1, nic::lanai43(), 5));
+  plan.add_gb_sweep("nic-gb-n5", make_params(5, coll::Family::kNicGb, 2, nic::lanai72(), 5));
   const auto serial = plan.run({.workers = 1});
   const auto sharded = plan.run({.workers = 4});
   for (std::size_t i = 0; i < serial.cases.size(); ++i) {
@@ -214,10 +200,9 @@ wl::WorkloadSpec random_spec(Rng& rng) {
     c.count = 1 + rng.below(2);
     c.nodes = 2 + rng.below(7);  // 2 classes x 2 jobs x 8 nodes still fit 32
     c.iterations = 1 + static_cast<int>(rng.below(200));
-    c.location = rng.chance(0.5) ? coll::Location::kNic : coll::Location::kHost;
     c.mix.barrier = static_cast<double>(1 + rng.below(10)) / 10.0;
-    if (c.location == coll::Location::kNic && rng.chance(0.3)) {
-      // Fuzzy barriers must be barrier-only and NIC-based (validate()).
+    if (rng.chance(0.3)) {
+      // Fuzzy barriers must be barrier-only (validate()).
       c.mix.fuzzy = static_cast<double>(1 + rng.below(5)) / 10.0;
     } else {
       c.mix.broadcast = static_cast<double>(rng.below(4)) / 10.0;
@@ -230,9 +215,11 @@ wl::WorkloadSpec random_spec(Rng& rng) {
     c.compute_imbalance = static_cast<double>(rng.below(10)) / 10.0;
     c.start_skew = microseconds(rng.below(20));
     c.fuzzy_chunk = microseconds(1 + rng.below(10));
-    c.algorithm = rng.chance(0.5) ? nic::BarrierAlgorithm::kPairwiseExchange
-                                  : nic::BarrierAlgorithm::kGatherBroadcast;
-    c.gb_dimension = 1 + rng.below(static_cast<std::uint32_t>(c.nodes - 1));
+    // Only the families that can run the drawn mix.
+    c.barrier.family =
+        draw_family(rng, {.fuzzy = c.mix.fuzzy > 0.0, .reductions = !c.mix.barrier_only()});
+    const std::size_t dim = 1 + rng.below(static_cast<std::uint32_t>(c.nodes - 1));
+    if (coll::family_row(c.barrier.family).dim != coll::DimRule::kIgnored) c.barrier.dim = dim;
     if (rng.chance(0.3)) c.deadline = microseconds(1000 + rng.below(1000));
     s.classes.push_back(std::move(c));
   }
@@ -287,7 +274,8 @@ void run_one_fuzz(std::uint64_t case_seed, PropertyReport& rep, bool recheck_det
                  static_cast<unsigned long long>(res.stalled_members)));
       }
       const auto expected = static_cast<std::uint64_t>(p.nodes) * static_cast<std::uint64_t>(p.reps);
-      if (p.spec.location == coll::Location::kNic && res.barriers_completed != expected) {
+      if (coll::family_row(coll::family_of(p.spec)).completes_on_nic &&
+          res.barriers_completed != expected) {
         fail(rep, "fuzz.barrier-accounting", case_seed,
              fmt("%s: %llu NIC barrier completions, expected %llu", summary.c_str(),
                  static_cast<unsigned long long>(res.barriers_completed),
@@ -357,10 +345,8 @@ coll::ExperimentParams generate_fuzz_case(std::uint64_t case_seed, std::string* 
   p.nodes = 2 + rng.below(9);  // 2..10: covers pow2, odd folds, partial leaves
   p.reps = 3 + static_cast<int>(rng.below(10));
   p.seed = case_seed | 1;
-  p.spec.location = rng.chance(0.5) ? coll::Location::kNic : coll::Location::kHost;
-  p.spec.algorithm = rng.chance(0.5) ? nic::BarrierAlgorithm::kPairwiseExchange
-                                     : nic::BarrierAlgorithm::kGatherBroadcast;
-  p.spec.gb_dimension = 1 + rng.below(static_cast<std::uint32_t>(p.nodes - 1));
+  const coll::Family family = draw_family(rng, {});
+  p.spec = coll::family_spec({family, 1 + rng.below(static_cast<std::uint32_t>(p.nodes - 1))});
   p.cluster.nic = rng.chance(0.5) ? nic::lanai72() : nic::lanai43();
   p.cluster.topology = draw_topology(rng);
   p.max_start_skew = microseconds(rng.below(201));
@@ -379,7 +365,7 @@ coll::ExperimentParams generate_fuzz_case(std::uint64_t case_seed, std::string* 
       fp.link_down.push_back({"", from, from + microseconds(1 + rng.below(200))});
     }
   }
-  if (!fp.empty() && p.spec.location == coll::Location::kNic) {
+  if (!fp.empty() && coll::family_row(family).completes_on_nic) {
     // Unreliable NIC barriers deadlock under loss by design; a lossy fuzz
     // case must run one of the reliable modes so stalls are real bugs.
     p.cluster.nic.barrier_reliability = rng.chance(0.5)
@@ -401,10 +387,10 @@ coll::ExperimentParams generate_fuzz_case(std::uint64_t case_seed, std::string* 
   draw_fabric_shape(rng, p.cluster, p.nodes);
 
   if (summary != nullptr) {
-    *summary = fmt("case %llu: %s-%s n=%zu dim=%zu reps=%d %s topo=%s skew=%lldps pdes=%zu/%u "
+    *summary = fmt("case %llu: %s n=%zu dim=%zu reps=%d %s topo=%s skew=%lldps pdes=%zu/%u "
                    "faults[%zu loss, %zu burst, %zu corrupt, %zu down]",
-                   static_cast<unsigned long long>(case_seed), loc_name(p.spec.location),
-                   alg_name(p.spec.algorithm), p.nodes, p.spec.gb_dimension, p.reps,
+                   static_cast<unsigned long long>(case_seed), label(family), p.nodes,
+                   p.spec.gb_dimension, p.reps,
                    p.cluster.nic.model.c_str(), topology_summary(p.cluster).c_str(),
                    static_cast<long long>(p.max_start_skew.ps()), p.cluster.pdes_partitions,
                    p.cluster.pdes_workers, fp.loss.size(), fp.bursts.size(),

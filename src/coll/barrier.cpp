@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
+
+#include "coll/family.hpp"
 
 namespace nicbar::coll {
 
@@ -17,19 +20,18 @@ BarrierMember::BarrierMember(gm::Port& port, const std::vector<Endpoint>& group,
 
 BarrierMember::BarrierMember(gm::Port& port, std::shared_ptr<const MemberList> members,
                              BarrierSpec spec)
-    : port_(port), members_(std::move(members)), spec_(spec) {
+    : port_(port), members_(std::move(members)), spec_(spec), family_(family_of(spec_)) {
   const std::optional<std::size_t> me = members_->rank_of(port_.endpoint());
   if (!me) throw std::invalid_argument("port's endpoint is not in the barrier group");
   my_index_ = *me;
+  const std::string why = family_refusal(family_, {.managed = spec_.group != 0});
+  if (!why.empty()) throw std::invalid_argument(why);
   const std::span<const Endpoint> group = members_->members();
-  if (spec_.rdma != RdmaAlgorithm::kNone) {
-    if (spec_.group != 0) {
-      throw std::invalid_argument("host-RDMA barriers cannot join a managed group");
-    }
+  if (family_ == Family::kHostDissem || family_ == Family::kHostTree) {
     // The port must already be open: registration and the sink binding live
     // in the NIC's per-port state, which opening resets.
     rdma_domain_ = std::make_unique<rma::Domain>(port_);
-    if (spec_.rdma == RdmaAlgorithm::kDissemination) {
+    if (family_ == Family::kHostDissem) {
       const std::uint64_t words =
           std::max<std::uint64_t>(1, rma::DisseminationBarrier::rounds_for(group.size()));
       rma::Segment& seg = rdma_domain_->register_segment(words);
@@ -44,18 +46,14 @@ BarrierMember::BarrierMember(gm::Port& port, std::shared_ptr<const MemberList> m
     }
     return;
   }
-  if (spec_.hierarchical) {
-    if (spec_.location != Location::kNic) {
-      throw std::invalid_argument("hierarchical barriers require the NIC-based location");
-    }
+  if (family_ == Family::kHier) {
     const std::size_t n = group.size();
     const std::size_t block =
         (spec_.hier_block == 0 || spec_.hier_block > n) ? n : spec_.hier_block;
     const std::size_t b = my_index_ / block;
     const std::size_t lo = b * block;
     const std::size_t hi = std::min(lo + block, n);
-    hier_block_size_ = hi - lo;
-    hier_num_blocks_ = (n + block - 1) / block;
+    const std::size_t blocks = (n + block - 1) / block;
     hier_is_rep_ = my_index_ == lo;
     const std::span<const Endpoint> mates = group.subspan(lo, hi - lo);
     hier_gb_ = gb_tree(mates, my_index_ - lo, spec_.gb_dimension);
@@ -66,15 +64,15 @@ BarrierMember::BarrierMember(gm::Port& port, std::shared_ptr<const MemberList> m
       // Where our release will come from.
       hier_release_.assign(1, mates.front());
     }
-    if (hier_is_rep_ && hier_num_blocks_ > 1) {
+    if (hier_is_rep_ && blocks > 1) {
       std::vector<Endpoint> reps;
-      reps.reserve(hier_num_blocks_);
-      for (std::size_t r = 0; r < hier_num_blocks_; ++r) reps.push_back(group[r * block]);
+      reps.reserve(blocks);
+      for (std::size_t r = 0; r < blocks; ++r) reps.push_back(group[r * block]);
       hier_rep_peers_ = pe_schedule(reps, b);
     }
     return;
   }
-  if (spec_.algorithm == BarrierAlgorithm::kPairwiseExchange) {
+  if (family_ == Family::kNicPe || family_ == Family::kHostPe) {
     pe_peers_ = pe_schedule(group, my_index_);
   } else {
     gb_ = gb_tree(group, my_index_, spec_.gb_dimension);
@@ -85,25 +83,32 @@ sim::ValueTask<BarrierStatus> BarrierMember::run() {
   if (peer_dead_) co_return BarrierStatus::kPeerDead;
   deadline_at_ = spec_.deadline.is_zero() ? sim::SimTime::max()
                                           : port_.simulator().now() + spec_.deadline;
-  if (spec_.rdma != RdmaAlgorithm::kNone) {
-    const BarrierStatus st = co_await rdma_barrier_->run(deadline_at_);
-    if (st == BarrierStatus::kPeerDead) peer_dead_ = true;
-    co_return st;
-  }
-  if (spec_.hierarchical) {
-    const BarrierStatus st = co_await run_hier();
-    co_return st;
-  }
-  if (spec_.location == Location::kHost) {
-    BarrierStatus st;
-    if (spec_.algorithm == BarrierAlgorithm::kPairwiseExchange) {
-      st = co_await run_host_pe();
-    } else {
-      st = co_await run_host_gb();
+  switch (family_) {
+    case Family::kHostDissem:
+    case Family::kHostTree: {
+      const BarrierStatus st = co_await rdma_barrier_->run(deadline_at_);
+      if (st == BarrierStatus::kPeerDead) peer_dead_ = true;
+      co_return st;
     }
-    co_return st;
+    case Family::kHostPe: {
+      const BarrierStatus st = co_await run_host_pe();
+      co_return st;
+    }
+    case Family::kHostGb: {
+      const BarrierStatus st = co_await run_host_gb();
+      co_return st;
+    }
+    case Family::kNicPe:
+    case Family::kNicGb:
+    case Family::kHier:
+      break;
   }
-  const gm::Epoch epoch = co_await start_nic_barrier();
+  gm::Epoch epoch;
+  if (family_ == Family::kHier) {
+    epoch = co_await start_hier();
+  } else {
+    epoch = co_await start_nic_barrier();
+  }
   const BarrierStatus st = co_await wait_barrier_complete(epoch);
   if (st != BarrierStatus::kOk) port_.barrier_cancel();
   co_return st;
@@ -127,12 +132,9 @@ sim::Task BarrierMember::ensure_provisioned() {
   provisioned_ = true;
   // Enough pinned buffers for every message of this barrier plus early
   // arrivals from the next one (each peer can be at most one barrier ahead).
-  std::size_t expected = 0;
-  if (spec_.algorithm == BarrierAlgorithm::kPairwiseExchange) {
-    expected = pe_peers_.size();
-  } else {
-    expected = gb_.children.size() + (gb_.is_root() ? 0 : 1);
-  }
+  const std::size_t expected = family_ == Family::kHostPe
+                                   ? pe_peers_.size()
+                                   : gb_.children.size() + (gb_.is_root() ? 0 : 1);
   for (std::size_t i = 0; i < 2 * expected + 2; ++i) {
     co_await port_.provide_receive_buffer(msg_bytes_);
   }
@@ -239,18 +241,11 @@ sim::ValueTask<gm::Epoch> BarrierMember::start_hier() {
   co_return co_await port_.barrier_send(std::move(token));
 }
 
-sim::ValueTask<BarrierStatus> BarrierMember::run_hier() {
-  const gm::Epoch epoch = co_await start_hier();
-  const BarrierStatus st = co_await wait_barrier_complete(epoch);
-  if (st != BarrierStatus::kOk) port_.barrier_cancel();
-  co_return st;
-}
-
 sim::ValueTask<gm::Epoch> BarrierMember::start_nic_barrier() {
   nic::BarrierToken token;
-  token.algorithm = spec_.algorithm;
+  token.algorithm = family_row(family_).spec.algorithm;
   token.group = spec_.group;
-  if (spec_.algorithm == BarrierAlgorithm::kPairwiseExchange) {
+  if (family_ == Family::kNicPe) {
     token.peers = pe_peers_;
   } else {
     token.parent = gb_.parent;
@@ -308,8 +303,7 @@ sim::ValueTask<BarrierStatus> BarrierMember::wait_barrier_complete(gm::Epoch epo
 
 sim::ValueTask<std::uint64_t> BarrierMember::run_fuzzy(sim::Duration chunk) {
   // Validate eagerly: a lazy coroutine would defer the throw until awaited.
-  if (spec_.location != Location::kNic || spec_.rdma != RdmaAlgorithm::kNone ||
-      spec_.hierarchical) {
+  if (!family_row(family_).fuzzy) {
     throw std::logic_error("fuzzy barrier requires the flat NIC-based implementation");
   }
   return run_fuzzy_impl(chunk);

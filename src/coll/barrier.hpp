@@ -1,4 +1,5 @@
-// Barrier implementations over GM: the four variants the paper evaluates.
+// Barrier implementations over GM: the four variants the paper evaluates,
+// plus the hierarchical and host-RDMA families (coll/family.hpp lists all).
 //
 //   Location::kHost  +  PE/GB — classic host-based software barriers built
 //                               from ordinary GM send/receive.
@@ -32,27 +33,20 @@ namespace nicbar::coll {
 
 enum class Location : std::uint8_t { kHost, kNic };
 
-/// The third algorithm family: host-driven barriers over the rma:: one-sided
-/// layer (rput + flag words; see src/rma/barrier.hpp). kNone selects the
-/// classic location/algorithm pair below; any other value overrides it.
-enum class RdmaAlgorithm : std::uint8_t { kNone = 0, kDissemination, kTreePut };
+/// One row of the family table (coll/family.hpp, which needs BarrierSpec).
+enum class Family : std::uint8_t;
 
-[[nodiscard]] constexpr const char* to_string(RdmaAlgorithm a) {
-  switch (a) {
-    case RdmaAlgorithm::kNone:
-      return "none";
-    case RdmaAlgorithm::kDissemination:
-      return "host-dissem";
-    case RdmaAlgorithm::kTreePut:
-      return "host-tree";
-  }
-  return "?";
-}
+/// The host-RDMA families' selector: barriers over the rma:: one-sided layer
+/// (rput + flag words; see src/rma/barrier.hpp). coll/family.hpp names them.
+enum class RdmaAlgorithm : std::uint8_t { kNone = 0, kDissemination, kTreePut };
 
 /// The status vocabulary lives in coll/status.hpp (shared with mpi::, wl::
 /// and the rma:: one-sided layer); BarrierStatus is the historical name.
 using BarrierStatus = Status;
 
+/// The family is selected by location + algorithm, overridden by `rdma`,
+/// then by `hierarchical`; coll::family_of() is the one reader of that
+/// combination and coll::family_spec() the one writer.
 struct BarrierSpec {
   Location location = Location::kNic;
   nic::BarrierAlgorithm algorithm = nic::BarrierAlgorithm::kPairwiseExchange;
@@ -68,10 +62,9 @@ struct BarrierSpec {
   /// legacy anonymous group). Set by coll::GroupMember, which owns the
   /// matching NIC slot bindings; see nic::SlotTable.
   std::uint64_t group = 0;
-  /// When not kNone, the barrier runs on the host-RDMA family instead of
+  /// When not kNone, the barrier runs on a host-RDMA family instead of
   /// `location`/`algorithm` (which are then ignored). kTreePut reuses
-  /// `gb_dimension` as the tree radix. Incompatible with managed groups
-  /// (`group` must stay 0) and with run_fuzzy().
+  /// `gb_dimension` as the tree radix.
   RdmaAlgorithm rdma = RdmaAlgorithm::kNone;
   /// The hierarchical NIC family for multi-switch fabrics: members are cut
   /// into blocks of `hier_block` consecutive indices (one block per leaf
@@ -116,15 +109,8 @@ class BarrierMember {
 
   [[nodiscard]] const std::shared_ptr<const MemberList>& member_list() const { return members_; }
   [[nodiscard]] const std::vector<Endpoint>& pe_peers() const { return pe_peers_; }
-  [[nodiscard]] const GbTreeSlice& gb_slice() const { return gb_; }
   [[nodiscard]] std::size_t my_index() const { return my_index_; }
   [[nodiscard]] const BarrierSpec& spec() const { return spec_; }
-
-  /// Hierarchical family only: is this member its block's representative,
-  /// and what are the resolved sub-schedules (for tests/introspection).
-  [[nodiscard]] bool is_representative() const { return hier_is_rep_; }
-  [[nodiscard]] const GbTreeSlice& hier_intra_slice() const { return hier_gb_; }
-  [[nodiscard]] const std::vector<Endpoint>& hier_rep_peers() const { return hier_rep_peers_; }
 
   /// When a higher layer (e.g. mpi::Communicator) shares the port's event
   /// stream, it installs a sink here: events that are not this barrier's
@@ -152,15 +138,10 @@ class BarrierMember {
   /// subsequent run() returns kPeerDead immediately.
   [[nodiscard]] bool peer_failed() const { return peer_dead_; }
 
-  /// Host-RDMA family only: the one-sided domain backing this member (null
-  /// for the classic families). Exposed for stats (inflight, stale replies).
-  [[nodiscard]] rma::Domain* rdma_domain() { return rdma_domain_.get(); }
-
  private:
   sim::ValueTask<std::uint64_t> run_fuzzy_impl(sim::Duration chunk);
   sim::ValueTask<BarrierStatus> run_host_pe();
   sim::ValueTask<BarrierStatus> run_host_gb();
-  sim::ValueTask<BarrierStatus> run_hier();
   sim::ValueTask<gm::Epoch> start_nic_barrier();  // returns the epoch
   /// Posts this member's single kHierarchical token (representative:
   /// gather + exchange + multidestination release, all firmware-resident;
@@ -177,19 +158,18 @@ class BarrierMember {
   /// rdma_barrier_, which views it, so it outlives that barrier.
   std::shared_ptr<const MemberList> members_;
   BarrierSpec spec_;
+  Family family_;  // family_of(spec_), resolved once
   std::size_t my_index_ = 0;
   std::vector<Endpoint> pe_peers_;
   GbTreeSlice gb_;
 
-  // Hierarchical family (empty/default unless spec.hierarchical).
+  // Hierarchical family (empty/default for the other families).
   GbTreeSlice hier_gb_;                  // my slice of the intra-block tree
   std::vector<Endpoint> hier_rep_peers_; // rep only: PE schedule over reps
   /// Rep: all block mates (the multidestination release fan-out).
   /// Non-rep: one entry, the representative (the release source).
   std::vector<Endpoint> hier_release_;
-  std::size_t hier_block_size_ = 0;      // my block's member count
   bool hier_is_rep_ = false;
-  std::size_t hier_num_blocks_ = 1;
   /// Causal id and consumption time of the latest matched completion event
   /// (0 when unknown); feeds the representative hand-off span between phases.
   std::uint64_t last_completion_causal_ = 0;
@@ -202,7 +182,7 @@ class BarrierMember {
   std::int64_t msg_bytes_ = 8;
   std::function<void(const nic::GmEvent&)> sink_;
 
-  // Host-RDMA family state (null unless spec.rdma != kNone). The Domain
+  // Host-RDMA family state (null for the other families). The Domain
   // installs itself as the port's RmaSink, so at most one rdma-family member
   // may exist per port.
   std::unique_ptr<rma::Domain> rdma_domain_;

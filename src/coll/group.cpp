@@ -1,6 +1,7 @@
 #include "coll/group.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace nicbar::coll {
@@ -67,23 +68,18 @@ GroupMember::GroupMember(gm::Port& port, std::shared_ptr<const MemberList> membe
   if (!me) throw std::invalid_argument("port's endpoint is not in the group");
   my_index_ = *me;
 
-  BarrierSpec nic_spec;
-  nic_spec.location = Location::kNic;
-  nic_spec.algorithm = config_.algorithm;
-  nic_spec.gb_dimension = config_.gb_dimension;
-  nic_spec.deadline = config_.deadline;
-  nic_spec.group = config_.id;
-  nic_spec.hierarchical = config_.hierarchical;
-  nic_spec.hier_block = config_.hier_block;
-  nic_bm_ = std::make_unique<BarrierMember>(port_, members_, nic_spec);
+  const std::string why = family_refusal(config_.barrier.family, {.managed = true});
+  if (!why.empty()) throw std::invalid_argument(why);
+  BarrierSpec base{.deadline = config_.deadline, .group = config_.id,
+                   .hier_block = config_.hier_block};
+  nic_bm_ = std::make_unique<BarrierMember>(port_, members_, family_spec(config_.barrier, base));
 
-  BarrierSpec host_spec = nic_spec;
-  host_spec.location = Location::kHost;
-  // The degraded path is host software: it runs the flat algorithm (the
-  // hierarchical composition only pays off on NIC offload).
-  host_spec.hierarchical = false;
-  host_spec.hier_block = 0;
-  host_bm_ = std::make_unique<BarrierMember>(port_, members_, host_spec);
+  // The degraded path is host software running the row's fallback family; it
+  // stamps no group id (only NIC barrier packets carry one).
+  base.group = 0;
+  base.hier_block = 0;
+  const FamilyChoice fallback{family_row(config_.barrier.family).fallback, config_.barrier.dim};
+  host_bm_ = std::make_unique<BarrierMember>(port_, members_, family_spec(fallback, base));
 
   // Both barrier paths share the port's event stream with the handshakes:
   // control messages drained during a barrier wait are parked here (their

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "coll/barrier.hpp"
+#include "coll/family.hpp"
 #include "gm/port.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
@@ -71,13 +72,11 @@ struct GroupConfig {
   /// with the handshake opcode).
   std::uint64_t id = 0;
 
-  nic::BarrierAlgorithm algorithm = nic::BarrierAlgorithm::kPairwiseExchange;
-  std::size_t gb_dimension = 2;
-
-  /// Run the two-level hierarchical NIC family while offloaded (`algorithm`
-  /// is then ignored; the host fallback stays flat). See BarrierSpec.
-  bool hierarchical = false;
-  std::size_t hier_block = 0;  // members per leaf block; 0 = one block
+  /// The family run while offloaded; it must be able to start a managed
+  /// group (FamilyRow::managed). A degraded group runs the row's host
+  /// fallback instead (hier falls back to flat host PE).
+  FamilyChoice barrier;
+  std::size_t hier_block = 0;  // hier: members per leaf block; 0 = one block
 
   /// Deadline for each barrier() run (0 = wait forever); see BarrierSpec.
   sim::Duration deadline{0};

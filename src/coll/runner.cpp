@@ -68,14 +68,7 @@ ExperimentResult run_barrier_experiment(const ExperimentParams& params) {
 
   const std::vector<net::NodeId> order = resolve_node_order(params);
 
-  // The hierarchical family's block size defaults to the fabric's leaf
-  // population, so "one block" really is "one leaf switch" under the
-  // in-order placement below. Explicit hier_block (tests, flat topologies)
-  // wins.
-  BarrierSpec spec = params.spec;
-  if (spec.hierarchical && spec.hier_block == 0) {
-    if (const fabric::Fabric* f = cluster.fabric()) spec.hier_block = f->hosts_per_leaf;
-  }
+  const BarrierSpec spec = with_leaf_blocks(params.spec, cluster);
 
   std::vector<Endpoint> group;
   group.reserve(params.nodes);
@@ -171,11 +164,15 @@ ExperimentResult run_barrier_experiment(const ExperimentParams& params) {
   return res;
 }
 
-std::pair<std::size_t, double> best_gb_dimension(ExperimentParams params, unsigned workers) {
-  if (params.spec.algorithm != nic::BarrierAlgorithm::kGatherBroadcast) {
-    throw std::invalid_argument("dimension sweep requires the GB algorithm");
+BarrierSpec with_leaf_blocks(BarrierSpec spec, const host::Cluster& cluster) {
+  if (family_of(spec) == Family::kHier && spec.hier_block == 0) {
+    if (const fabric::Fabric* f = cluster.fabric()) spec.hier_block = f->hosts_per_leaf;
   }
-  SweepPlan plan;
+  return spec;
+}
+
+std::pair<std::size_t, double> best_gb_dimension(ExperimentParams params, unsigned workers) {
+  SweepPlan plan;  // run() refuses a family without a GB dimension
   plan.add_gb_sweep("gb-dim-sweep", std::move(params));
   SweepOptions opts;
   opts.workers = workers;

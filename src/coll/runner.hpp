@@ -70,12 +70,18 @@ struct ExperimentResult {
   std::vector<sim::SimTime> member_end_times;
 };
 
+/// `spec` with the hierarchical family's block size defaulted to the
+/// fabric's leaf population, so "one block" is "one leaf switch" under
+/// in-order placement. Other families, an explicit hier_block and flat
+/// topologies keep `spec` as given.
+[[nodiscard]] BarrierSpec with_leaf_blocks(BarrierSpec spec, const host::Cluster& cluster);
+
 /// Runs the measurement loop; deterministic for fixed params.
 [[nodiscard]] ExperimentResult run_barrier_experiment(const ExperimentParams& params);
 
 /// Sweeps the GB tree dimension 1..N-1 (the paper's methodology) and returns
-/// {best dimension, its mean latency in us}. `params.spec.algorithm` must be
-/// kGatherBroadcast. The dimensions are independent runs, sharded across
+/// {best dimension, its mean latency in us}. `params.spec` must select a GB
+/// family. The dimensions are independent runs, sharded across
 /// `workers` threads (see sim::exec); the result is identical for any count.
 [[nodiscard]] std::pair<std::size_t, double> best_gb_dimension(ExperimentParams params,
                                                                unsigned workers = 1);

@@ -2,9 +2,11 @@
 
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
+#include "coll/family.hpp"
 #include "sim/exec.hpp"
 #include "sim/telemetry.hpp"
 
@@ -35,30 +37,21 @@ std::string serialise_metrics(const std::string& label,
 }
 
 RunOutput execute(const SweepCase& c, std::size_t dim, bool instrumented) {
-  RunOutput out;
-  if (!instrumented) {
-    if (c.custom) {
-      out.result = c.custom(nullptr);
-    } else {
-      ExperimentParams p = c.params;
-      if (dim != 0) p.spec.gb_dimension = dim;
-      out.result = run_barrier_experiment(p);
-    }
-    return out;
-  }
   // Telemetry hooks are untaken branches on the simulated timeline, so an
   // instrumented run reports exactly the numbers an uninstrumented one would.
-  sim::telemetry::Telemetry telemetry;
-  telemetry.enable_breakdown();
+  std::optional<sim::telemetry::Telemetry> telemetry;
+  if (instrumented) telemetry.emplace().enable_breakdown();
+  sim::telemetry::Telemetry* t = telemetry ? &*telemetry : nullptr;
+  RunOutput out;
   if (c.custom) {
-    out.result = c.custom(&telemetry);
+    out.result = c.custom(t);
   } else {
     ExperimentParams p = c.params;
     if (dim != 0) p.spec.gb_dimension = dim;
-    p.cluster.telemetry = &telemetry;
+    if (t != nullptr) p.cluster.telemetry = t;
     out.result = run_barrier_experiment(p);
   }
-  out.metrics_json = serialise_metrics(c.label, telemetry);
+  if (t != nullptr) out.metrics_json = serialise_metrics(c.label, *t);
   return out;
 }
 
@@ -121,7 +114,7 @@ SweepResult SweepPlan::run(const SweepOptions& opts) const {
       throw std::invalid_argument("a custom case cannot be GB-swept ('" + c.label + "')");
     }
     if (c.sweep_gb_dimension &&
-        c.params.spec.algorithm != nic::BarrierAlgorithm::kGatherBroadcast) {
+        family_row(family_of(c.params.spec)).dim != DimRule::kGbDimension) {
       throw std::invalid_argument("GB dimension sweep requires the GB algorithm ('" +
                                   c.label + "')");
     }
@@ -163,7 +156,7 @@ SweepResult SweepPlan::run(const SweepOptions& opts) const {
     cr.label = c.label;
     if (!c.sweep_gb_dimension) {
       cr.result = outputs[r].result;
-      cr.gb_dimension = c.params.spec.algorithm == nic::BarrierAlgorithm::kGatherBroadcast
+      cr.gb_dimension = family_row(family_of(c.params.spec)).dim == DimRule::kGbDimension
                             ? c.params.spec.gb_dimension
                             : 0;
       metrics_lines[run.case_idx] = std::move(outputs[r].metrics_json);
@@ -208,41 +201,21 @@ ExperimentParams experiment(const nic::NicConfig& nic_cfg, std::size_t nodes, in
 }
 
 BarrierSpec spec(Location loc, nic::BarrierAlgorithm alg, std::size_t dim) {
-  BarrierSpec s;
-  s.location = loc;
-  s.algorithm = alg;
-  s.gb_dimension = dim;
-  return s;
+  return family_spec({family_of({.location = loc, .algorithm = alg}), dim});
 }
 
 BarrierSpec rdma_spec(RdmaAlgorithm alg, std::size_t radix) {
-  BarrierSpec s;
-  s.rdma = alg;
-  s.gb_dimension = radix;
-  return s;
+  return family_spec(
+      {alg == RdmaAlgorithm::kDissemination ? Family::kHostDissem : Family::kHostTree, radix});
 }
 
 BarrierSpec hier_spec(std::size_t intra_dim, std::size_t block) {
-  BarrierSpec s;
-  s.location = Location::kNic;
-  s.hierarchical = true;
-  s.gb_dimension = intra_dim;
-  s.hier_block = block;
-  return s;
+  return family_spec({Family::kHier, intra_dim}, {.hier_block = block});
 }
 
 std::string variant_label(const ExperimentParams& p) {
-  if (p.spec.rdma != RdmaAlgorithm::kNone) {
-    return std::string("rdma-") +
-           (p.spec.rdma == RdmaAlgorithm::kDissemination ? "dissem" : "tree") + "-n" +
-           std::to_string(p.nodes) + "-" + p.cluster.nic.model;
-  }
-  if (p.spec.hierarchical) {
-    return "nic-hier-n" + std::to_string(p.nodes) + "-" + p.cluster.nic.model;
-  }
-  return std::string(p.spec.location == Location::kNic ? "nic" : "host") + "-" +
-         (p.spec.algorithm == nic::BarrierAlgorithm::kPairwiseExchange ? "pe" : "gb") + "-n" +
-         std::to_string(p.nodes) + "-" + p.cluster.nic.model;
+  return std::string(family_row(family_of(p.spec)).label) + "-n" + std::to_string(p.nodes) +
+         "-" + p.cluster.nic.model;
 }
 
 }  // namespace nicbar::coll

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "coll/family.hpp"
 #include "coll/runner.hpp"
 
 namespace nicbar::sim::telemetry {
@@ -144,7 +145,7 @@ class SweepPlan {
                                           int reps = 500);
 [[nodiscard]] BarrierSpec spec(Location loc, nic::BarrierAlgorithm alg, std::size_t dim = 2);
 
-/// Spec for the host-RDMA family (`alg` must not be kNone); `radix` is the
+/// Spec for a host-RDMA family (`alg` must not be kNone); `radix` is the
 /// tree radix for kTreePut, ignored for kDissemination.
 [[nodiscard]] BarrierSpec rdma_spec(RdmaAlgorithm alg, std::size_t radix = 2);
 
@@ -153,9 +154,8 @@ class SweepPlan {
 /// cluster's fabric (hosts per leaf switch).
 [[nodiscard]] BarrierSpec hier_spec(std::size_t intra_dim = 2, std::size_t block = 0);
 
-/// Canonical case label: "<nic|host>-<pe|gb>-n<N>-<model>" — the naming the
-/// metrics JSON has always used — "rdma-<dissem|tree>-n<N>-<model>" for the
-/// host-RDMA family, or "nic-hier-n<N>-<model>" for the hierarchical family.
+/// Canonical case label: "<FamilyRow::label>-n<N>-<model>", e.g.
+/// "nic-pe-n16-LANai-4.3" (the naming the metrics JSON has always used).
 [[nodiscard]] std::string variant_label(const ExperimentParams& p);
 
 }  // namespace nicbar::coll

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include <optional>
@@ -31,6 +32,21 @@ enum class Topology {
   kFatTree,       // fabric:: folded Clos, 2-3 levels
   kLeafSpine,     // fabric:: strictly two-level variant
 };
+
+/// Name table (sim/names.hpp) for `--topology` and the workload `topology`
+/// key, indexed by the enum. A `shaped` topology takes a radix and an
+/// oversubscription ratio.
+struct TopologyName {
+  Topology topology;
+  std::string_view name;
+  bool shaped;
+};
+inline constexpr TopologyName kTopologyNames[] = {{Topology::kSingleSwitch, "switch", false},
+                                                  {Topology::kFatTree, "fat-tree", true},
+                                                  {Topology::kLeafSpine, "leaf-spine", true}};
+[[nodiscard]] constexpr const TopologyName& topology_name(Topology t) {
+  return kTopologyNames[static_cast<std::size_t>(t)];
+}
 
 struct ClusterParams {
   std::size_t nodes = 2;

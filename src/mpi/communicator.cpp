@@ -98,8 +98,8 @@ Communicator::Communicator(gm::Port& port, std::shared_ptr<const coll::MemberLis
 
   coll::GroupConfig gc;
   gc.id = group_id;
-  gc.algorithm = config_.barrier_algorithm;
-  gc.gb_dimension = config_.gb_dimension;
+  // A managed group offloads its barrier to the NIC.
+  gc.barrier = {coll::family_of({.algorithm = config_.barrier_algorithm}), config_.gb_dimension};
   gc.deadline = config_.barrier_deadline;
   // The barrier deadline doubles as the handshake backstop: a coordinator
   // waiting on a crashed member may have no traffic in flight to it, so no

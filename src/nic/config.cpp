@@ -18,4 +18,11 @@ NicConfig lanai72() {
   return c;
 }
 
+std::string_view nic_model_name(const NicConfig& cfg) {
+  for (const NicModel& m : kNicModels) {
+    if (cfg.model == m.make().model) return m.name;
+  }
+  return kNicModels[cfg.clock_mhz >= 50.0 ? 1 : 0].name;
+}
+
 }  // namespace nicbar::nic

@@ -14,8 +14,10 @@
 // ≈ 102 µs NIC-based 16-node pairwise-exchange barrier.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "sim/time.hpp"
 
@@ -154,5 +156,26 @@ struct NicConfig {
 /// The paper's 66 MHz LANai 7.2 card: identical firmware, double the clock,
 /// and a 64-bit PCI interface.
 [[nodiscard]] NicConfig lanai72();
+
+/// Name tables (sim/names.hpp): `--nic`, `--reliability` and the workload
+/// `nic` and `reliability` keys. The reliability table is indexed by the enum.
+struct NicModel {
+  std::string_view name;
+  NicConfig (*make)();
+};
+inline constexpr NicModel kNicModels[] = {{"lanai43", &lanai43}, {"lanai72", &lanai72}};
+
+/// The model name of `cfg` by its model string; a hand-built config reads
+/// as the LANai 7.2 from 50 MHz up.
+[[nodiscard]] std::string_view nic_model_name(const NicConfig& cfg);
+
+struct ReliabilityName {
+  BarrierReliability mode;
+  std::string_view name;
+};
+inline constexpr ReliabilityName kReliabilityNames[] = {
+    {BarrierReliability::kUnreliable, "unreliable"},
+    {BarrierReliability::kSharedStream, "shared"},
+    {BarrierReliability::kSeparateAcks, "separate"}};
 
 }  // namespace nicbar::nic

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "coll/group.hpp"
+#include "coll/runner.hpp"
 #include "mpi/communicator.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
@@ -340,22 +341,19 @@ Report Driver::run_impl(SloReport* slo_out) {
 
         jr.members.resize(klass.nodes);
         jr.remaining = klass.nodes;
+        // hier classes block by the fabric's leaf population; on a flat
+        // topology (no fabric) the group degenerates to one block.
+        const coll::BarrierSpec bspec = coll::with_leaf_blocks(
+            coll::family_spec(klass.barrier, {.deadline = klass.deadline}), cluster);
         for (std::size_t m = 0; m < klass.nodes; ++m) {
           MemberRun& me = jr.members[m];
           me.port = cluster.open_port(jr.node_set[m], job_ports[j][m]);
           me.rng.reseed(substream(substream(spec_.seed, kMemberStream, j), kMemberStream, m));
-          // Hierarchical classes block by the fabric's leaf population; on a
-          // flat topology (no fabric) the group degenerates to one block.
-          const std::size_t hier_block =
-              klass.hierarchical && cluster.fabric() != nullptr ? cluster.fabric()->hosts_per_leaf
-                                                                : 0;
           if (klass.managed) {
             coll::GroupConfig gc;
             gc.id = static_cast<std::uint64_t>(j) + 1;  // fabric-unique per job
-            gc.algorithm = klass.algorithm;
-            gc.gb_dimension = klass.gb_dimension;
-            gc.hierarchical = klass.hierarchical;
-            gc.hier_block = hier_block;
+            gc.barrier = klass.barrier;
+            gc.hier_block = bspec.hier_block;
             gc.deadline = klass.deadline;
             // The barrier deadline doubles as the handshake liveness backstop
             // (a coordinator waiting on a crashed member may have no traffic
@@ -364,22 +362,15 @@ Report Driver::run_impl(SloReport* slo_out) {
             gc.promote_every = klass.promote_every;
             me.gmember = std::make_unique<coll::GroupMember>(*me.port, list, gc);
           } else if (klass.mix.barrier_only()) {
-            coll::BarrierSpec bspec;
-            bspec.location = klass.location;
-            bspec.algorithm = klass.algorithm;
-            bspec.gb_dimension = klass.gb_dimension;
-            bspec.rdma = klass.rdma;  // host-RDMA family (validate() confines
-                                      // it to this barrier-only branch)
-            bspec.hierarchical = klass.hierarchical;
-            bspec.hier_block = hier_block;
-            bspec.deadline = klass.deadline;
             me.member = std::make_unique<coll::BarrierMember>(*me.port, list, bspec);
           } else {
+            // validate() confines reductions to the flat families, whose
+            // spec names the collectives' location and barrier algorithm.
             mpi::CommConfig cfg;
             cfg.per_call_overhead = klass.layer_overhead;
-            cfg.collective_location = klass.location;
-            cfg.barrier_algorithm = klass.algorithm;
-            cfg.gb_dimension = klass.gb_dimension;
+            cfg.collective_location = bspec.location;
+            cfg.barrier_algorithm = bspec.algorithm;
+            cfg.gb_dimension = klass.barrier.dim;
             cfg.barrier_deadline = klass.deadline;
             me.comm = std::make_unique<mpi::Communicator>(*me.port, list, cfg);
           }

@@ -11,24 +11,16 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "sim/names.hpp"
+
 namespace nicbar::wl {
 
 const char* to_string(Placement p) {
-  switch (p) {
-    case Placement::kDisjoint: return "disjoint";
-    case Placement::kStrided: return "strided";
-    case Placement::kOverlapping: return "overlapping";
-  }
-  return "?";
+  return kPlacementNames[static_cast<std::size_t>(p)].name.data();
 }
 
 const char* to_string(ArrivalKind k) {
-  switch (k) {
-    case ArrivalKind::kFixed: return "fixed";
-    case ArrivalKind::kPoisson: return "poisson";
-    case ArrivalKind::kClosedLoop: return "closed-loop";
-  }
-  return "?";
+  return kArrivalNames[static_cast<std::size_t>(k)].name.data();
 }
 
 const char* to_string(CollectiveKind k) {
@@ -80,8 +72,11 @@ void validate(const WorkloadSpec& spec) {
     if (c.compute_imbalance < 0.0 || c.compute_imbalance >= 1.0) {
       bad(who + "imbalance must be in [0, 1)");
     }
-    if (c.mix.fuzzy > 0.0 && c.location != coll::Location::kNic) {
-      bad(who + "fuzzy barriers require the NIC-based location");
+    if (const std::string why = coll::family_refusal(
+            c.barrier.family, {.dim = c.barrier.dim, .managed = c.managed,
+                               .fuzzy = c.mix.fuzzy > 0.0, .reductions = !c.mix.barrier_only()});
+        !why.empty()) {
+      bad(who + why);
     }
     if (c.mix.fuzzy > 0.0 && !c.mix.barrier_only()) {
       bad(who + "fuzzy barriers cannot be mixed with reductions (one event "
@@ -94,31 +89,6 @@ void validate(const WorkloadSpec& spec) {
       bad(who + "layer-us applies to the communicator path only (add a "
                 "reduction weight, or drop it to model raw GM)");
     }
-    if (c.algorithm == nic::BarrierAlgorithm::kGatherBroadcast && c.gb_dimension == 0) {
-      bad(who + "GB needs a positive tree dimension");
-    }
-    if (c.rdma != coll::RdmaAlgorithm::kNone) {
-      // The host-RDMA family runs on bare rma::Domains; reductions, fuzzy
-      // barriers, and managed groups all live on other code paths.
-      if (!c.mix.barrier_only() || c.mix.fuzzy > 0.0) {
-        bad(who + "host-RDMA barriers require a pure-barrier mix");
-      }
-      if (c.managed) bad(who + "host-RDMA barriers cannot use a managed lifecycle");
-      if (c.rdma == coll::RdmaAlgorithm::kTreePut && c.gb_dimension == 0) {
-        bad(who + "host-tree needs a positive radix");
-      }
-    }
-    if (c.hierarchical) {
-      // The two-level family composes NIC sub-barriers; it has no host,
-      // fuzzy, or reduction path of its own.
-      if (c.location != coll::Location::kNic) {
-        bad(who + "hierarchical barriers require the NIC-based location");
-      }
-      if (!c.mix.barrier_only() || c.mix.fuzzy > 0.0) {
-        bad(who + "hierarchical barriers require a pure-barrier mix");
-      }
-      if (c.gb_dimension == 0) bad(who + "hier needs a positive intra-block dimension");
-    }
     if (!c.slo.is_zero() && (c.slo_target <= 0.0 || c.slo_target >= 1.0)) {
       bad(who + "slo-target must be in (0, 1)");
     }
@@ -130,10 +100,6 @@ void validate(const WorkloadSpec& spec) {
       // fallback); reductions and fuzzy barriers bypass that lifecycle.
       if (!c.mix.barrier_only() || c.mix.fuzzy > 0.0) {
         bad(who + "lifecycle managed requires a pure-barrier mix");
-      }
-      if (c.location != coll::Location::kNic) {
-        bad(who + "lifecycle managed requires the NIC location (the host "
-                  "path is the group's fallback mode, not a starting mode)");
       }
       if (c.promote_every < 0) bad(who + "promote-every must be non-negative");
     }
@@ -300,6 +266,13 @@ class LineReader {
     return *v;
   }
 
+  /// A number of at least `min`: a count, a size or a radix.
+  double number(std::string_view what, int min) {
+    const double v = number(what);
+    if (v < min) fail(std::string(what) + " must be >= " + std::to_string(min));
+    return v;
+  }
+
   void expect_end() {
     const std::string_view extra = next_word();
     if (!extra.empty()) fail("unexpected trailing token '" + std::string(extra) + "'");
@@ -348,6 +321,17 @@ WorkloadSpec parse_workload_spec(std::istream& in) {
   WorkloadSpec spec;
   JobClass* job = nullptr;  // current class; null while in the preamble
   bool any_mix_term = false;
+  // The current class's `location`. It is kept apart from the family
+  // because the host-RDMA families ignore it while a later `algorithm pe`
+  // still pairs with it; close_class() checks it against the family.
+  coll::Location job_location = coll::Location::kNic;
+  auto close_class = [&] {
+    if (job == nullptr) return;
+    const std::string why = coll::family_refusal(job->barrier.family, {.location = job_location});
+    if (!why.empty()) {
+      throw std::runtime_error("workload spec: class '" + job->name + "': " + why);
+    }
+  };
 
   std::string line;
   int line_no = 0;
@@ -360,6 +344,8 @@ WorkloadSpec parse_workload_spec(std::istream& in) {
     if (key.empty()) continue;  // blank / comment-only
 
     if (key == "job") {
+      close_class();
+      job_location = coll::Location::kNic;
       JobClass c;
       c.name = std::string(rd.word("job name"));
       // Per-class mix weights start from nothing; an unspecified mix means
@@ -374,46 +360,31 @@ WorkloadSpec parse_workload_spec(std::istream& in) {
     if (job == nullptr) {
       // Preamble keys.
       if (key == "cluster-nodes") {
-        const double v = rd.number("cluster-nodes");
-        if (v < 1) rd.fail("cluster-nodes must be >= 1");
-        spec.cluster_nodes = static_cast<std::size_t>(v);
+        spec.cluster_nodes = static_cast<std::size_t>(rd.number("cluster-nodes", 1));
       } else if (key == "nic") {
-        const std::string_view v = rd.word("nic");
-        if (v == "lanai43") {
-          spec.cluster.nic = nic::lanai43();
-        } else if (v == "lanai72") {
-          spec.cluster.nic = nic::lanai72();
-        } else {
-          rd.fail("nic must be lanai43 or lanai72");
-        }
+        const nic::NicModel* m = sim::find_named(nic::kNicModels, rd.word("nic"));
+        if (m == nullptr) rd.fail("nic must be " + sim::or_list(nic::kNicModels));
+        spec.cluster.nic = m->make();
       } else if (key == "topology") {
-        const std::string v(rd.word("topology"));
-        if (v == "switch") {
-          spec.cluster.topology = host::Topology::kSingleSwitch;
-        } else if (v == "fat-tree" || v == "leaf-spine") {
-          spec.cluster.topology =
-              v == "fat-tree" ? host::Topology::kFatTree : host::Topology::kLeafSpine;
-          const double radix = rd.number(v + " radix");
-          const double oversub = rd.number(v + " oversubscription");
-          if (radix < 3) rd.fail(v + " radix must be >= 3");
-          if (oversub < 1) rd.fail(v + " oversubscription must be >= 1");
-          spec.cluster.fabric_radix = static_cast<std::size_t>(radix);
-          spec.cluster.fabric_oversub = static_cast<std::size_t>(oversub);
-        } else {
-          rd.fail("topology must be switch, fat-tree <radix> <oversub>, "
-                  "or leaf-spine <radix> <oversub>");
+        const host::TopologyName* t = sim::find_named(host::kTopologyNames, rd.word("topology"));
+        if (t == nullptr) {
+          rd.fail("topology must be " +
+                  sim::or_list(host::kTopologyNames, [](const host::TopologyName& n) {
+                    return std::string(n.name) + (n.shaped ? " <radix> <oversub>" : "");
+                  }));
+        }
+        spec.cluster.topology = t->topology;
+        if (t->shaped) {
+          const std::string v(t->name);
+          spec.cluster.fabric_radix = static_cast<std::size_t>(rd.number(v + " radix", 3));
+          spec.cluster.fabric_oversub =
+              static_cast<std::size_t>(rd.number(v + " oversubscription", 1));
         }
       } else if (key == "reliability") {
-        const std::string_view v = rd.word("reliability");
-        if (v == "unreliable") {
-          spec.cluster.nic.barrier_reliability = nic::BarrierReliability::kUnreliable;
-        } else if (v == "shared") {
-          spec.cluster.nic.barrier_reliability = nic::BarrierReliability::kSharedStream;
-        } else if (v == "separate") {
-          spec.cluster.nic.barrier_reliability = nic::BarrierReliability::kSeparateAcks;
-        } else {
-          rd.fail("reliability must be unreliable, shared, or separate");
-        }
+        const nic::ReliabilityName* r =
+            sim::find_named(nic::kReliabilityNames, rd.word("reliability"));
+        if (r == nullptr) rd.fail("reliability must be " + sim::or_list(nic::kReliabilityNames));
+        spec.cluster.nic.barrier_reliability = r->mode;
       } else if (key == "nic-slots") {
         // Like `reliability`, this must follow `nic` (which replaces the
         // whole NIC config).
@@ -421,32 +392,19 @@ WorkloadSpec parse_workload_spec(std::istream& in) {
         if (v < 0) rd.fail("nic-slots must be non-negative");
         spec.cluster.nic.barrier_slots = static_cast<int>(v);
       } else if (key == "placement") {
-        const std::string_view v = rd.word("placement");
-        if (v == "disjoint") {
-          spec.placement = Placement::kDisjoint;
-        } else if (v == "strided") {
-          spec.placement = Placement::kStrided;
-        } else if (v == "overlapping") {
-          spec.placement = Placement::kOverlapping;
-        } else {
-          rd.fail("placement must be disjoint, strided, or overlapping");
-        }
+        const PlacementName* p = sim::find_named(kPlacementNames, rd.word("placement"));
+        if (p == nullptr) rd.fail("placement must be " + sim::or_list(kPlacementNames));
+        spec.placement = p->placement;
       } else if (key == "arrival") {
-        const std::string_view v = rd.word("arrival");
-        if (v == "fixed") {
-          spec.arrival.kind = ArrivalKind::kFixed;
-          spec.arrival.interval = sim::microseconds(rd.number("fixed gap"));
-        } else if (v == "poisson") {
-          spec.arrival.kind = ArrivalKind::kPoisson;
-          spec.arrival.interval = sim::microseconds(rd.number("poisson mean gap"));
-        } else if (v == "closed-loop") {
-          spec.arrival.kind = ArrivalKind::kClosedLoop;
-          const double width = rd.number("closed-loop width");
-          if (width < 1) rd.fail("closed-loop width must be >= 1");
-          spec.arrival.width = static_cast<std::size_t>(width);
+        const ArrivalName* a = sim::find_named(kArrivalNames, rd.word("arrival"));
+        if (a == nullptr) rd.fail("arrival must be " + sim::or_list(kArrivalNames));
+        spec.arrival.kind = a->kind;
+        if (a->kind == ArrivalKind::kClosedLoop) {
+          spec.arrival.width = static_cast<std::size_t>(rd.number("closed-loop width", 1));
           spec.arrival.think = sim::microseconds(rd.number("closed-loop think time"));
         } else {
-          rd.fail("arrival must be fixed, poisson, or closed-loop");
+          spec.arrival.interval = sim::microseconds(
+              rd.number(a->kind == ArrivalKind::kFixed ? "fixed gap" : "poisson mean gap"));
         }
       } else if (key == "seed") {
         const double v = rd.number("seed");
@@ -462,17 +420,11 @@ WorkloadSpec parse_workload_spec(std::istream& in) {
 
     // Job-class keys.
     if (key == "count") {
-      const double v = rd.number("count");
-      if (v < 1) rd.fail("count must be >= 1");
-      job->count = static_cast<std::size_t>(v);
+      job->count = static_cast<std::size_t>(rd.number("count", 1));
     } else if (key == "nodes") {
-      const double v = rd.number("nodes");
-      if (v < 1) rd.fail("nodes must be >= 1");
-      job->nodes = static_cast<std::size_t>(v);
+      job->nodes = static_cast<std::size_t>(rd.number("nodes", 1));
     } else if (key == "iters") {
-      const double v = rd.number("iters");
-      if (v < 1) rd.fail("iters must be >= 1");
-      job->iterations = static_cast<int>(v);
+      job->iterations = static_cast<int>(rd.number("iters", 1));
     } else if (key == "mix") {
       if (!any_mix_term) {
         // First mix line: weights are exactly what the spec says.
@@ -493,35 +445,26 @@ WorkloadSpec parse_workload_spec(std::istream& in) {
     } else if (key == "skew-us") {
       job->start_skew = sim::microseconds(rd.number("skew-us"));
     } else if (key == "location") {
-      const std::string_view v = rd.word("location");
-      if (v == "nic") {
-        job->location = coll::Location::kNic;
-      } else if (v == "host") {
-        job->location = coll::Location::kHost;
-      } else {
-        rd.fail("location must be nic or host");
-      }
+      const coll::LocationName* loc = sim::find_named(coll::kLocationNames, rd.word("location"));
+      if (loc == nullptr) rd.fail("location must be " + sim::or_list(coll::kLocationNames));
+      job_location = loc->location;
+      job->barrier.family =
+          coll::find_family(coll::family_row(job->barrier.family).name, job_location)->family;
     } else if (key == "algorithm") {
+      // One key selects the whole family, so the last `algorithm` line wins.
       const std::string_view v = rd.word("algorithm");
-      // The families are mutually exclusive and the key is last-wins, so
-      // each arm resets the other families' selectors.
-      job->rdma = coll::RdmaAlgorithm::kNone;
-      job->hierarchical = false;
-      if (v == "pe") {
-        job->algorithm = nic::BarrierAlgorithm::kPairwiseExchange;
-      } else if (v == "gb") {
-        job->algorithm = nic::BarrierAlgorithm::kGatherBroadcast;
-        job->gb_dimension = static_cast<std::size_t>(rd.number("gb dimension"));
-      } else if (v == "hier") {
-        job->hierarchical = true;
-        job->gb_dimension = static_cast<std::size_t>(rd.number("hier intra dimension"));
-      } else if (v == "host-dissem") {
-        job->rdma = coll::RdmaAlgorithm::kDissemination;
-      } else if (v == "host-tree") {
-        job->rdma = coll::RdmaAlgorithm::kTreePut;
-        job->gb_dimension = static_cast<std::size_t>(rd.number("host-tree radix"));
-      } else {
-        rd.fail("algorithm must be pe, gb <dim>, hier <dim>, host-dissem, or host-tree <radix>");
+      const coll::FamilyRow* row = coll::find_family(v, job_location);
+      if (row == nullptr) {
+        rd.fail("algorithm must be " + sim::or_list(coll::kFamilies, [](const coll::FamilyRow& r) {
+                  return std::string(r.name).append(coll::dim_text(r.dim).arg);
+                }));
+      }
+      // A family without a parameter takes the default one, which is also
+      // its reduce-tree dimension, so print_spec() loses nothing.
+      job->barrier = {row->family, coll::FamilyChoice{}.dim};
+      if (row->dim != coll::DimRule::kIgnored) {
+        job->barrier.dim = static_cast<std::size_t>(
+            rd.number(std::string(v) + " " + std::string(coll::dim_text(row->dim).what)));
       }
     } else if (key == "fuzzy-chunk-us") {
       job->fuzzy_chunk = sim::microseconds(rd.number("fuzzy-chunk-us"));
@@ -537,13 +480,8 @@ WorkloadSpec parse_workload_spec(std::istream& in) {
       job->slo_window = sim::microseconds(rd.number("slo-window-us"));
     } else if (key == "lifecycle") {
       const std::string_view v = rd.word("lifecycle");
-      if (v == "managed") {
-        job->managed = true;
-      } else if (v == "none") {
-        job->managed = false;
-      } else {
-        rd.fail("lifecycle must be none or managed");
-      }
+      if (v != "none" && v != "managed") rd.fail("lifecycle must be none or managed");
+      job->managed = v == "managed";
     } else if (key == "promote-every") {
       const double v = rd.number("promote-every");
       if (v < 0) rd.fail("promote-every must be non-negative");
@@ -553,6 +491,7 @@ WorkloadSpec parse_workload_spec(std::istream& in) {
     }
     rd.expect_end();
   }
+  close_class();
 
   try {
     validate(spec);
@@ -587,66 +526,32 @@ std::string weight_str(double w) {
   return buf;
 }
 
-const char* nic_name(const host::ClusterParams& c) {
-  // The format names the card, not the full config; pick by model string
-  // with the clock as a fallback for hand-built configs.
-  if (c.nic.model == nic::lanai72().model) return "lanai72";
-  if (c.nic.model == nic::lanai43().model) return "lanai43";
-  return c.nic.clock_mhz >= 50.0 ? "lanai72" : "lanai43";
-}
-
-const char* topology_name(host::Topology t) {
-  switch (t) {
-    case host::Topology::kSingleSwitch: return "switch";
-    case host::Topology::kFatTree: return "fat-tree";
-    case host::Topology::kLeafSpine: return "leaf-spine";
-  }
-  return "switch";
-}
-
-/// The fabric topologies carry their shape parameters on the line.
-bool topology_has_shape(host::Topology t) {
-  return t == host::Topology::kFatTree || t == host::Topology::kLeafSpine;
-}
-
-const char* reliability_name(nic::BarrierReliability r) {
-  switch (r) {
-    case nic::BarrierReliability::kUnreliable: return "unreliable";
-    case nic::BarrierReliability::kSharedStream: return "shared";
-    case nic::BarrierReliability::kSeparateAcks: return "separate";
-  }
-  return "unreliable";
-}
-
 }  // namespace
 
 void print_spec(const WorkloadSpec& spec, std::ostream& os) {
   os << "cluster-nodes " << spec.cluster_nodes << "\n";
   // `nic` replaces the whole NIC config, so `reliability` must follow it.
-  os << "nic " << nic_name(spec.cluster) << "\n";
-  os << "reliability " << reliability_name(spec.cluster.nic.barrier_reliability) << "\n";
+  os << "nic " << nic::nic_model_name(spec.cluster.nic) << "\n";
+  os << "reliability "
+     << nic::kReliabilityNames[static_cast<std::size_t>(spec.cluster.nic.barrier_reliability)].name
+     << "\n";
   // Printed only when it differs from the card default, so pre-lifecycle
   // specs print byte-identically to the old format.
   if (spec.cluster.nic.barrier_slots != nic::NicConfig{}.barrier_slots) {
     os << "nic-slots " << spec.cluster.nic.barrier_slots << "\n";
   }
-  os << "topology " << topology_name(spec.cluster.topology);
-  if (topology_has_shape(spec.cluster.topology)) {
+  const host::TopologyName& topology = host::topology_name(spec.cluster.topology);
+  os << "topology " << topology.name;
+  if (topology.shaped) {
     os << " " << spec.cluster.fabric_radix << " " << spec.cluster.fabric_oversub;
   }
   os << "\n";
   os << "placement " << to_string(spec.placement) << "\n";
-  switch (spec.arrival.kind) {
-    case ArrivalKind::kFixed:
-      os << "arrival fixed " << us_str(spec.arrival.interval) << "\n";
-      break;
-    case ArrivalKind::kPoisson:
-      os << "arrival poisson " << us_str(spec.arrival.interval) << "\n";
-      break;
-    case ArrivalKind::kClosedLoop:
-      os << "arrival closed-loop " << spec.arrival.width << " " << us_str(spec.arrival.think)
-         << "\n";
-      break;
+  os << "arrival " << to_string(spec.arrival.kind) << " ";
+  if (spec.arrival.kind == ArrivalKind::kClosedLoop) {
+    os << spec.arrival.width << " " << us_str(spec.arrival.think) << "\n";
+  } else {
+    os << us_str(spec.arrival.interval) << "\n";
   }
   os << "seed " << spec.seed << "\n";
   os << "hist-max-us " << weight_str(spec.hist_max_us) << "\n";
@@ -661,18 +566,11 @@ void print_spec(const WorkloadSpec& spec, std::ostream& os) {
     os << "  compute-us " << us_str(c.compute_mean) << "\n";
     os << "  imbalance " << weight_str(c.compute_imbalance) << "\n";
     os << "  skew-us " << us_str(c.start_skew) << "\n";
-    os << "  location " << (c.location == coll::Location::kNic ? "nic" : "host") << "\n";
-    if (c.rdma == coll::RdmaAlgorithm::kDissemination) {
-      os << "  algorithm host-dissem\n";
-    } else if (c.rdma == coll::RdmaAlgorithm::kTreePut) {
-      os << "  algorithm host-tree " << c.gb_dimension << "\n";
-    } else if (c.hierarchical) {
-      os << "  algorithm hier " << c.gb_dimension << "\n";
-    } else if (c.algorithm == nic::BarrierAlgorithm::kGatherBroadcast) {
-      os << "  algorithm gb " << c.gb_dimension << "\n";
-    } else {
-      os << "  algorithm pe\n";
-    }
+    const coll::FamilyRow& family = coll::family_row(c.barrier.family);
+    os << "  location " << coll::location_name(family.location) << "\n";
+    os << "  algorithm " << family.name;
+    if (family.dim != coll::DimRule::kIgnored) os << " " << c.barrier.dim;
+    os << "\n";
     os << "  fuzzy-chunk-us " << us_str(c.fuzzy_chunk) << "\n";
     os << "  deadline-us " << us_str(c.deadline) << "\n";
     if (!c.layer_overhead.is_zero()) os << "  layer-us " << us_str(c.layer_overhead) << "\n";
@@ -715,7 +613,7 @@ bool spec_equal(const WorkloadSpec& a, const WorkloadSpec& b) {
   }
   // The fabric shape rides on the topology line for fat-tree/leaf-spine
   // only, so it is compared (like printed) only there.
-  if (topology_has_shape(a.cluster.topology) &&
+  if (host::topology_name(a.cluster.topology).shaped &&
       (a.cluster.fabric_radix != b.cluster.fabric_radix ||
        a.cluster.fabric_oversub != b.cluster.fabric_oversub)) {
     return false;
@@ -734,18 +632,14 @@ bool spec_equal(const WorkloadSpec& a, const WorkloadSpec& b) {
     }
     if (x.compute_mean != y.compute_mean || x.compute_imbalance != y.compute_imbalance ||
         x.start_skew != y.start_skew || x.fuzzy_chunk != y.fuzzy_chunk ||
-        x.location != y.location || x.algorithm != y.algorithm || x.deadline != y.deadline ||
-        x.layer_overhead != y.layer_overhead) {
+        x.deadline != y.deadline || x.layer_overhead != y.layer_overhead) {
       return false;
     }
-    // The format only carries the dimension for GB ("algorithm gb <dim>")
-    // and host-tree ("algorithm host-tree <radix>"); for PE and
-    // host-dissem the field is meaningless and not compared.
-    if (x.rdma != y.rdma) return false;
-    if (x.hierarchical != y.hierarchical) return false;
-    if ((x.algorithm == nic::BarrierAlgorithm::kGatherBroadcast ||
-         x.rdma == coll::RdmaAlgorithm::kTreePut || x.hierarchical) &&
-        x.gb_dimension != y.gb_dimension) {
+    // The format carries the family's parameter only where the family has
+    // one ("algorithm gb <dim>"), so only there is it compared.
+    if (x.barrier.family != y.barrier.family) return false;
+    if (coll::family_row(x.barrier.family).dim != coll::DimRule::kIgnored &&
+        x.barrier.dim != y.barrier.dim) {
       return false;
     }
     // Same for the SLO keys: printed (and thus compared) only when the

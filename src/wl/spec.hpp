@@ -19,9 +19,10 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "coll/barrier.hpp"
+#include "coll/family.hpp"
 #include "host/cluster.hpp"
 
 namespace nicbar::wl {
@@ -45,6 +46,23 @@ enum class ArrivalKind : std::uint8_t {
 
 enum class CollectiveKind : std::uint8_t { kBarrier, kBroadcast, kAllreduce, kFuzzyBarrier };
 inline constexpr std::size_t kCollectiveKindCount = 4;
+
+/// Name tables (sim/names.hpp) of the `placement` and `arrival` keys,
+/// indexed by the enums.
+struct PlacementName {
+  Placement placement;
+  std::string_view name;
+};
+inline constexpr PlacementName kPlacementNames[] = {{Placement::kDisjoint, "disjoint"},
+                                                    {Placement::kStrided, "strided"},
+                                                    {Placement::kOverlapping, "overlapping"}};
+struct ArrivalName {
+  ArrivalKind kind;
+  std::string_view name;
+};
+inline constexpr ArrivalName kArrivalNames[] = {{ArrivalKind::kFixed, "fixed"},
+                                                {ArrivalKind::kPoisson, "poisson"},
+                                                {ArrivalKind::kClosedLoop, "closed-loop"}};
 
 [[nodiscard]] const char* to_string(Placement p);
 [[nodiscard]] const char* to_string(ArrivalKind k);
@@ -82,21 +100,12 @@ struct JobClass {
   /// (arrival jitter within the job; 0 = all processes start together).
   sim::Duration start_skew{0};
   sim::Duration fuzzy_chunk = sim::microseconds(5.0);
-  coll::Location location = coll::Location::kNic;
-  nic::BarrierAlgorithm algorithm = nic::BarrierAlgorithm::kPairwiseExchange;
-  std::size_t gb_dimension = 2;
-  /// Host-RDMA barrier family (`algorithm host-dissem | host-tree <radix>`):
-  /// barriers run over the rma:: one-sided layer instead of the NIC firmware
-  /// or host message loops. Requires a pure-barrier, non-managed,
-  /// non-fuzzy class; gb_dimension doubles as the tree radix.
-  coll::RdmaAlgorithm rdma = coll::RdmaAlgorithm::kNone;
-  /// Two-level hierarchical NIC family (`algorithm hier <dim>`): intra-block
-  /// GB trees of dimension gb_dimension, pairwise exchange among per-block
-  /// representatives, local release. The block size comes from the cluster
-  /// fabric (hosts per leaf switch) at run time; on a flat topology the
-  /// group degenerates to one block. Requires the NIC location and a
-  /// pure-barrier, non-fuzzy mix.
-  bool hierarchical = false;
+  /// The barrier family and its parameter (`location` + `algorithm` keys;
+  /// see coll/family.hpp). Reductions, fuzzy barriers and the managed
+  /// lifecycle each need a family with that capability. hier blocks by the
+  /// cluster fabric's leaf population at run time (one block on a flat
+  /// topology); a class with reductions runs its reduce trees at `dim`.
+  coll::FamilyChoice barrier;
   sim::Duration deadline{0};  // per-collective abort deadline (0 = none)
   /// Per-call software-layer overhead (only the communicator path pays it;
   /// a barrier-only class models raw GM and must leave this at 0).

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 
+#include "coll/family.hpp"
 #include "fabric/topology.hpp"
 
 namespace nicbar::sim::check {
@@ -48,13 +50,14 @@ TEST(PropertyTest, GeneratorIsDeterministicPerSeed) {
   EXPECT_EQ(a, b);
   EXPECT_EQ(pa.nodes, pb.nodes);
   EXPECT_EQ(pa.reps, pb.reps);
-  EXPECT_EQ(pa.spec.location, pb.spec.location);
-  EXPECT_EQ(pa.spec.algorithm, pb.spec.algorithm);
+  EXPECT_EQ(coll::family_of(pa.spec), coll::family_of(pb.spec));
+  EXPECT_EQ(pa.spec.gb_dimension, pb.spec.gb_dimension);
   EXPECT_EQ(pa.cluster.faults.loss.size(), pb.cluster.faults.loss.size());
 }
 
 TEST(PropertyTest, GeneratorCoversFaultsAndBothLocations) {
-  std::size_t faulty = 0, nic_loc = 0, gb = 0;
+  std::size_t faulty = 0, nic_loc = 0;
+  std::array<std::size_t, coll::kFamilies.size()> per_family{};
   const std::size_t kCases = 200;
   for (std::size_t i = 0; i < kCases; ++i) {
     const auto p = generate_fuzz_case(fuzz_case_seed(3, i));
@@ -62,24 +65,27 @@ TEST(PropertyTest, GeneratorCoversFaultsAndBothLocations) {
     ASSERT_LE(p.nodes, 10u);
     ASSERT_GE(p.spec.gb_dimension, 1u);
     ASSERT_LT(p.spec.gb_dimension, p.nodes);
+    const coll::FamilyRow& row = coll::family_row(coll::family_of(p.spec));
     if (!p.cluster.faults.empty()) {
       ++faulty;
-      if (p.spec.location == coll::Location::kNic) {
+      if (row.completes_on_nic) {
         // Lossy NIC-based cases must run a reliable barrier mode, or stalls
         // would be by-design rather than bugs.
         EXPECT_NE(p.cluster.nic.barrier_reliability, nic::BarrierReliability::kUnreliable);
       }
     }
-    if (p.spec.location == coll::Location::kNic) ++nic_loc;
-    if (p.spec.algorithm == nic::BarrierAlgorithm::kGatherBroadcast) ++gb;
+    if (row.location == coll::Location::kNic) ++nic_loc;
+    ++per_family[static_cast<std::size_t>(row.family)];
   }
-  // ~50% fault injection, ~50% location, ~50% algorithm: demand real mixing.
+  // ~50% fault injection, 3 of 7 families on the NIC, every family drawn:
+  // demand real mixing.
   EXPECT_GT(faulty, kCases / 5);
   EXPECT_LT(faulty, kCases * 4 / 5);
   EXPECT_GT(nic_loc, kCases / 5);
   EXPECT_LT(nic_loc, kCases * 4 / 5);
-  EXPECT_GT(gb, kCases / 5);
-  EXPECT_LT(gb, kCases * 4 / 5);
+  for (const coll::FamilyRow& row : coll::kFamilies) {
+    EXPECT_GT(per_family[static_cast<std::size_t>(row.family)], kCases / 20) << row.label;
+  }
 }
 
 TEST(PropertyTest, GeneratorDrawsEveryTopologyWithShapesThatHoldTheCase) {

@@ -128,7 +128,7 @@ TEST(HierBarrierTest, ManagedGroupRunsHierarchical) {
   }
   GroupConfig cfg;
   cfg.id = 11;
-  cfg.hierarchical = true;
+  cfg.barrier = {coll::Family::kHier, 2};
   cfg.hier_block = 2;
   cfg.ctrl_deadline = 5_ms;
   std::vector<std::unique_ptr<GroupMember>> ms;

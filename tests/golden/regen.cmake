@@ -15,7 +15,10 @@ endif()
 get_filename_component(build "${BUILD_DIR}" ABSOLUTE)
 get_filename_component(here "${CMAKE_CURRENT_LIST_DIR}" ABSOLUTE)
 get_filename_component(bindir "${CMAKE_COMMAND}" DIRECTORY)
-find_program(ctest NAMES ctest HINTS "${bindir}" REQUIRED)
+find_program(ctest NAMES ctest HINTS "${bindir}")
+if(NOT ctest)
+  message(FATAL_ERROR "ctest not found next to ${CMAKE_COMMAND}")
+endif()
 
 execute_process(COMMAND "${ctest}" -L tier1_golden -j 4 WORKING_DIRECTORY "${build}"
                 OUTPUT_QUIET)

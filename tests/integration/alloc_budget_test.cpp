@@ -42,6 +42,7 @@
 
 #include <gtest/gtest.h>
 
+#include "coll/family.hpp"
 #include "coll/runner.hpp"
 #include "coll/schedule.hpp"
 #include "coll/sweep.hpp"
@@ -205,6 +206,26 @@ TEST(MemberSetupBudgetTest, BytesPerMemberDoNotGrowWithTheGroup) {
   EXPECT_LE(per_member_256, per_member_64 + 64.0)
       << "member set-up allocates " << per_member_64 << " B/member at N=64 but "
       << per_member_256 << " B/member at N=256";
+}
+
+TEST(FamilyLookupBudgetTest, SuccessfulLookupsAllocateNothing) {
+  // Every BarrierMember resolves and validates its family when it is built,
+  // and wl:: does the same for every class it parses; none of it may touch
+  // the heap while the family is usable as asked.
+  std::uint64_t resolved = 0;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (const coll::FamilyRow& row : coll::kFamilies) {
+    resolved += coll::family_of(coll::family_spec({row.family, 3})) == row.family;
+    resolved += coll::find_family(row.name, row.location) == &row;
+    resolved += coll::family_refusal(row.family, {.location = row.location,
+                                                  .dim = 3,
+                                                  .managed = row.managed,
+                                                  .fuzzy = row.fuzzy,
+                                                  .reductions = row.reductions})
+                    .empty();
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(resolved, 3 * coll::kFamilies.size());
 }
 
 TEST(OpenPortBudgetTest, OpeningAPortOnAFreshNodeAllocatesAtMost512Bytes) {

@@ -104,11 +104,11 @@ TEST(CliTest, HostRdmaAlgorithmsParse) {
   std::string err;
   auto o = parse_args({"--algorithm", "host-dissem"}, err);
   ASSERT_TRUE(o.has_value()) << err;
-  EXPECT_EQ(o->params.spec.rdma, coll::RdmaAlgorithm::kDissemination);
+  EXPECT_EQ(coll::family_of(o->params.spec), coll::Family::kHostDissem);
 
   o = parse_args({"--algorithm", "host-tree", "--dim", "4"}, err);
   ASSERT_TRUE(o.has_value()) << err;
-  EXPECT_EQ(o->params.spec.rdma, coll::RdmaAlgorithm::kTreePut);
+  EXPECT_EQ(coll::family_of(o->params.spec), coll::Family::kHostTree);
   EXPECT_EQ(o->params.spec.gb_dimension, 4u);  // --dim = tree radix
 }
 
@@ -117,6 +117,54 @@ TEST(CliTest, HostRdmaRejectsDimSweepAndPredict) {
   EXPECT_FALSE(parse_args({"--algorithm", "host-tree", "--dim", "0"}, err).has_value());
   EXPECT_NE(err.find("radix"), std::string::npos);
   EXPECT_FALSE(parse_args({"--algorithm", "host-dissem", "--predict"}, err).has_value());
+}
+
+TEST(CliTest, LastAlgorithmFlagSelectsTheWholeFamily) {
+  // A later --algorithm replaces the family outright, whichever families
+  // the two flags name.
+  std::string err;
+  auto o = parse_args({"--nodes", "8", "--reps", "20", "--algorithm", "host-tree", "--algorithm",
+                       "gb", "--dim", "2"},
+                      err);
+  ASSERT_TRUE(o.has_value()) << err;
+  EXPECT_EQ(coll::family_of(o->params.spec), coll::Family::kNicGb);
+  EXPECT_EQ(o->params.spec.gb_dimension, 2u);
+
+  o = parse_args({"--algorithm", "hier", "--algorithm", "pe"}, err);
+  ASSERT_TRUE(o.has_value()) << err;
+  EXPECT_EQ(coll::family_of(o->params.spec), coll::Family::kNicPe);
+
+  o = parse_args({"--algorithm", "hier", "--algorithm", "host-dissem"}, err);
+  ASSERT_TRUE(o.has_value()) << err;
+  EXPECT_EQ(coll::family_of(o->params.spec), coll::Family::kHostDissem);
+
+  // --location pairs with the last --algorithm, before or after it.
+  o = parse_args({"--algorithm", "gb", "--location", "host"}, err);
+  ASSERT_TRUE(o.has_value()) << err;
+  EXPECT_EQ(coll::family_of(o->params.spec), coll::Family::kHostGb);
+}
+
+TEST(CliTest, HierRefusesTheHostLocationAndPredict) {
+  std::string err;
+  EXPECT_FALSE(parse_args({"--algorithm", "hier", "--location", "host"}, err).has_value());
+  EXPECT_NE(err.find("NIC-based location"), std::string::npos) << err;
+  EXPECT_FALSE(parse_args({"--algorithm", "hier", "--dim", "0"}, err).has_value());
+  EXPECT_NE(err.find("intra-block dimension"), std::string::npos) << err;
+  EXPECT_FALSE(parse_args({"--algorithm", "hier", "--predict"}, err).has_value());
+  EXPECT_NE(err.find("--predict"), std::string::npos) << err;
+}
+
+TEST(CliTest, ValueListsComeFromTheNameTables) {
+  std::string err;
+  EXPECT_FALSE(parse_args({"--algorithm", "ring"}, err).has_value());
+  EXPECT_NE(err.find("pe, gb, hier, host-dissem, or host-tree"), std::string::npos) << err;
+  EXPECT_FALSE(parse_args({"--topology", "chain"}, err).has_value());
+  EXPECT_NE(err.find("switch, fat-tree, or leaf-spine"), std::string::npos) << err;
+  EXPECT_FALSE(parse_args({"--nic", "lanai9"}, err).has_value());
+  EXPECT_NE(err.find("lanai43 or lanai72"), std::string::npos) << err;
+  EXPECT_FALSE(parse_args({"--reliability", "maybe"}, err).has_value());
+  EXPECT_NE(err.find("unreliable, shared, or separate"), std::string::npos) << err;
+  EXPECT_NE(usage_text().find("pe | gb | hier | host-dissem | host-tree"), std::string::npos);
 }
 
 TEST(CliTest, BadEnumValueReportsTheFlag) {

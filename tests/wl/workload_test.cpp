@@ -212,8 +212,7 @@ TEST(WorkloadSpecTest, ValidateRejectsEmptyAndDegenerateSpecs) {
   EXPECT_THROW(validate(s), std::invalid_argument);  // weightless mix
 
   s.classes[0].mix = CollectiveMix{};
-  s.classes[0].algorithm = nic::BarrierAlgorithm::kGatherBroadcast;
-  s.classes[0].gb_dimension = 0;
+  s.classes[0].barrier = {coll::Family::kNicGb, 0};
   EXPECT_THROW(validate(s), std::invalid_argument);  // GB without a dimension
 }
 
@@ -222,16 +221,16 @@ TEST(WorkloadSpecTest, HostRdmaAlgorithmKeyParsesAndRoundTrips) {
       "job a\n  nodes 4\n  algorithm host-dissem\n"
       "job b\n  nodes 4\n  algorithm host-tree 3\n");
   ASSERT_EQ(s.classes.size(), 2u);
-  EXPECT_EQ(s.classes[0].rdma, coll::RdmaAlgorithm::kDissemination);
-  EXPECT_EQ(s.classes[1].rdma, coll::RdmaAlgorithm::kTreePut);
-  EXPECT_EQ(s.classes[1].gb_dimension, 3u);  // host-tree radix
+  EXPECT_EQ(s.classes[0].barrier.family, coll::Family::kHostDissem);
+  EXPECT_EQ(s.classes[1].barrier.family, coll::Family::kHostTree);
+  EXPECT_EQ(s.classes[1].barrier.dim, 3u);  // host-tree radix
   EXPECT_TRUE(spec_equal(s, parse_workload_spec(print_spec(s))));
 }
 
 TEST(WorkloadSpecTest, HostRdmaRejectsMixedManagedAndZeroRadix) {
   WorkloadSpec s;
   s.classes.push_back(JobClass{});
-  s.classes[0].rdma = coll::RdmaAlgorithm::kDissemination;
+  s.classes[0].barrier.family = coll::Family::kHostDissem;
   EXPECT_NO_THROW(validate(s));
 
   s.classes[0].mix.allreduce = 0.5;  // reductions need the communicator path
@@ -242,9 +241,39 @@ TEST(WorkloadSpecTest, HostRdmaRejectsMixedManagedAndZeroRadix) {
   EXPECT_THROW(validate(s), std::invalid_argument);
   s.classes[0].managed = false;
 
-  s.classes[0].rdma = coll::RdmaAlgorithm::kTreePut;
-  s.classes[0].gb_dimension = 0;
+  s.classes[0].barrier = {coll::Family::kHostTree, 0};
   EXPECT_THROW(validate(s), std::invalid_argument);
+}
+
+TEST(WorkloadSpecTest, LastAlgorithmLineSelectsTheWholeFamily) {
+  // A later `algorithm` line replaces the family outright: nothing of the
+  // earlier GB choice survives under hier, so the printed spec re-parses to
+  // the same class.
+  const WorkloadSpec s = parse_workload_spec(
+      "job j\n  nodes 4\n  algorithm gb 3\n  algorithm hier 2\n"
+      "job k\n  nodes 4\n  algorithm host-tree 3\n  algorithm pe\n"
+      "job m\n  nodes 4\n  location host\n  algorithm host-dissem\n  algorithm gb 2\n");
+  ASSERT_EQ(s.classes.size(), 3u);
+  EXPECT_EQ(s.classes[0].barrier.family, coll::Family::kHier);
+  EXPECT_EQ(s.classes[0].barrier.dim, 2u);
+  EXPECT_EQ(s.classes[1].barrier.family, coll::Family::kNicPe);
+  EXPECT_EQ(s.classes[1].barrier.dim, 2u);  // nothing of host-tree's radix survives
+  EXPECT_EQ(s.classes[2].barrier.family, coll::Family::kHostGb);  // `location host` still holds
+  EXPECT_TRUE(spec_equal(s, parse_workload_spec(print_spec(s))));
+  // hier's degraded managed path is the row's fallback, host PE.
+  EXPECT_EQ(coll::family_row(s.classes[0].barrier.family).fallback, coll::Family::kHostPe);
+}
+
+TEST(WorkloadSpecTest, HierOnTheHostIsRefusedWhateverTheOrder) {
+  for (const char* body : {"  location host\n  algorithm hier 2\n",
+                           "  algorithm hier 2\n  location host\n"}) {
+    try {
+      (void)parse_workload_spec(std::string("job j\n  nodes 4\n") + body);
+      ADD_FAILURE() << "accepted hier on the host:\n" << body;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("NIC-based location"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(WorkloadDriverTest, HostRdmaClassesCompleteAlongsideNicClasses) {

@@ -10,17 +10,19 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
 
+#include "coll/family.hpp"
 #include "coll/runner.hpp"
 #include "host/cluster.hpp"
+#include "sim/names.hpp"
 #include "sim/trace.hpp"
 
 namespace nicbar::cli {
 
 struct Options {
   coll::ExperimentParams params;
-  std::size_t dim = 2;
-  bool sweep_dim = false;  // --dim 0: sweep 1..N-1 for the best dimension
+  bool sweep_dim = false;  // --dim 0 on a GB family: sweep 1..N-1 for the best
   bool predict = false;
   bool breakdown = false;
   std::string metrics_path;
@@ -76,8 +78,9 @@ struct Options {
   bool have_case_seed = false;
 };
 
-inline const char* usage_text() {
-  return
+/// The usage text; the --algorithm values come from the family table.
+inline const std::string& usage_text() {
+  static const std::string text =
       "  workload SPEC      run a multi-tenant workload from a spec file (see\n"
       "                     src/wl/spec.hpp for the grammar); composes with\n"
       "                     --seed/--seeds/--jobs/--fault-plan/--loss/--burst-loss,\n"
@@ -92,10 +95,11 @@ inline const char* usage_text() {
       "  --nodes N          group size (default 8)\n"
       "  --reps R           consecutive barriers to average (default 500)\n"
       "  --location L       nic | host (default nic)\n"
-      "  --algorithm A      pe | gb | hier | host-dissem | host-tree (default pe;\n"
-      "                     hier runs the two-level NIC family — best on a\n"
-      "                     fat-tree/leaf-spine fabric; host-* run on the rma::\n"
-      "                     one-sided layer and ignore --location)\n"
+      "  --algorithm A      " + sim::join(sim::distinct_names(coll::kFamilies), " | ", " | ") +
+      "\n"
+      "                     (default pe; hier runs the two-level NIC family — best\n"
+      "                     on a fat-tree/leaf-spine fabric; host-* run on the\n"
+      "                     rma:: one-sided layer and ignore --location)\n"
       "  --dim D            GB tree dimension / host-tree radix / hier intra-block\n"
       "                     dimension (default 2; 0 = sweep for best, GB only)\n"
       "  --nic MODEL        lanai43 | lanai72 (default lanai43)\n"
@@ -136,6 +140,7 @@ inline const char* usage_text() {
       "                     terms); fails if the DAG is cyclic or unattributed\n"
       "  --slo-report F     workload mode: compute per-class SLO burn rates and\n"
       "                     write the report as JSON to F (table on stdout)\n";
+  return text;
 }
 
 namespace detail {
@@ -181,8 +186,11 @@ inline std::optional<Options> parse(int argc, char** argv, std::string& error) {
   Options o;
   o.params.nodes = 8;
   o.params.reps = 500;
-  o.params.spec.location = coll::Location::kNic;
-  o.params.spec.algorithm = nic::BarrierAlgorithm::kPairwiseExchange;
+  // --location, --algorithm and --dim each keep their last value; the family
+  // is resolved from them once every flag is read.
+  coll::Location location = coll::Location::kNic;
+  std::string_view algorithm = "pe";
+  std::size_t dim = 2;
   error.clear();
 
   auto fail = [&error](const std::string& msg) {
@@ -206,17 +214,20 @@ inline std::optional<Options> parse(int argc, char** argv, std::string& error) {
       }
       continue;
     }
+    // File-path options, as `--flag F` or `--flag=F`.
     bool missing = false;
-    if (const char* v = flag_value(a, "--metrics-json", argc, argv, i, missing)) {
-      o.metrics_path = v;
-      continue;
+    bool path_flag = false;
+    for (const auto& [flag, member] : {std::pair{"--metrics-json", &Options::metrics_path},
+                                       std::pair{"--trace-json", &Options::trace_path},
+                                       std::pair{"--slo-report", &Options::slo_report_path},
+                                       std::pair{"--report-json", &Options::report_path}}) {
+      if (const char* v = flag_value(a, flag, argc, argv, i, missing)) {
+        o.*member = v;
+        path_flag = true;
+      }
+      if (missing) return fail(std::string(flag) + " needs a file path");
     }
-    if (missing) return fail("--metrics-json needs a file path");
-    if (const char* v = flag_value(a, "--trace-json", argc, argv, i, missing)) {
-      o.trace_path = v;
-      continue;
-    }
-    if (missing) return fail("--trace-json needs a file path");
+    if (path_flag) continue;
     if (const char* v = flag_value(a, "--trace-mask", argc, argv, i, missing)) {
       const std::optional<std::uint32_t> mask = sim::parse_trace_mask(v);
       if (!mask) {
@@ -228,187 +239,114 @@ inline std::optional<Options> parse(int argc, char** argv, std::string& error) {
       continue;
     }
     if (missing) return fail("--trace-mask needs a category list");
-    if (const char* v = flag_value(a, "--slo-report", argc, argv, i, missing)) {
-      o.slo_report_path = v;
-      continue;
-    }
-    if (missing) return fail("--slo-report needs a file path");
-    if (const char* v = flag_value(a, "--report-json", argc, argv, i, missing)) {
-      o.report_path = v;
-      continue;
-    }
-    if (missing) return fail("--report-json needs a file path");
 
-    auto value = [&](const char* flag) -> const char* {
-      return a == flag ? next_arg(argc, argv, i) : nullptr;
+    // Integer options: false, with the diagnostic set, unless the value
+    // parses and is at least `min`.
+    unsigned long n = 0;
+    auto count = [&](unsigned long min) {
+      if (parse_unsigned(next_arg(argc, argv, i), n) && n >= min) return true;
+      error = a + (min == 0 ? " needs a non-negative integer" : " needs a positive integer");
+      return false;
+    };
+    // Other options: false, with the diagnostic set, when the value is missing.
+    const char* v = nullptr;
+    auto text = [&](const char* what = "a value") {
+      v = next_arg(argc, argv, i);
+      if (v == nullptr) error = a + " needs " + what;
+      return v != nullptr;
     };
     if (a == "--nodes") {
-      const char* v = value("--nodes");
-      unsigned long n = 0;
-      if (!parse_unsigned(v, n) || n == 0) return fail("--nodes needs a positive integer");
-      o.params.nodes = static_cast<std::size_t>(n);
+      if (!count(1)) return std::nullopt;
+      o.params.nodes = n;
     } else if (a == "--reps") {
-      const char* v = value("--reps");
-      unsigned long n = 0;
-      if (!parse_unsigned(v, n) || n == 0) return fail("--reps needs a positive integer");
+      if (!count(1)) return std::nullopt;
       o.params.reps = static_cast<int>(n);
     } else if (a == "--jobs") {
-      const char* v = value("--jobs");
-      unsigned long n = 0;
-      if (!parse_unsigned(v, n)) return fail("--jobs needs a non-negative integer");
+      if (!count(0)) return std::nullopt;
       o.jobs = static_cast<unsigned>(n);
     } else if (a == "--pdes-workers") {
-      const char* v = value("--pdes-workers");
-      unsigned long n = 0;
-      if (!parse_unsigned(v, n) || n == 0) return fail("--pdes-workers needs a positive integer");
-      o.params.cluster.pdes_partitions = static_cast<std::size_t>(n);
+      if (!count(1)) return std::nullopt;
+      o.params.cluster.pdes_partitions = n;
       o.params.cluster.pdes_workers = static_cast<unsigned>(n);
       o.pdes_given = true;
     } else if (a == "--seeds") {
-      const char* v = value("--seeds");
-      unsigned long n = 0;
-      if (!parse_unsigned(v, n) || n == 0) return fail("--seeds needs a positive integer");
-      o.seeds = static_cast<std::size_t>(n);
+      if (!count(1)) return std::nullopt;
+      o.seeds = n;
     } else if (a == "--location") {
-      const char* v = value("--location");
-      if (v == nullptr) return fail("--location needs a value");
-      const std::string s = v;
-      if (s == "nic") {
-        o.params.spec.location = coll::Location::kNic;
-      } else if (s == "host") {
-        o.params.spec.location = coll::Location::kHost;
-      } else {
-        return fail("--location must be nic or host");
-      }
+      if (!text()) return std::nullopt;
+      const coll::LocationName* loc = sim::find_named(coll::kLocationNames, v);
+      if (loc == nullptr) return fail("--location must be " + sim::or_list(coll::kLocationNames));
+      location = loc->location;
     } else if (a == "--algorithm") {
-      const char* v = value("--algorithm");
-      if (v == nullptr) return fail("--algorithm needs a value");
-      const std::string s = v;
-      if (s == "pe") {
-        o.params.spec.algorithm = nic::BarrierAlgorithm::kPairwiseExchange;
-      } else if (s == "gb") {
-        o.params.spec.algorithm = nic::BarrierAlgorithm::kGatherBroadcast;
-      } else if (s == "hier") {
-        // Two-level NIC family; --dim doubles as the intra-block dimension.
-        o.params.spec.hierarchical = true;
-      } else if (s == "host-dissem") {
-        o.params.spec.rdma = coll::RdmaAlgorithm::kDissemination;
-      } else if (s == "host-tree") {
-        // --dim doubles as the tree radix for this family.
-        o.params.spec.rdma = coll::RdmaAlgorithm::kTreePut;
-      } else {
-        return fail("--algorithm must be pe, gb, hier, host-dissem, or host-tree");
+      if (!text()) return std::nullopt;
+      if (coll::find_family(v, location) == nullptr) {
+        return fail("--algorithm must be " + sim::or_list(coll::kFamilies));
       }
+      algorithm = v;
     } else if (a == "--dim") {
-      const char* v = value("--dim");
-      unsigned long n = 0;
-      if (!parse_unsigned(v, n)) return fail("--dim needs a non-negative integer");
-      o.dim = static_cast<std::size_t>(n);
-      o.sweep_dim = (n == 0);
+      if (!count(0)) return std::nullopt;
+      dim = n;
     } else if (a == "--nic") {
-      const char* v = value("--nic");
-      if (v == nullptr) return fail("--nic needs a value");
-      const std::string s = v;
-      if (s == "lanai43") {
-        o.params.cluster.nic = nic::lanai43();
-      } else if (s == "lanai72") {
-        o.params.cluster.nic = nic::lanai72();
-      } else {
-        return fail("--nic must be lanai43 or lanai72");
-      }
+      if (!text()) return std::nullopt;
+      const nic::NicModel* m = sim::find_named(nic::kNicModels, v);
+      if (m == nullptr) return fail("--nic must be " + sim::or_list(nic::kNicModels));
+      o.params.cluster.nic = m->make();
     } else if (a == "--clock") {
-      const char* v = value("--clock");
-      if (v == nullptr) return fail("--clock needs a value");
+      if (!text()) return std::nullopt;
       o.params.cluster.nic.clock_mhz = std::atof(v);
     } else if (a == "--topology") {
-      const char* v = value("--topology");
-      if (v == nullptr) return fail("--topology needs a value");
-      const std::string s = v;
-      if (s == "switch") {
-        o.params.cluster.topology = host::Topology::kSingleSwitch;
-      } else if (s == "fat-tree") {
-        o.params.cluster.topology = host::Topology::kFatTree;
-      } else if (s == "leaf-spine") {
-        o.params.cluster.topology = host::Topology::kLeafSpine;
-      } else {
-        return fail("--topology must be switch, fat-tree, or leaf-spine");
-      }
+      if (!text()) return std::nullopt;
+      const host::TopologyName* t = sim::find_named(host::kTopologyNames, v);
+      if (t == nullptr) return fail("--topology must be " + sim::or_list(host::kTopologyNames));
+      o.params.cluster.topology = t->topology;
     } else if (a == "--radix") {
-      const char* v = value("--radix");
-      unsigned long n = 0;
-      if (!parse_unsigned(v, n) || n == 0) return fail("--radix needs a positive integer");
-      o.params.cluster.fabric_radix = static_cast<std::size_t>(n);
+      if (!count(1)) return std::nullopt;
+      o.params.cluster.fabric_radix = n;
     } else if (a == "--oversub") {
-      const char* v = value("--oversub");
-      unsigned long n = 0;
-      if (!parse_unsigned(v, n) || n == 0) return fail("--oversub needs a positive integer");
-      o.params.cluster.fabric_oversub = static_cast<std::size_t>(n);
+      if (!count(1)) return std::nullopt;
+      o.params.cluster.fabric_oversub = n;
     } else if (a == "--reliability") {
-      const char* v = value("--reliability");
-      if (v == nullptr) return fail("--reliability needs a value");
-      const std::string s = v;
-      if (s == "unreliable") {
-        o.params.cluster.nic.barrier_reliability = nic::BarrierReliability::kUnreliable;
-      } else if (s == "shared") {
-        o.params.cluster.nic.barrier_reliability = nic::BarrierReliability::kSharedStream;
-      } else if (s == "separate") {
-        o.params.cluster.nic.barrier_reliability = nic::BarrierReliability::kSeparateAcks;
-      } else {
-        return fail("--reliability must be unreliable, shared, or separate");
+      if (!text()) return std::nullopt;
+      const nic::ReliabilityName* r = sim::find_named(nic::kReliabilityNames, v);
+      if (r == nullptr) {
+        return fail("--reliability must be " + sim::or_list(nic::kReliabilityNames));
       }
+      o.params.cluster.nic.barrier_reliability = r->mode;
     } else if (a == "--loss") {
-      const char* v = value("--loss");
-      if (v == nullptr) return fail("--loss needs a value");
+      if (!text()) return std::nullopt;
       o.loss = std::atof(v);
     } else if (a == "--burst-loss") {
-      const char* v = value("--burst-loss");
-      if (v == nullptr ||
-          std::sscanf(v, "%lf,%lf,%lf", &o.burst_enter, &o.burst_exit, &o.burst_rate) != 3) {
+      if (!text("ENTER,EXIT,LOSSRATE")) return std::nullopt;
+      if (std::sscanf(v, "%lf,%lf,%lf", &o.burst_enter, &o.burst_exit, &o.burst_rate) != 3) {
         return fail("--burst-loss needs ENTER,EXIT,LOSSRATE");
       }
       o.have_burst = true;
     } else if (a == "--fault-plan") {
-      const char* v = value("--fault-plan");
-      if (v == nullptr) return fail("--fault-plan needs a file path");
+      if (!text("a file path")) return std::nullopt;
       o.fault_plan_path = v;
     } else if (a == "--rto") {
-      const char* v = value("--rto");
-      if (v == nullptr) return fail("--rto needs a value");
-      const std::string s = v;
-      if (s == "adaptive") {
-        o.params.cluster.nic.adaptive_rto = true;
-      } else if (s == "fixed") {
-        o.params.cluster.nic.adaptive_rto = false;
-      } else {
-        return fail("--rto must be adaptive or fixed");
-      }
+      if (!text()) return std::nullopt;
+      const std::string_view s = v;
+      if (s != "adaptive" && s != "fixed") return fail("--rto must be adaptive or fixed");
+      o.params.cluster.nic.adaptive_rto = s == "adaptive";
     } else if (a == "--deadline-us") {
-      const char* v = value("--deadline-us");
-      if (v == nullptr) return fail("--deadline-us needs a value");
+      if (!text()) return std::nullopt;
       o.params.spec.deadline = sim::microseconds(std::atof(v));
     } else if (a == "--skew-us") {
-      const char* v = value("--skew-us");
-      if (v == nullptr) return fail("--skew-us needs a value");
+      if (!text()) return std::nullopt;
       o.params.max_start_skew = sim::microseconds(std::atof(v));
     } else if (a == "--layer-us") {
-      const char* v = value("--layer-us");
-      if (v == nullptr) return fail("--layer-us needs a value");
+      if (!text()) return std::nullopt;
       o.params.cluster.gm.layer_overhead = sim::microseconds(std::atof(v));
     } else if (a == "--seed") {
-      const char* v = value("--seed");
-      unsigned long n = 0;
-      if (!parse_unsigned(v, n)) return fail("--seed needs a non-negative integer");
+      if (!count(0)) return std::nullopt;
       o.params.seed = n;
       o.seed_given = true;
     } else if (a == "--cases") {
-      const char* v = value("--cases");
-      unsigned long n = 0;
-      if (!parse_unsigned(v, n) || n == 0) return fail("--cases needs a positive integer");
-      o.check_cases = static_cast<std::size_t>(n);
+      if (!count(1)) return std::nullopt;
+      o.check_cases = n;
     } else if (a == "--case-seed") {
-      const char* v = value("--case-seed");
-      unsigned long n = 0;
-      if (!parse_unsigned(v, n)) return fail("--case-seed needs a non-negative integer");
+      if (!count(0)) return std::nullopt;
       o.case_seed = n;
       o.have_case_seed = true;
     } else if (a == "--predict") {
@@ -421,35 +359,20 @@ inline std::optional<Options> parse(int argc, char** argv, std::string& error) {
       return fail("unknown option " + a);
     }
   }
-  o.params.spec.gb_dimension = o.dim;
-
-  if (o.params.spec.hierarchical) {
-    if (o.params.spec.rdma != coll::RdmaAlgorithm::kNone) {
-      return fail("--algorithm may be given once: hier and host-* are different families");
-    }
-    if (o.params.spec.location != coll::Location::kNic) {
-      return fail("--algorithm hier is the two-level NIC family; it requires --location nic");
-    }
-    if (o.sweep_dim) {
-      return fail("--dim 0 sweeps the flat GB tree dimension; hier needs an "
-                  "explicit intra-block dimension (--dim >= 1)");
-    }
-    if (o.predict) {
-      return fail("--predict evaluates the paper's flat Eq. 1-3 models; "
-                  "no closed form is fitted for the hierarchical family");
-    }
+  const coll::FamilyRow& family = *coll::find_family(algorithm, location);
+  // --dim 0 asks for the GB dimension sweep; any other family takes it as given.
+  o.sweep_dim = dim == 0 && family.dim == coll::DimRule::kGbDimension;
+  const std::string why = coll::family_refusal(
+      family.family,
+      {.location = location, .dim = o.sweep_dim ? std::nullopt : std::optional(dim)});
+  if (!why.empty()) {
+    return fail("--algorithm " + std::string(algorithm) + ": " + why);
   }
-
-  if (o.params.spec.rdma != coll::RdmaAlgorithm::kNone) {
-    if (o.sweep_dim) {
-      return fail("--dim 0 sweeps the GB tree dimension; host-tree needs an "
-                  "explicit radix (--dim >= 1)");
-    }
-    if (o.predict) {
-      return fail("--predict evaluates the paper's Eq. 1-2 NIC/host models; "
-                  "no closed form is fitted for the host-RDMA family");
-    }
+  if (o.predict && !family.closed_form) {
+    return fail("--predict evaluates the paper's Eq. 1-2 models; no closed form is fitted for " +
+                std::string(family.header));
   }
+  o.params.spec = coll::family_spec({family.family, dim}, o.params.spec);
 
   if (o.pdes_given && o.params.cluster.pdes_partitions > 1 &&
       (o.breakdown || !o.trace_path.empty())) {

@@ -20,6 +20,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "check/oracle.hpp"
 #include "check/property.hpp"
@@ -36,21 +37,9 @@ namespace {
 
 using namespace nicbar;
 
-/// "NIC"/"host" engine label; the host-RDMA family runs on the host no
-/// matter what --location said.
-const char* engine_label(const coll::BarrierSpec& spec) {
-  if (spec.rdma != coll::RdmaAlgorithm::kNone) return "host";
-  return spec.location == coll::Location::kNic ? "NIC" : "host";
-}
-
-const char* algorithm_label(const coll::BarrierSpec& spec) {
-  switch (spec.rdma) {
-    case coll::RdmaAlgorithm::kDissemination: return "RDMA-dissem";
-    case coll::RdmaAlgorithm::kTreePut: return "RDMA-tree";
-    case coll::RdmaAlgorithm::kNone: break;
-  }
-  if (spec.hierarchical) return "hier";
-  return spec.algorithm == nic::BarrierAlgorithm::kPairwiseExchange ? "PE" : "GB";
+/// The run header's family name ("NIC-PE", "host-RDMA-tree").
+std::string_view family_header(const coll::BarrierSpec& spec) {
+  return coll::family_row(coll::family_of(spec)).header;
 }
 
 template <typename Writer>
@@ -64,18 +53,70 @@ bool write_file(const std::string& path, Writer&& writer) {
   return true;
 }
 
+/// One report per seed as JSON: the object itself for one seed, else an array.
+template <typename Report>
+bool write_reports(const std::string& path, const std::vector<Report>& reports) {
+  return write_file(path, [&](std::ostream& os) {
+    if (reports.size() == 1) return reports.front().write_json(os);
+    os << "[\n";
+    for (std::size_t k = 0; k < reports.size(); ++k) {
+      reports[k].write_json(os);
+      if (k + 1 < reports.size()) os << ",\n";
+    }
+    os << "]\n";
+  });
+}
+
+/// The fault plan the command line asks for: --fault-plan's file (or an
+/// empty plan drawing from `seed`) plus --loss and --burst-loss on every
+/// link. False, after a diagnostic, when the file cannot be read or parsed.
+bool load_faults(const cli::Options& o, std::uint64_t seed, sim::fault::FaultPlan& faults) {
+  if (!o.fault_plan_path.empty()) {
+    std::ifstream in(o.fault_plan_path);
+    if (!in) {
+      std::fprintf(stderr, "error: cannot read fault plan %s\n", o.fault_plan_path.c_str());
+      return false;
+    }
+    try {
+      faults = sim::fault::parse_fault_plan(in);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s: %s\n", o.fault_plan_path.c_str(), e.what());
+      return false;
+    }
+  } else {
+    faults.seed = seed;
+  }
+  if (o.loss > 0.0) faults.loss.push_back({"", o.loss});
+  if (o.have_burst) faults.bursts.push_back({"", o.burst_enter, o.burst_exit, 0.0, o.burst_rate});
+  return true;
+}
+
+/// Sweep options for --jobs, instrumented into `sink` when --metrics-json is
+/// given. False, after a diagnostic, when the metrics file cannot be opened.
+bool sweep_options(const cli::Options& o, coll::SweepOptions& opts,
+                   std::unique_ptr<coll::MetricsSink>& sink) {
+  opts.workers = o.jobs;
+  if (o.metrics_path.empty()) return true;
+  sink = std::make_unique<coll::MetricsSink>(o.metrics_path);
+  if (!sink->ok()) {
+    std::fprintf(stderr, "error: cannot write %s\n", o.metrics_path.c_str());
+    return false;
+  }
+  opts.instrument = true;
+  opts.sink = sink.get();
+  return true;
+}
+
 /// --seeds K: one SweepPlan case per seed, sharded across --jobs workers.
 /// Prints a per-seed table plus the aggregate mean, so lossy configurations
 /// can be characterised across RNG draws in one command.
 int run_seed_sweep(const cli::Options& o) {
   coll::SweepPlan plan;
-  const bool gb_sweep =
-      o.sweep_dim && o.params.spec.algorithm == nic::BarrierAlgorithm::kGatherBroadcast;
   for (std::size_t k = 0; k < o.seeds; ++k) {
     coll::ExperimentParams p = o.params;
     p.seed = o.params.seed + k;
     if (o.fault_plan_path.empty()) p.cluster.faults.seed = p.seed;
-    if (gb_sweep) {
+    if (o.sweep_dim) {
       plan.add_gb_sweep("seed" + std::to_string(p.seed), std::move(p));
     } else {
       plan.add("seed" + std::to_string(p.seed), std::move(p));
@@ -83,17 +124,8 @@ int run_seed_sweep(const cli::Options& o) {
   }
 
   coll::SweepOptions opts;
-  opts.workers = o.jobs;
   std::unique_ptr<coll::MetricsSink> sink;
-  if (!o.metrics_path.empty()) {
-    sink = std::make_unique<coll::MetricsSink>(o.metrics_path);
-    if (!sink->ok()) {
-      std::fprintf(stderr, "error: cannot write %s\n", o.metrics_path.c_str());
-      return 1;
-    }
-    opts.instrument = true;
-    opts.sink = sink.get();
-  }
+  if (!sweep_options(o, opts, sink)) return 1;
   coll::SweepResult r;
   try {
     r = plan.run(opts);
@@ -102,18 +134,19 @@ int run_seed_sweep(const cli::Options& o) {
     return 1;
   }
 
-  std::printf("seed sweep: %zu seeds from %llu, nodes=%zu reps=%d %s-%s nic=%s, jobs=%u\n",
+  const std::string_view header = family_header(o.params.spec);
+  std::printf("seed sweep: %zu seeds from %llu, nodes=%zu reps=%d %.*s nic=%s, jobs=%u\n",
               o.seeds, static_cast<unsigned long long>(o.params.seed), o.params.nodes,
-              o.params.reps, engine_label(o.params.spec), algorithm_label(o.params.spec),
+              o.params.reps, static_cast<int>(header.size()), header.data(),
               o.params.cluster.nic.model.c_str(), o.jobs);
-  std::printf("%8s %6s %12s %10s %10s %10s %9s\n", "seed", gb_sweep ? "dim" : "", "mean_us",
+  std::printf("%8s %6s %12s %10s %10s %10s %9s\n", "seed", o.sweep_dim ? "dim" : "", "mean_us",
               "retrans", "drops", "timeouts", "failures");
   double sum_us = 0.0;
   std::size_t stalled = 0;
   for (std::size_t k = 0; k < r.cases.size(); ++k) {
     const coll::CaseResult& c = r.cases[k];
     char dim_buf[16] = "";
-    if (gb_sweep) std::snprintf(dim_buf, sizeof dim_buf, "%zu", c.gb_dimension);
+    if (o.sweep_dim) std::snprintf(dim_buf, sizeof dim_buf, "%zu", c.gb_dimension);
     if (c.result.stalled_members > 0) {
       std::printf("%8llu %6s %12s\n", static_cast<unsigned long long>(o.params.seed + k), dim_buf,
                   "STALLED");
@@ -253,25 +286,7 @@ int run_workload_cmd(const cli::Options& o) {
   }
   if (o.seed_given) spec.seed = o.params.seed;
 
-  if (!o.fault_plan_path.empty()) {
-    std::ifstream fin(o.fault_plan_path);
-    if (!fin) {
-      std::fprintf(stderr, "error: cannot read fault plan %s\n", o.fault_plan_path.c_str());
-      return 1;
-    }
-    try {
-      spec.cluster.faults = sim::fault::parse_fault_plan(fin);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s: %s\n", o.fault_plan_path.c_str(), e.what());
-      return 1;
-    }
-  } else {
-    spec.cluster.faults.seed = spec.seed;
-  }
-  if (o.loss > 0.0) spec.cluster.faults.loss.push_back({"", o.loss});
-  if (o.have_burst) {
-    spec.cluster.faults.bursts.push_back({"", o.burst_enter, o.burst_exit, 0.0, o.burst_rate});
-  }
+  if (!load_faults(o, spec.seed, spec.cluster.faults)) return 1;
 
   // Every seed is one custom case; each run builds its own cluster, so the
   // sweep shards cleanly and a single seed is just a one-case plan.
@@ -306,17 +321,8 @@ int run_workload_cmd(const cli::Options& o) {
   }
 
   coll::SweepOptions opts;
-  opts.workers = o.jobs;
   std::unique_ptr<coll::MetricsSink> sink;
-  if (!o.metrics_path.empty()) {
-    sink = std::make_unique<coll::MetricsSink>(o.metrics_path);
-    if (!sink->ok()) {
-      std::fprintf(stderr, "error: cannot write %s\n", o.metrics_path.c_str());
-      return 1;
-    }
-    opts.instrument = true;
-    opts.sink = sink.get();
-  }
+  if (!sweep_options(o, opts, sink)) return 1;
 
   coll::SweepResult sweep;
   try {
@@ -347,19 +353,7 @@ int run_workload_cmd(const cli::Options& o) {
   std::printf("wall clock           : %10.1f ms\n", sweep.wall_ms);
 
   if (!o.report_path.empty()) {
-    const bool ok = write_file(o.report_path, [&](std::ostream& os) {
-      if (o.seeds == 1) {
-        reports.front().write_json(os);
-      } else {
-        os << "[\n";
-        for (std::size_t k = 0; k < o.seeds; ++k) {
-          reports[k].write_json(os);
-          if (k + 1 < o.seeds) os << ",\n";
-        }
-        os << "]\n";
-      }
-    });
-    if (!ok) return 1;
+    if (!write_reports(o.report_path, reports)) return 1;
     std::printf("report written to %s\n", o.report_path.c_str());
   }
   if (want_slo) {
@@ -371,19 +365,7 @@ int run_workload_cmd(const cli::Options& o) {
       slo_reports[k].write_ascii(ascii);
     }
     std::printf("\n%s", ascii.str().c_str());
-    const bool ok = write_file(o.slo_report_path, [&](std::ostream& os) {
-      if (o.seeds == 1) {
-        slo_reports.front().write_json(os);
-      } else {
-        os << "[\n";
-        for (std::size_t k = 0; k < o.seeds; ++k) {
-          slo_reports[k].write_json(os);
-          if (k + 1 < o.seeds) os << ",\n";
-        }
-        os << "]\n";
-      }
-    });
-    if (!ok) return 1;
+    if (!write_reports(o.slo_report_path, slo_reports)) return 1;
     std::printf("SLO report written to %s\n", o.slo_report_path.c_str());
   }
   if (sink) std::printf("metrics written to %s\n", o.metrics_path.c_str());
@@ -443,7 +425,8 @@ int main(int argc, char** argv) {
   std::optional<cli::Options> parsed = cli::parse(argc, argv, error);
   if (!parsed) {
     if (!error.empty()) std::fprintf(stderr, "error: %s\n", error.c_str());
-    std::printf("usage: %s [workload SPEC | check] [options]\n%s", argv[0], cli::usage_text());
+    std::printf("usage: %s [workload SPEC | check] [options]\n%s", argv[0],
+                cli::usage_text().c_str());
     return 2;
   }
   cli::Options& o = *parsed;
@@ -451,30 +434,12 @@ int main(int argc, char** argv) {
   if (o.workload) return run_workload_cmd(o);
   coll::ExperimentParams& p = o.params;
 
-  if (!o.fault_plan_path.empty()) {
-    std::ifstream in(o.fault_plan_path);
-    if (!in) {
-      std::fprintf(stderr, "error: cannot read fault plan %s\n", o.fault_plan_path.c_str());
-      return 1;
-    }
-    try {
-      p.cluster.faults = sim::fault::parse_fault_plan(in);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s: %s\n", o.fault_plan_path.c_str(), e.what());
-      return 1;
-    }
-  } else {
-    p.cluster.faults.seed = p.seed;
-  }
-  if (o.loss > 0.0) p.cluster.faults.loss.push_back({"", o.loss});
-  if (o.have_burst) {
-    p.cluster.faults.bursts.push_back({"", o.burst_enter, o.burst_exit, 0.0, o.burst_rate});
-  }
+  if (!load_faults(o, p.seed, p.cluster.faults)) return 1;
 
   if (o.seeds > 1) return run_seed_sweep(o);
 
   double mean_us = 0.0;
-  if (o.sweep_dim && p.spec.algorithm == nic::BarrierAlgorithm::kGatherBroadcast) {
+  if (o.sweep_dim) {
     const auto [best, us] = coll::best_gb_dimension(p, o.jobs);
     std::printf("best GB dimension: %zu\n", best);
     mean_us = us;
@@ -502,8 +467,9 @@ int main(int argc, char** argv) {
   }
   if (mean_us == 0.0) mean_us = r.mean_us;
 
-  std::printf("nodes=%zu reps=%d %s-%s dim=%zu nic=%s @%.0fMHz\n", p.nodes, p.reps,
-              engine_label(p.spec), algorithm_label(p.spec), p.spec.gb_dimension,
+  const std::string_view header = family_header(p.spec);
+  std::printf("nodes=%zu reps=%d %.*s dim=%zu nic=%s @%.0fMHz\n", p.nodes, p.reps,
+              static_cast<int>(header.size()), header.data(), p.spec.gb_dimension,
               p.cluster.nic.model.c_str(), p.cluster.nic.clock_mhz);
   if (r.stalled_members > 0) {
     // An unreliable barrier on a lossy fabric hangs when a barrier packet is
@@ -544,11 +510,10 @@ int main(int argc, char** argv) {
   if (o.predict) {
     const model::PhaseTimes t = model::derive_phases(p.cluster.nic, p.cluster.gm,
                                                      p.cluster.link, p.cluster.sw);
-    const double eq = p.spec.location == coll::Location::kNic
-                          ? model::nic_barrier_us(t, p.nodes)
-                          : model::host_barrier_us(t, p.nodes);
-    std::printf("Eq.%d prediction (PE) : %10.2f us (%.1f%% off)\n",
-                p.spec.location == coll::Location::kNic ? 2 : 1, eq,
+    const bool on_nic = coll::family_row(coll::family_of(p.spec)).location == coll::Location::kNic;
+    const double eq =
+        on_nic ? model::nic_barrier_us(t, p.nodes) : model::host_barrier_us(t, p.nodes);
+    std::printf("Eq.%d prediction (PE) : %10.2f us (%.1f%% off)\n", on_nic ? 2 : 1, eq,
                 100.0 * (mean_us - eq) / eq);
   }
 
