@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+#include <set>
+
+#include "coll/family.hpp"
+
 namespace nicbar::sim::check {
 namespace {
 
@@ -66,6 +72,52 @@ TEST(OracleTest, FullSweepPassesAndPinsTheObservedError) {
   // behaviour — either way this test should make someone look.
   EXPECT_LE(rep.max_rel_error, kPeFoldOracleTolerance);
   EXPECT_GE(rep.max_rel_error, 0.5);
+}
+
+TEST(OracleTest, ClosedFormsMatchThePinnedPicoseconds) {
+  // Every closed form to the picosecond, not just the exact cases: the
+  // oracle's grid, every GB dimension at N = 8 and 16, and both PE rows at
+  // N = 32 and 64 (Figure 2's model-only sizes), on both NICs. The pins are
+  // one `label ps` line per case in closed_form_pins.txt.
+  std::ifstream in(NICBAR_CLOSED_FORM_PINS);
+  ASSERT_TRUE(in) << NICBAR_CLOSED_FORM_PINS;
+  std::map<std::string, std::int64_t> pinned;
+  std::string label;
+  std::int64_t ps = 0;
+  while (in >> label >> ps) pinned[label] = ps;
+
+  const gm::GmConfig gm;
+  const net::LinkParams link;
+  const net::SwitchParams sw;
+  std::set<std::string> seen;
+  auto pin = [&](const coll::FamilyRow& row, std::size_t n, std::size_t dim,
+                 const nic::NicConfig& cfg) {
+    label = std::string(row.label) + "-n" + std::to_string(n) + "-d" + std::to_string(dim) + "-" +
+            cfg.model;
+    if (!seen.insert(label).second) return;
+    const OracleCase c{row.spec.location, row.spec.algorithm, n, cfg, dim};
+    const std::int64_t got = predict_barrier(c, gm, link, sw).ps();
+    const auto it = pinned.find(label);
+    if (it == pinned.end()) {
+      ADD_FAILURE() << "no pin for " << label << ' ' << got;
+    } else {
+      EXPECT_EQ(got, it->second) << label;
+    }
+  };
+  for (const nic::NicConfig& cfg : {nic::lanai43(), nic::lanai72()}) {
+    for (const coll::FamilyRow& row : coll::kFamilies) {
+      if (!row.closed_form) continue;
+      for (std::size_t n = 2; n <= 16; ++n) pin(row, n, 2, cfg);
+      if (row.dim == coll::DimRule::kGbDimension) {
+        for (const std::size_t n : {8u, 16u}) {
+          for (std::size_t d = 1; d < n; ++d) pin(row, n, d, cfg);
+        }
+      } else {
+        for (const std::size_t n : {32u, 64u}) pin(row, n, 2, cfg);
+      }
+    }
+  }
+  EXPECT_EQ(seen.size(), pinned.size()) << "stale pins in " << NICBAR_CLOSED_FORM_PINS;
 }
 
 }  // namespace
