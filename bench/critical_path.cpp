@@ -3,21 +3,8 @@
 //
 // Contention-free regime (NIC PE barrier, power-of-two group, lockstep): the
 // causal tracer's per-segment attribution of a steady-state barrier must
-// equal the Eq. 2 terms EXACTLY — the same integer-picosecond bookkeeping
-// the oracle uses, just sliced by segment instead of summed:
-//
-//   host     = host_barrier + layer + host_recv + layer    (post + wakeup)
-//   sdma     = cyc(sdma_detect)
-//   firmware = cyc(barrier_init) + r * cyc(barrier_pe)
-//   send     = r * cyc(barrier_send)
-//   wire     = r * 2 * (serialisation + propagation)
-//   switch   = r * routing
-//   recv     = r * cyc(recv)
-//   rdma     = cyc(rdma_setup) + pci_setup + transfer(payload)
-//
-// with r = log2(N) and every queue term zero (no FIFO ever has to wait).
-// host_provide is deliberately absent: replenishing the barrier buffer
-// happens off the causal chain, between iterations.
+// equal the model::kTerms rows on the causal chain, sliced by segment,
+// EXACTLY, with every queue term zero (no FIFO ever has to wait).
 //
 // Under start skew or packet loss the same machinery reports *where* the
 // extra time lands (queue terms, retransmission rounds); those rows are
@@ -27,6 +14,7 @@
 #include <cstdlib>
 
 #include "common.hpp"
+#include "model/timing.hpp"
 #include "sim/causal.hpp"
 
 namespace {
@@ -35,36 +23,6 @@ using namespace nicbar;
 using sim::causal::kSegmentCount;
 using sim::causal::Segment;
 using sim::Duration;
-
-Duration cyc(const nic::NicConfig& c, std::int64_t n) {
-  return sim::cycles_at_mhz(n, c.clock_mhz);
-}
-
-/// The Eq. 2 terms of one steady-state contention-free NIC PE barrier,
-/// sliced by causal segment (same pre-truncated integer arithmetic as
-/// check/oracle.cpp, so equality is exact, not approximate).
-std::array<Duration, kSegmentCount> expected_pe_segments(const host::ClusterParams& cl,
-                                                         std::int64_t r) {
-  const nic::NicConfig& c = cl.nic;
-  const gm::GmConfig& gm = cl.gm;
-  const Duration wire =
-      sim::transfer_time(cl.link.header_bytes + 1 + c.barrier_payload_bytes,
-                         cl.link.bandwidth_mbps);
-  std::array<Duration, kSegmentCount> e{};
-  e[static_cast<std::size_t>(Segment::kHost)] =
-      gm.host_barrier_overhead + gm.layer_overhead + gm.host_recv_overhead + gm.layer_overhead;
-  e[static_cast<std::size_t>(Segment::kSdma)] = cyc(c, c.sdma_detect_cycles);
-  e[static_cast<std::size_t>(Segment::kFirmware)] =
-      cyc(c, c.barrier_init_cycles) + r * cyc(c, c.barrier_pe_cycles);
-  e[static_cast<std::size_t>(Segment::kSend)] = r * cyc(c, c.barrier_send_cycles);
-  e[static_cast<std::size_t>(Segment::kWire)] = r * 2 * (wire + cl.link.propagation);
-  e[static_cast<std::size_t>(Segment::kSwitch)] = r * cl.sw.routing_latency;
-  e[static_cast<std::size_t>(Segment::kRecv)] = r * cyc(c, c.recv_cycles);
-  e[static_cast<std::size_t>(Segment::kRdma)] =
-      cyc(c, c.rdma_setup_cycles) + c.pci_setup +
-      sim::transfer_time(c.barrier_payload_bytes, c.pci_bandwidth_mbps);
-  return e;
-}
 
 /// Runs one experiment with causal tracing attached and returns the tracer's
 /// view via `tele` (the caller keeps it alive across the inspection).
@@ -75,9 +33,6 @@ coll::ExperimentResult run_traced(coll::ExperimentParams p, sim::telemetry::Tele
 }
 
 int check_exact(std::size_t nodes, bench::BenchSummary& summary) {
-  std::int64_t r = 0;
-  for (std::size_t n = nodes; n > 1; n /= 2) ++r;
-
   coll::ExperimentParams p = coll::experiment(nic::lanai43(), nodes, 50);
   p.spec = coll::family_spec({coll::Family::kNicPe});
   sim::telemetry::Telemetry tele;
@@ -92,7 +47,12 @@ int check_exact(std::size_t nodes, bench::BenchSummary& summary) {
   // The last completed barrier is deep in steady state; its critical path is
   // the pure Eq. 2 chain.
   const sim::causal::CriticalPath path = causal.critical_path(causal.completed().back().sink);
-  const std::array<Duration, kSegmentCount> want = expected_pe_segments(p.cluster, r);
+  const model::Form form = model::form(p.spec, nodes);
+  const model::Inputs in{p.cluster.nic, p.cluster.gm, p.cluster.link, p.cluster.sw};
+  std::array<Duration, kSegmentCount> want{};
+  for (const model::Term& t : model::kTerms) {
+    if (t.causal) want[static_cast<std::size_t>(t.segment)] += model::charge(form, t, in);
+  }
 
   Duration predicted{0};
   std::vector<std::pair<std::string, double>> metrics;

@@ -1,11 +1,11 @@
-// Differential oracle: an independent re-implementation of the paper's
-// Eq. 1-2 closed forms, compared against the simulator's exact integer
-// output.
+// Differential oracle: the paper's Eq. 1-2 closed forms, compared against
+// the simulator's exact integer output.
 //
 // The simulator computes barrier latency by executing millions of discrete
-// events; the oracle computes the same quantity by summing the per-phase
-// costs (Fig. 2) straight from the configuration structs — two code paths
-// that share nothing but the config values. In the contention-free regime
+// events; the oracle computes the same quantity by summing the named cost
+// terms of model::kTerms (Fig. 2's phases plus the costs Eq. 1-2 omit),
+// which read the configuration structs only — two code paths that share
+// nothing but the config values. In the contention-free regime
 // (pairwise exchange, power-of-two group, every round in lockstep so no FIFO
 // ever queues) the two must agree to the exact picosecond; everywhere else
 // (gather/broadcast trees, non-power-of-two folds) queueing makes the closed
@@ -73,8 +73,8 @@ inline constexpr double kPeFoldOracleTolerance = 0.95;
 /// closed form is exact: pairwise exchange over a power-of-two group.
 [[nodiscard]] bool contention_free(nic::BarrierAlgorithm alg, std::size_t nodes);
 
-/// Eq. 1 (host-based PE) / Eq. 2 (NIC-based PE) and their GB analogues,
-/// re-derived from the raw config structs in exact integer picoseconds.
+/// Eq. 1 (host-based) / Eq. 2 (NIC-based) for the case's family, group size
+/// and GB dimension: the model::kTerms sum, in exact integer picoseconds.
 [[nodiscard]] Duration predict_barrier(const OracleCase& c, const gm::GmConfig& gm,
                                        const net::LinkParams& link, const net::SwitchParams& sw);
 

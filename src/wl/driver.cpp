@@ -370,7 +370,11 @@ Report Driver::run_impl(SloReport* slo_out) {
             cfg.per_call_overhead = klass.layer_overhead;
             cfg.collective_location = bspec.location;
             cfg.barrier_algorithm = bspec.algorithm;
-            cfg.gb_dimension = klass.barrier.dim;
+            // A family without a parameter reduces over the default
+            // dimension, the one its printed spec re-parses to.
+            const bool ignored =
+                coll::family_row(klass.barrier.family).dim == coll::DimRule::kIgnored;
+            cfg.gb_dimension = ignored ? coll::FamilyChoice{}.dim : klass.barrier.dim;
             cfg.barrier_deadline = klass.deadline;
             me.comm = std::make_unique<mpi::Communicator>(*me.port, list, cfg);
           }

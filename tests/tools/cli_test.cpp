@@ -423,5 +423,78 @@ TEST(CliTest, PdesWorkersIsExperimentOnly) {
   EXPECT_FALSE(parse_args({"check", "--pdes-workers", "2"}, err).has_value());
 }
 
+TEST(CliTest, PredictDescribesTheRunItIsGiven) {
+  // The family's own closed form at the run's size and dimension: GB prices
+  // its tree, and a non-power-of-two PE group its compounded fold rounds.
+  std::string err;
+  const std::pair<std::vector<std::string>, std::string> cases[] = {
+      {{"--nodes", "16", "--algorithm", "gb", "--dim", "3", "--predict"},
+       "Eq.2 prediction (GB) :     185.05 us"},
+      {{"--nodes", "12", "--location", "host", "--predict"},
+       "Eq.1 prediction (PE) :     227.58 us"},
+      {{"--nodes", "16", "--predict"}, "Eq.2 prediction (PE) :     101.00 us"}};
+  for (const auto& [args, line] : cases) {
+    const auto o = parse_args(args, err);
+    ASSERT_TRUE(o.has_value()) << err;
+    EXPECT_EQ(prediction(o->params, 0.0).rfind(line, 0), 0u) << prediction(o->params, 0.0);
+  }
+}
+
+TEST(CliTest, PredictRefusesMultiSwitchTopologies) {
+  std::string err;
+  for (const char* topology : {"fat-tree", "leaf-spine"}) {
+    EXPECT_FALSE(parse_args({"--nodes", "64", "--topology", topology, "--radix", "8", "--predict"},
+                            err)
+                     .has_value());
+    EXPECT_NE(err.find("--predict"), std::string::npos) << err;
+    EXPECT_NE(err.find(topology), std::string::npos) << err;
+  }
+  EXPECT_TRUE(parse_args({"--topology", "switch", "--predict"}, err).has_value()) << err;
+}
+
+TEST(CliTest, NicOverridesHoldWhateverTheOrder) {
+  std::string err;
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--reliability", "shared", "--clock", "66", "--rto", "fixed",
+                                 "--nic", "lanai43"},
+        std::vector<std::string>{"--nic", "lanai43", "--reliability", "shared", "--clock", "66",
+                                 "--rto", "fixed"}}) {
+    const auto o = parse_args(args, err);
+    ASSERT_TRUE(o.has_value()) << err;
+    const nic::NicConfig& nic = o->params.cluster.nic;
+    EXPECT_EQ(nic.model, nic::lanai43().model);
+    EXPECT_EQ(nic.clock_mhz, 66.0);
+    EXPECT_EQ(nic.barrier_reliability, nic::BarrierReliability::kSharedStream);
+    EXPECT_FALSE(nic.adaptive_rto);
+  }
+  const auto o = parse_args({"--nic", "lanai72"}, err);
+  ASSERT_TRUE(o.has_value()) << err;
+  EXPECT_EQ(o->params.cluster.nic.clock_mhz, nic::lanai72().clock_mhz);
+}
+
+TEST(CliTest, RealValuedFlagsRejectGarbageAndOutOfRangeNamingTheFlag) {
+  std::string err;
+  const std::pair<const char*, const char*> bad[] = {
+      {"--clock", "abc"},      {"--clock", "0"},         {"--clock", "-33"},
+      {"--clock", "inf"},      {"--loss", "banana"},     {"--loss", "1.5"},
+      {"--loss", "-0.1"},      {"--loss", "nan"},        {"--skew-us", "-5"},
+      {"--layer-us", "x"},     {"--deadline-us", "10x"}, {"--deadline-us", ""}};
+  for (const auto& [flag, value] : bad) {
+    EXPECT_FALSE(parse_args({flag, value}, err).has_value()) << flag << " " << value;
+    EXPECT_NE(err.find(flag), std::string::npos) << err;
+  }
+  EXPECT_FALSE(parse_args({"--skew-us"}, err).has_value());
+  EXPECT_NE(err.find("--skew-us"), std::string::npos) << err;
+
+  const auto o = parse_args({"--clock", "66.5", "--loss", "1", "--skew-us", "0", "--layer-us",
+                             "2.5", "--deadline-us", "3e2"},
+                            err);
+  ASSERT_TRUE(o.has_value()) << err;
+  EXPECT_EQ(o->params.cluster.nic.clock_mhz, 66.5);
+  EXPECT_EQ(o->loss, 1.0);
+  EXPECT_EQ(o->params.cluster.gm.layer_overhead, sim::microseconds(2.5));
+  EXPECT_EQ(o->params.spec.deadline, sim::microseconds(300.0));
+}
+
 }  // namespace
 }  // namespace nicbar::cli

@@ -264,6 +264,18 @@ TEST(WorkloadSpecTest, LastAlgorithmLineSelectsTheWholeFamily) {
   EXPECT_EQ(coll::family_row(s.classes[0].barrier.family).fallback, coll::Family::kHostPe);
 }
 
+TEST(WorkloadDriverTest, PrintedSpecRunsTheReduceTreesTheClassRan) {
+  // PE ignores its parameter, so a PE class built at dimension 4 prints and
+  // re-parses at the default; its reduce trees use the default too, so the
+  // two specs that compare equal also run the same timeline.
+  WorkloadSpec s = parse_workload_spec(
+      "cluster-nodes 8\njob solver\n  nodes 8\n  iters 10\n  mix barrier=0.5 allreduce=0.5\n");
+  s.classes[0].barrier.dim = 4;
+  const WorkloadSpec reparsed = parse_workload_spec(print_spec(s));
+  EXPECT_TRUE(spec_equal(s, reparsed));
+  EXPECT_EQ(run_workload(s).json(), run_workload(reparsed).json());
+}
+
 TEST(WorkloadSpecTest, HierOnTheHostIsRefusedWhateverTheOrder) {
   for (const char* body : {"  location host\n  algorithm hier 2\n",
                            "  algorithm hier 2\n  location host\n"}) {

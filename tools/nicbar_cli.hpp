@@ -1,9 +1,10 @@
-// Command-line parsing for nicbar_run, separated from main() so the option
-// grammar is unit-testable (tests/tools/cli_test.cpp). parse() never exits
-// or prints: a bad command line comes back as std::nullopt plus a message,
-// and main() decides what to do with it.
+// Command-line parsing and the --predict text for nicbar_run, separated from
+// main() so both are unit-testable (tests/tools/cli_test.cpp). parse() never
+// exits or prints: a bad command line comes back as std::nullopt plus a
+// message, and main() decides what to do with it.
 #pragma once
 
+#include <cfloat>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -15,6 +16,7 @@
 #include "coll/family.hpp"
 #include "coll/runner.hpp"
 #include "host/cluster.hpp"
+#include "model/timing.hpp"
 #include "sim/names.hpp"
 #include "sim/trace.hpp"
 
@@ -129,7 +131,7 @@ inline const std::string& usage_text() {
       "                     wall-clock time changes. Not available with\n"
       "                     --breakdown/--trace-json (those collectors are\n"
       "                     single-lane) or the workload/check subcommands\n"
-      "  --predict          also print the Eq. 1-3 analytic prediction\n"
+      "  --predict          also print the family's Eq. 1-2 closed form, by term\n"
       "  --breakdown        print the per-barrier Eq. 1-2 cost breakdown\n"
       "  --metrics-json F   write hardware counters/gauges as JSON to F\n"
       "  --trace-json F     write a Chrome trace-event file (Perfetto) to F\n"
@@ -191,6 +193,12 @@ inline std::optional<Options> parse(int argc, char** argv, std::string& error) {
   coll::Location location = coll::Location::kNic;
   std::string_view algorithm = "pe";
   std::size_t dim = 2;
+  // --nic picks the card; --clock, --reliability and --rto override it
+  // whatever their order, so they are applied once every flag is read.
+  const nic::NicModel* card = nullptr;
+  std::optional<double> clock;
+  std::optional<nic::BarrierReliability> reliability;
+  std::optional<bool> adaptive_rto;
   error.clear();
 
   auto fail = [&error](const std::string& msg) {
@@ -248,6 +256,17 @@ inline std::optional<Options> parse(int argc, char** argv, std::string& error) {
       error = a + (min == 0 ? " needs a non-negative integer" : " needs a positive integer");
       return false;
     };
+    // Real-valued options: false, with the diagnostic set, unless the whole
+    // value parses as a number in [lo, hi].
+    double x = 0;
+    auto real = [&](double lo, double hi, const char* range) {
+      const char* s = next_arg(argc, argv, i);
+      char* end = nullptr;
+      if (s != nullptr) x = std::strtod(s, &end);
+      if (end != nullptr && end != s && *end == '\0' && x >= lo && x <= hi) return true;
+      error = a + " needs " + range;
+      return false;
+    };
     // Other options: false, with the diagnostic set, when the value is missing.
     const char* v = nullptr;
     auto text = [&](const char* what = "a value") {
@@ -288,12 +307,11 @@ inline std::optional<Options> parse(int argc, char** argv, std::string& error) {
       dim = n;
     } else if (a == "--nic") {
       if (!text()) return std::nullopt;
-      const nic::NicModel* m = sim::find_named(nic::kNicModels, v);
-      if (m == nullptr) return fail("--nic must be " + sim::or_list(nic::kNicModels));
-      o.params.cluster.nic = m->make();
+      card = sim::find_named(nic::kNicModels, v);
+      if (card == nullptr) return fail("--nic must be " + sim::or_list(nic::kNicModels));
     } else if (a == "--clock") {
-      if (!text()) return std::nullopt;
-      o.params.cluster.nic.clock_mhz = std::atof(v);
+      if (!real(DBL_MIN, DBL_MAX, "a positive number of MHz")) return std::nullopt;
+      clock = x;
     } else if (a == "--topology") {
       if (!text()) return std::nullopt;
       const host::TopologyName* t = sim::find_named(host::kTopologyNames, v);
@@ -311,10 +329,10 @@ inline std::optional<Options> parse(int argc, char** argv, std::string& error) {
       if (r == nullptr) {
         return fail("--reliability must be " + sim::or_list(nic::kReliabilityNames));
       }
-      o.params.cluster.nic.barrier_reliability = r->mode;
+      reliability = r->mode;
     } else if (a == "--loss") {
-      if (!text()) return std::nullopt;
-      o.loss = std::atof(v);
+      if (!real(0, 1, "a probability in [0, 1]")) return std::nullopt;
+      o.loss = x;
     } else if (a == "--burst-loss") {
       if (!text("ENTER,EXIT,LOSSRATE")) return std::nullopt;
       if (std::sscanf(v, "%lf,%lf,%lf", &o.burst_enter, &o.burst_exit, &o.burst_rate) != 3) {
@@ -328,16 +346,16 @@ inline std::optional<Options> parse(int argc, char** argv, std::string& error) {
       if (!text()) return std::nullopt;
       const std::string_view s = v;
       if (s != "adaptive" && s != "fixed") return fail("--rto must be adaptive or fixed");
-      o.params.cluster.nic.adaptive_rto = s == "adaptive";
+      adaptive_rto = s == "adaptive";
     } else if (a == "--deadline-us") {
-      if (!text()) return std::nullopt;
-      o.params.spec.deadline = sim::microseconds(std::atof(v));
+      if (!real(0, DBL_MAX, "a non-negative number of us")) return std::nullopt;
+      o.params.spec.deadline = sim::microseconds(x);
     } else if (a == "--skew-us") {
-      if (!text()) return std::nullopt;
-      o.params.max_start_skew = sim::microseconds(std::atof(v));
+      if (!real(0, DBL_MAX, "a non-negative number of us")) return std::nullopt;
+      o.params.max_start_skew = sim::microseconds(x);
     } else if (a == "--layer-us") {
-      if (!text()) return std::nullopt;
-      o.params.cluster.gm.layer_overhead = sim::microseconds(std::atof(v));
+      if (!real(0, DBL_MAX, "a non-negative number of us")) return std::nullopt;
+      o.params.cluster.gm.layer_overhead = sim::microseconds(x);
     } else if (a == "--seed") {
       if (!count(0)) return std::nullopt;
       o.params.seed = n;
@@ -359,6 +377,12 @@ inline std::optional<Options> parse(int argc, char** argv, std::string& error) {
       return fail("unknown option " + a);
     }
   }
+  nic::NicConfig& nic = o.params.cluster.nic;
+  if (card != nullptr) nic = card->make();
+  if (clock) nic.clock_mhz = *clock;
+  if (reliability) nic.barrier_reliability = *reliability;
+  if (adaptive_rto) nic.adaptive_rto = *adaptive_rto;
+
   const coll::FamilyRow& family = *coll::find_family(algorithm, location);
   // --dim 0 asks for the GB dimension sweep; any other family takes it as given.
   o.sweep_dim = dim == 0 && family.dim == coll::DimRule::kGbDimension;
@@ -371,6 +395,11 @@ inline std::optional<Options> parse(int argc, char** argv, std::string& error) {
   if (o.predict && !family.closed_form) {
     return fail("--predict evaluates the paper's Eq. 1-2 models; no closed form is fitted for " +
                 std::string(family.header));
+  }
+  if (o.predict && o.params.cluster.topology != host::Topology::kSingleSwitch) {
+    return fail("--predict: the closed forms model one switch hop; --topology " +
+                std::string(host::topology_name(o.params.cluster.topology).name) +
+                " routes through several");
   }
   o.params.spec = coll::family_spec({family.family, dim}, o.params.spec);
 
@@ -412,6 +441,20 @@ inline std::optional<Options> parse(int argc, char** argv, std::string& error) {
                 "--cases and --case-seed");
   }
   return o;
+}
+
+/// The --predict block for run `p` (simulated mean `mean_us`): its family's
+/// exact closed form, then model::explain()'s terms.
+inline std::string prediction(const coll::ExperimentParams& p, double mean_us) {
+  const model::Form form = model::form(p.spec, p.nodes);
+  const model::Inputs in{p.cluster.nic, p.cluster.gm, p.cluster.link, p.cluster.sw};
+  const double eq = model::sum(form, in).exact().us();
+  char line[96];
+  std::snprintf(line, sizeof line, "Eq.%d prediction (%s) : %10.2f us (%.1f%% off)\n",
+                p.spec.location == coll::Location::kHost ? 1 : 2,
+                p.spec.algorithm == nic::BarrierAlgorithm::kPairwiseExchange ? "PE" : "GB", eq,
+                100.0 * (mean_us - eq) / eq);
+  return line + model::explain(form, in);
 }
 
 }  // namespace nicbar::cli

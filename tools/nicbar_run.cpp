@@ -25,7 +25,6 @@
 #include "check/oracle.hpp"
 #include "check/property.hpp"
 #include "coll/sweep.hpp"
-#include "model/timing.hpp"
 #include "nicbar_cli.hpp"
 #include "sim/causal.hpp"
 #include "sim/fault.hpp"
@@ -507,15 +506,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.nic_restarts));
   }
 
-  if (o.predict) {
-    const model::PhaseTimes t = model::derive_phases(p.cluster.nic, p.cluster.gm,
-                                                     p.cluster.link, p.cluster.sw);
-    const bool on_nic = coll::family_row(coll::family_of(p.spec)).location == coll::Location::kNic;
-    const double eq =
-        on_nic ? model::nic_barrier_us(t, p.nodes) : model::host_barrier_us(t, p.nodes);
-    std::printf("Eq.%d prediction (PE) : %10.2f us (%.1f%% off)\n", on_nic ? 2 : 1, eq,
-                100.0 * (mean_us - eq) / eq);
-  }
+  if (o.predict) std::printf("%s", cli::prediction(p, mean_us).c_str());
 
   if (o.breakdown) {
     const auto* bc = telemetry.breakdown();
