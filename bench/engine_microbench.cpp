@@ -1,8 +1,8 @@
 // Wall-clock performance of the simulation engine itself (google-benchmark):
 // event throughput, coroutine switching, the PDES window barrier, the NIC
-// connection lookup, barrier-member set-up, and end-to-end barrier
-// simulation rate. These are the only benches that measure real time, not
-// simulated.
+// connection lookup, barrier-member set-up, workload-spec set-up, and
+// end-to-end barrier simulation rate. These are the only benches that
+// measure real time, not simulated.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "sim/exec.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
+#include "wl/driver.hpp"
 
 namespace {
 
@@ -303,6 +305,28 @@ void BM_MemberSetup_Hier(benchmark::State& state) {
 BENCHMARK(BM_MemberSetup_NicPe)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MemberSetup_NicPe_Shared)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MemberSetup_Hier)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+// Set-up of nicbar_bench's tenants64 workload at seed 7 and 20 iterations:
+// parse its spec text and construct (validate) the wl::Driver, which is what
+// that workload's setup_s times.
+constexpr const char* kTenants64Spec =
+    "cluster-nodes 64\nnic lanai43\ntopology switch\nplacement overlapping\n"
+    "reliability shared\nnic-slots 1\narrival poisson 200\nseed 7\nhist-max-us 20000\n"
+    "job managed-pe\n  count 8\n  nodes 8\n  iters 20\n  mix barrier=1\n  compute-us 20\n"
+    "  imbalance 0.3\n  lifecycle managed\n"
+    "job solver\n  count 4\n  nodes 8\n  iters 20\n  mix barrier=0.4 allreduce=0.4 bcast=0.2\n"
+    "  compute-us 20\n  imbalance 0.3\n  layer-us 4\n"
+    "job rdma\n  count 4\n  nodes 8\n  iters 20\n  mix barrier=1\n  compute-us 20\n"
+    "  imbalance 0.3\n  algorithm host-dissem\n";
+
+void BM_WorkloadSpecParse(benchmark::State& state) {
+  const std::string text = kTenants64Spec;
+  for (auto _ : state) {
+    const wl::Driver driver(wl::parse_workload_spec(text));
+    benchmark::DoNotOptimize(driver.spec().classes.size());
+  }
+}
+BENCHMARK(BM_WorkloadSpecParse);
 
 void BM_BarrierSimulation(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));

@@ -166,9 +166,13 @@ void prop_parallel_sweep_bit_equality(PropertyReport& rep) {
   }
 }
 
-/// Random — but always-valid — workload spec for the round-trip property.
-/// Durations stay at integer microseconds and weights at one decimal place so
-/// the text form is lossless.
+/// A real with seven significant digits: 1000000-9999999 over a power of ten.
+double seven_digits(Rng& rng, double divisor) {
+  return (1'000'000 + rng.below(9'000'000)) / divisor;
+}
+
+/// Random — but always-valid — workload spec for the round-trip property:
+/// full-width seeds, picosecond durations and seven-digit reals.
 wl::WorkloadSpec random_spec(Rng& rng) {
   wl::WorkloadSpec s;
   s.cluster_nodes = 32;
@@ -176,20 +180,20 @@ wl::WorkloadSpec random_spec(Rng& rng) {
   switch (rng.below(3)) {
     case 0:
       s.arrival.kind = wl::ArrivalKind::kFixed;
-      s.arrival.interval = microseconds(rng.below(500));
+      s.arrival.interval = picoseconds(rng.below(500'000'000));
       break;
     case 1:
       s.arrival.kind = wl::ArrivalKind::kPoisson;
-      s.arrival.interval = microseconds(1 + rng.below(500));
+      s.arrival.interval = picoseconds(1 + rng.below(500'000'000));
       break;
     default:
       s.arrival.kind = wl::ArrivalKind::kClosedLoop;
       s.arrival.width = 1 + rng.below(4);
-      s.arrival.think = microseconds(rng.below(100));
+      s.arrival.think = picoseconds(rng.below(100'000'000));
       break;
   }
-  s.seed = rng.next_u64() & ((std::uint64_t{1} << 53) - 1);
-  s.hist_max_us = static_cast<double>(1000 + rng.below(20000));
+  s.seed = rng.next_u64();
+  s.hist_max_us = seven_digits(rng, 1e3);
   s.cluster.nic = rng.chance(0.5) ? nic::lanai72() : nic::lanai43();
   s.cluster.nic.barrier_reliability = static_cast<nic::BarrierReliability>(rng.below(3));
   s.cluster.topology = draw_topology(rng);
@@ -200,10 +204,10 @@ wl::WorkloadSpec random_spec(Rng& rng) {
     c.count = 1 + rng.below(2);
     c.nodes = 2 + rng.below(7);  // 2 classes x 2 jobs x 8 nodes still fit 32
     c.iterations = 1 + static_cast<int>(rng.below(200));
-    c.mix.barrier = static_cast<double>(1 + rng.below(10)) / 10.0;
+    c.mix.barrier = seven_digits(rng, 1e7);
     if (rng.chance(0.3)) {
       // Fuzzy barriers must be barrier-only (validate()).
-      c.mix.fuzzy = static_cast<double>(1 + rng.below(5)) / 10.0;
+      c.mix.fuzzy = seven_digits(rng, 1e7);
     } else {
       c.mix.broadcast = static_cast<double>(rng.below(4)) / 10.0;
       c.mix.allreduce = static_cast<double>(rng.below(4)) / 10.0;
@@ -211,10 +215,10 @@ wl::WorkloadSpec random_spec(Rng& rng) {
         c.layer_overhead = microseconds(1 + rng.below(5));
       }
     }
-    c.compute_mean = microseconds(rng.below(100));
-    c.compute_imbalance = static_cast<double>(rng.below(10)) / 10.0;
-    c.start_skew = microseconds(rng.below(20));
-    c.fuzzy_chunk = microseconds(1 + rng.below(10));
+    c.compute_mean = picoseconds(rng.below(100'000'000));
+    c.compute_imbalance = seven_digits(rng, 1e7);
+    c.start_skew = picoseconds(rng.below(20'000'000));
+    c.fuzzy_chunk = picoseconds(1 + rng.below(10'000'000));
     // Only the families that can run the drawn mix.
     c.barrier.family =
         draw_family(rng, {.fuzzy = c.mix.fuzzy > 0.0, .reductions = !c.mix.barrier_only()});

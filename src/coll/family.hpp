@@ -12,11 +12,13 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
 
 #include "coll/barrier.hpp"
+#include "sim/value.hpp"
 
 namespace nicbar::coll {
 
@@ -32,6 +34,10 @@ enum class DimRule : std::uint8_t {
   kHierIntra,    // hier intra-block GB dimension, >= 1
   kTreeRadix,    // host-tree put-tree radix, >= 1
 };
+
+/// `--dim` and the workload `algorithm` parameter, up to the largest node id;
+/// 0 is the CLI's GB sweep and family_refusal() refuses it elsewhere.
+inline constexpr sim::Int kDimension{0, std::numeric_limits<net::NodeId>::max()};
 
 /// Per DimRule: the parameter in a usage line, its name in a parse error,
 /// and the refusal of 0.

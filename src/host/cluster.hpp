@@ -6,11 +6,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
-
-#include <optional>
 
 #include "fabric/topology.hpp"
 #include "gm/config.hpp"
@@ -24,6 +25,7 @@
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
 #include "sim/telemetry.hpp"
+#include "sim/value.hpp"
 
 namespace nicbar::host {
 
@@ -47,6 +49,15 @@ inline constexpr TopologyName kTopologyNames[] = {{Topology::kSingleSwitch, "swi
 [[nodiscard]] constexpr const TopologyName& topology_name(Topology t) {
   return kTopologyNames[static_cast<std::size_t>(t)];
 }
+
+/// `--nodes`, `cluster-nodes` and `nodes`: up to every node a NodeId names.
+inline constexpr sim::Int kNodeCount{1, std::int64_t{std::numeric_limits<net::NodeId>::max()} + 1};
+/// `--radix` and the `topology` radix: a tree needs switches of three ports
+/// or more, as the fabric builder does.
+inline constexpr sim::Int kFabricRadix{3, std::numeric_limits<std::int64_t>::max()};
+/// `--oversub` and the `topology` oversubscription; the fabric builder
+/// refuses, naming the topology, a shape it cannot wire.
+inline constexpr sim::Int kOversub{1, std::numeric_limits<std::int64_t>::max()};
 
 struct ClusterParams {
   std::size_t nodes = 2;

@@ -104,10 +104,6 @@ class Communicator {
   /// the child. Throws on a root communicator.
   [[nodiscard]] sim::ValueTask<coll::BarrierStatus> free();
 
-  /// The managed-group handle behind a split() communicator (state, degraded
-  /// counters); nullptr on a root communicator.
-  [[nodiscard]] coll::GroupMember* group_member() { return managed_.get(); }
-
   /// Pure computation on the host CPU (for application kernels).
   [[nodiscard]] sim::Task compute(sim::Duration d) { return port_.compute(d); }
 

@@ -123,8 +123,6 @@ class Link {
   /// accumulated for the metrics snapshot.
   void set_down(bool down);
 
-  [[nodiscard]] bool is_down() const { return faults_ != nullptr && faults_->down; }
-
   /// Total time this link has spent down, up to now (open windows count).
   [[nodiscard]] sim::Duration down_time_total() const;
 
@@ -142,12 +140,6 @@ class Link {
   }
   [[nodiscard]] std::uint64_t drops_while_down() const {
     return faults_ ? faults_->down_drops : 0;
-  }
-  [[nodiscard]] std::uint64_t packets_delivered() const {
-    return delivered_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t packets_in_flight() const {
-    return in_flight_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::int64_t bytes_sent() const { return bytes_sent_; }
 

@@ -1,7 +1,6 @@
 #include "net/packet.hpp"
 
 #include <cstddef>
-#include <cstdio>
 #include <new>
 #include <type_traits>
 
@@ -99,15 +98,6 @@ const char* to_string(PacketType t) {
     case PacketType::kRmaReply: return "RMA_REPLY";
   }
   return "?";
-}
-
-std::string Packet::describe() const {
-  char buf[160];
-  std::snprintf(buf, sizeof buf, "%s #%llu %u.%u -> %u.%u seq=%u bseq=%u epoch=%u %lldB",
-                to_string(type), static_cast<unsigned long long>(id), src_node, src_port,
-                dst_node, dst_port, seq, barrier_seq, barrier_epoch,
-                static_cast<long long>(payload_bytes));
-  return buf;
 }
 
 }  // namespace nicbar::net

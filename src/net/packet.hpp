@@ -187,8 +187,6 @@ struct Packet {
   [[nodiscard]] std::int64_t wire_bytes(std::int64_t header_bytes) const {
     return header_bytes + static_cast<std::int64_t>(route.size()) + payload_bytes;
   }
-
-  [[nodiscard]] std::string describe() const;
 };
 
 /// Returns a packet's storage to the releasing thread's free list.

@@ -57,13 +57,9 @@ class Switch {
   /// (a stuck crossbar lane; the rest of the switch keeps forwarding).
   void set_port_down(std::size_t port, bool down) { port_down_.at(port) = down; }
 
-  [[nodiscard]] bool is_port_down(std::size_t port) const { return port_down_.at(port); }
-
-  [[nodiscard]] std::uint64_t packets_accepted() const { return accepted_; }
   [[nodiscard]] std::uint64_t packets_forwarded() const { return forwarded_; }
   [[nodiscard]] std::uint64_t packets_misrouted() const { return misrouted_; }
   [[nodiscard]] std::uint64_t packets_dropped_port_down() const { return port_down_drops_; }
-  [[nodiscard]] std::uint64_t packets_in_pipeline() const { return in_pipeline_; }
 
   /// Packet conservation: every accepted packet is forwarded, misrouted, or
   /// dropped on a failed port; at quiescence the routing pipeline is empty.

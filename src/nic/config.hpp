@@ -169,6 +169,10 @@ inline constexpr NicModel kNicModels[] = {{"lanai43", &lanai43}, {"lanai72", &la
 /// as the LANai 7.2 from 50 MHz up.
 [[nodiscard]] std::string_view nic_model_name(const NicConfig& cfg);
 
+/// `--rto` values: NicConfig::adaptive_rto.
+struct RtoName { bool adaptive; std::string_view name; };
+inline constexpr RtoName kRtoNames[] = {{true, "adaptive"}, {false, "fixed"}};
+
 struct ReliabilityName {
   BarrierReliability mode;
   std::string_view name;

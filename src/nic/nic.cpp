@@ -4,8 +4,6 @@
 #include "nic/nic.hpp"
 
 #include <cassert>
-#include <cstdarg>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -43,16 +41,6 @@ Nic::Nic(sim::Simulator& sim, net::Network& net, NodeId node, const NicConfig& c
       pci_(pci),
       ports_(static_cast<std::size_t>(config_.max_ports)),
       slots_(config_.barrier_slots) {}
-
-void Nic::trace(sim::TraceCategory cat, const char* fmt, ...) {
-  assert(tracing(cat) && "trace() is reached only through NICBAR_NIC_TRACE");
-  char body[400];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(body, sizeof body, fmt, ap);
-  va_end(ap);
-  tracer_->log(cat, sim_.now(), "nic%u: %s", node_, body);
-}
 
 void Nic::set_telemetry(sim::telemetry::Telemetry* telemetry) {
   tsink_ = telemetry != nullptr ? telemetry->trace() : nullptr;
@@ -190,17 +178,11 @@ bool Nic::is_port_open(PortId p) const { return port(p).open; }
 bool Nic::slot_allocate(std::uint64_t group, PortId p) {
   if (group == 0) throw std::invalid_argument("group id 0 is the reserved anonymous group");
   const bool ok = slots_.allocate(group, p);
-  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "slot %s group=%llu port=%u (%d/%d in use)",
-                   ok ? "alloc" : "REJECT", static_cast<unsigned long long>(group), p,
-                   slots_.in_use(), slots_.capacity());
   return ok;
 }
 
 void Nic::slot_free(std::uint64_t group, PortId p) {
   slots_.release(group, p);
-  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "slot free group=%llu port=%u (%d/%d in use)",
-                   static_cast<unsigned long long>(group), p, slots_.in_use(),
-                   slots_.capacity());
 }
 
 bool Nic::slot_bound(std::uint64_t group, PortId p) const { return slots_.bound(group, p); }
@@ -251,8 +233,6 @@ void Nic::sdma_fragment(SendToken token, std::uint16_t index, std::uint16_t frag
           p.value = token.value;
           p.frag_index = index;
           p.frag_count = frag_count;
-          NICBAR_NIC_TRACE(sim::TraceCategory::kSdma, "prepared %s frag %u/%u",
-                           p.describe().c_str(), index + 1, frag_count);
           const bool last = index + 1 == frag_count;
           enqueue_reliable(p, last ? std::move(token.on_sent) : nullptr);
           if (!last) sdma_fragment(std::move(token), static_cast<std::uint16_t>(index + 1),
@@ -345,7 +325,6 @@ void Nic::transmit(net::PacketPtr packet, std::int64_t send_cycles_override) {
                            });
           return;
         }
-        NICBAR_NIC_TRACE(sim::TraceCategory::kSend, "tx %s", packet->describe().c_str());
         net_.inject(std::move(packet));
       },
       p.id);
@@ -468,8 +447,6 @@ void Nic::rx_packet(net::PacketPtr packet) {
 void Nic::recv_data(net::PacketPtr packet) {
   const Packet& p = *packet;
   Connection& c = conn(p.src_node);
-  NICBAR_NIC_TRACE(sim::TraceCategory::kRecv, "rx %s (expect seq=%u)", p.describe().c_str(),
-                   c.next_expected_seq);
   if (p.seq == c.next_expected_seq) {
     // In-order. GM receive-side flow control: without a host buffer the
     // packet cannot be accepted; leave the stream position unchanged so the
@@ -646,8 +623,6 @@ void Nic::retransmit_all(NodeId remote) {
   for (SentRecord& rec : c.sent_list) {
     rec.retransmitted = true;  // Karn: its ack can no longer be sampled
     ++stats_.retransmissions;
-    NICBAR_NIC_TRACE(sim::TraceCategory::kReliab, "retransmit %s",
-                     rec.packet.describe().c_str());
     transmit(net::make_packet(rec.packet));
   }
   if (!c.sent_list.empty()) arm_retransmit(remote);
@@ -664,8 +639,6 @@ void Nic::declare_peer_dead(NodeId remote) {
     c.rel->sent_list.clear();
     c.rel->barrier_sent_list.clear();
   }
-  NICBAR_NIC_TRACE(sim::TraceCategory::kReliab, "connection to %u failed (retries exhausted)",
-                   remote);
   if (tsink_ != nullptr) tsink_->instant(fault_track_, "peer_dead", sim_.now(), "fault");
   GmEvent ev;
   ev.type = GmEventType::kPeerDead;
@@ -685,7 +658,6 @@ void Nic::crash() {
   if (crashed_) return;
   crashed_ = true;
   ++stats_.nic_crashes;
-  NICBAR_NIC_TRACE(sim::TraceCategory::kReliab, "crash");
   if (tsink_ != nullptr) tsink_->instant(fault_track_, "crash", sim_.now(), "fault");
   // The firmware's timers die with the processor; connection bookkeeping
   // survives in host/NIC SRAM and is replayed by restart().
@@ -700,7 +672,6 @@ void Nic::restart() {
   if (!crashed_) return;
   crashed_ = false;
   ++stats_.nic_restarts;
-  NICBAR_NIC_TRACE(sim::TraceCategory::kReliab, "restart");
   if (tsink_ != nullptr) tsink_->instant(fault_track_, "restart", sim_.now(), "fault");
   // Replay everything unacknowledged on both streams; the receiver's
   // duplicate suppression makes this safe.
@@ -769,8 +740,6 @@ void Nic::deliver_to_host(net::PacketPtr packet) {
               ev.tag = packet->tag;
               ev.value = packet->value;
               ev.causal = packet->causal;
-              NICBAR_NIC_TRACE(sim::TraceCategory::kRdma, "deliver %s",
-                               packet->describe().c_str());
               push_event(packet->dst_port, ev);
             },
             pk.id);

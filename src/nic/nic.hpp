@@ -41,7 +41,6 @@
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 
 namespace nicbar::nic {
 
@@ -58,13 +57,6 @@ constexpr std::size_t kMcpEngineCount = 4;
 struct EngineStats {
   std::uint64_t jobs[kMcpEngineCount] = {};
   std::int64_t cycles[kMcpEngineCount] = {};
-
-  [[nodiscard]] std::uint64_t jobs_for(McpEngine e) const {
-    return jobs[static_cast<std::size_t>(e)];
-  }
-  [[nodiscard]] std::int64_t cycles_for(McpEngine e) const {
-    return cycles[static_cast<std::size_t>(e)];
-  }
 };
 
 struct NicStats {
@@ -243,12 +235,10 @@ class Nic {
   /// How many of those connections have allocated their reliability state
   /// (none on the paper's unreliable barrier path).
   [[nodiscard]] std::size_t reliability_blocks() const { return conns_.reliability_blocks(); }
-  void set_tracer(sim::Tracer* tracer) { tracer_ = tracer; }
 
   /// Attaches the cluster's telemetry bundle (nullptr detaches). The NIC
   /// caches the sink pointers so every hot-path hook is one branch.
   void set_telemetry(sim::telemetry::Telemetry* telemetry);
-  [[nodiscard]] sim::telemetry::TraceEventSink* trace_sink() const { return tsink_; }
   [[nodiscard]] sim::telemetry::BreakdownCollector* breakdown_collector() const {
     return bcoll_;
   }
@@ -397,15 +387,6 @@ class Nic {
   void reduce_complete(PortId local_port, std::int64_t result);
   bool reduce_answer_nack(const net::Packet& p);        // §3.2 resend for reduce types
 
-  /// True when a tracer is attached and records `cat`. Call sites test it
-  /// (via NICBAR_NIC_TRACE) before evaluating any trace argument.
-  [[nodiscard]] bool tracing(sim::TraceCategory cat) const {
-    return tracer_ != nullptr && tracer_->on(cat);
-  }
-  /// Formats and emits one line; requires tracing(cat).
-  void trace(sim::TraceCategory cat, const char* fmt, ...)
-      __attribute__((format(printf, 3, 4)));
-
   sim::Simulator& sim_;
   net::Network& net_;
   NodeId node_;
@@ -423,7 +404,6 @@ class Nic {
   SlotTable slots_;
   bool crashed_ = false;
   EngineStats engines_;
-  sim::Tracer* tracer_ = nullptr;
   // Telemetry (all null/zero when detached; every hook is one branch).
   sim::telemetry::TraceEventSink* tsink_ = nullptr;
   sim::telemetry::BreakdownCollector* bcoll_ = nullptr;
@@ -434,11 +414,3 @@ class Nic {
 };
 
 }  // namespace nicbar::nic
-
-/// Emits a Nic trace line from inside a Nic member. The arguments (packet
-/// describe() strings included) are evaluated only when `cat` is traced, so
-/// with tracing off every site is one untaken branch.
-#define NICBAR_NIC_TRACE(cat, ...)                   \
-  do {                                               \
-    if (tracing(cat)) trace(cat, __VA_ARGS__);       \
-  } while (0)

@@ -84,8 +84,6 @@ void Nic::barrier_start(BarrierToken token) {
                token.src_port, static_cast<unsigned long long>(token.group));
   ++stats_.barriers_started;
   const PortId p = token.src_port;
-  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "port %u: start %s barrier epoch=%u", p,
-                   to_string(token.algorithm), token.epoch);
   ps.active_barrier = std::make_unique<BarrierToken>(std::move(token));
   switch (ps.active_barrier->algorithm) {
     case BarrierAlgorithm::kPairwiseExchange:
@@ -153,8 +151,6 @@ void Nic::barrier_rx_in_order(const Packet& p) {
   // Legacy packets (group 0) bypass the fence entirely.
   if (p.group != 0 && !slots_.bound(p.group, p.dst_port)) {
     ++stats_.stale_group_fenced;
-    NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "fenced stale %s (group=%llu has no slot)",
-                     p.describe().c_str(), static_cast<unsigned long long>(p.group));
     return;
   }
   PortState& ps = port(p.dst_port);
@@ -168,8 +164,6 @@ void Nic::barrier_rx_in_order(const Packet& p) {
   }
   BarrierToken* tok = ps.active_barrier.get();
   const Endpoint src{p.src_node, p.src_port};
-  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "port %u: rx %s", p.dst_port,
-                   p.describe().c_str());
 
   switch (p.type) {
     case PacketType::kBarrierPe:
@@ -265,8 +259,6 @@ void Nic::barrier_record(const Packet& p, bool for_closed_port) {
       record_extra_.emplace_back(key, extra);
     }
   }
-  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "record unexpected %s%s",
-                   p.describe().c_str(), for_closed_port ? " (closed port)" : "");
 }
 
 RecordExtra Nic::record_extra(NodeId remote, PortId remote_port) const {
@@ -564,8 +556,6 @@ void Nic::barrier_complete(PortId local_port) {
                sim_.now(), "port %u: completed epoch %u after already completing epoch %lld",
                local_port, epoch, static_cast<long long>(ps.last_completed_epoch));
   ps.last_completed_epoch = static_cast<std::int64_t>(epoch);
-  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "port %u: %s barrier epoch=%u complete",
-                   local_port, to_string(tok->algorithm), epoch);
   // Keep the completed token for §3.2 late-NACK resends.
   ps.last_barrier = std::move(ps.active_barrier);
 
@@ -701,8 +691,6 @@ void Nic::barrier_handle_nack(const Packet& p) {
   const PortId local_port = p.dst_port;
   const PacketType type = p.nacked_type;
   const std::uint32_t epoch = p.barrier_epoch;
-  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "port %u: resend %s to %u.%u after NACK",
-                   local_port, net::to_string(type), peer.node, peer.port);
   sim_.schedule_in(config_.barrier_resend_delay, [this, local_port, peer, type, epoch] {
     if (!port(local_port).open) return;
     barrier_send(local_port, peer, type, epoch);
@@ -824,8 +812,6 @@ void Nic::cancel_barrier(PortId local_port) {
   PortState& ps = port(local_port);
   if (ps.active_barrier == nullptr || ps.active_barrier->completed) return;
   ++stats_.barriers_cancelled;
-  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier, "port %u: cancel barrier epoch=%u", local_port,
-                   ps.active_barrier->epoch);
   // Discard the parked token; whatever this member already contributed may
   // still complete peers, but no completion event will be raised here (and
   // any in-flight one is filtered by its epoch on the host side).

@@ -66,9 +66,6 @@ void Nic::reduce_start(ReduceToken token) {
   ++stats_.reduces_started;
   token.acc = token.contribution;
   const PortId p = token.src_port;
-  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier,
-                   "port %u: start %s allreduce epoch=%u contrib=%lld", p, to_string(token.op),
-                   token.epoch, static_cast<long long>(token.contribution));
   ps.active_reduce = std::make_unique<ReduceToken>(std::move(token));
   reduce_check_children(p);
 }
@@ -200,9 +197,6 @@ void Nic::reduce_complete(PortId local_port, std::int64_t result) {
   tok->acc = result;  // final value (used for kReduceDown resends)
   ++stats_.reduces_completed;
   const std::uint32_t epoch = tok->epoch;
-  NICBAR_NIC_TRACE(sim::TraceCategory::kBarrier,
-                   "port %u: allreduce epoch=%u complete, result=%lld", local_port, epoch,
-                   static_cast<long long>(result));
   ps.last_reduce = std::move(ps.active_reduce);
 
   engine_submit(McpEngine::kRdma, "rdma_setup", config_.rdma_setup_cycles,

@@ -58,8 +58,6 @@ void Nic::post_rma_token(RmaToken token) {
                           p.rma_op = token.op_id;
                           p.value = token.value;
                           p.rma_expected = token.expected;
-                          NICBAR_NIC_TRACE(sim::TraceCategory::kSdma, "rma prepared %s",
-                                           p.describe().c_str());
                           enqueue_reliable(p, nullptr);
                         });
         };
@@ -123,7 +121,6 @@ void Nic::rma_apply(net::PacketPtr packet) {
     // Registration race: the initiator's segment is constructed but ours is
     // not yet. Park; rma_register flushes in arrival order.
     ++stats_.rma_parked;
-    NICBAR_NIC_TRACE(sim::TraceCategory::kRdma, "rma park %s", p.describe().c_str());
     ps.rma_parked.push_back(p);
     return;
   }
@@ -143,8 +140,6 @@ void Nic::rma_apply(net::PacketPtr packet) {
       pci_submit("rma_dma", dma, [this, packet = std::move(packet), mem] {
         ++stats_.rma_puts_applied;
         mem->write(packet->rma_index, packet->value);
-        NICBAR_NIC_TRACE(sim::TraceCategory::kRdma, "rma put applied %s",
-                         packet->describe().c_str());
         rma_reply(*packet, packet->value, true);
       }, p.id);
       break;
@@ -198,7 +193,6 @@ void Nic::rma_absorb_reply(const Packet& p) {
     return;
   }
   ++stats_.rma_replies;
-  NICBAR_NIC_TRACE(sim::TraceCategory::kRdma, "rma reply %s", p.describe().c_str());
   ps.rma_sink->rma_complete(p.rma_op, p.value, p.rma_ok);
 }
 

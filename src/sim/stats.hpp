@@ -55,7 +55,6 @@ class DurationStats {
   [[nodiscard]] double mean_us() const { return acc_.mean(); }
   [[nodiscard]] double min_us() const { return acc_.min(); }
   [[nodiscard]] double max_us() const { return acc_.max(); }
-  [[nodiscard]] double stddev_us() const { return acc_.stddev(); }
   void reset() { acc_.reset(); }
 
  private:

@@ -1,10 +1,30 @@
 #include "sim/telemetry.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <ostream>
 
 #include "sim/causal.hpp"
+#include "sim/names.hpp"
+
+namespace nicbar::sim {
+
+std::optional<std::uint32_t> parse_trace_mask(std::string_view spec) {
+  std::uint32_t mask = 0;
+  for (std::size_t pos = 0; pos <= spec.size();) {
+    const std::size_t comma = std::min(spec.find(',', pos), spec.size());
+    const TraceCategoryName* c = find_named(kTraceCategoryNames, spec.substr(pos, comma - pos));
+    if (c == nullptr) return std::nullopt;
+    mask |= static_cast<std::uint32_t>(c->category);
+    pos = comma + 1;
+  }
+  return mask;
+}
+
+std::string trace_mask_names() { return join(distinct_names(kTraceCategoryNames), ",", ","); }
+
+}  // namespace nicbar::sim
 
 namespace nicbar::sim::telemetry {
 

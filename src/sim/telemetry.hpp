@@ -3,7 +3,7 @@
 //
 // Three cooperating pieces, all optional and all zero-cost when detached
 // (hardware models hold raw pointers that are null by default; every hook is
-// one branch, the same discipline as Tracer):
+// one branch):
 //
 //   MetricsRegistry    — named counters, gauges, and Histogram-backed timers.
 //                        Hardware models register their counters at snapshot
@@ -25,16 +25,42 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
 
-namespace nicbar::sim::causal {
+namespace nicbar::sim {
+
+namespace causal {
 class CausalTracer;
 }
+
+/// The classes of event the TraceEventSink emits; `--trace-mask` selects them.
+enum class TraceCategory : std::uint32_t {
+  kSdma = 1u << 0,  // SDMA engine (host -> NIC)
+  kSend = 1u << 1,  // SEND engine (NIC -> wire)
+  kRecv = 1u << 2,  // RECV engine (wire -> NIC)
+  kRdma = 1u << 3,  // RDMA engine (NIC -> host)
+  kNet = 1u << 4,   // links and switches
+  kAll = 0xffffffffu,
+};
+struct TraceCategoryName { TraceCategory category; std::string_view name; };
+inline constexpr TraceCategoryName kTraceCategoryNames[] = {
+    {TraceCategory::kSdma, "sdma"}, {TraceCategory::kSend, "send"},
+    {TraceCategory::kRecv, "recv"}, {TraceCategory::kRdma, "rdma"},
+    {TraceCategory::kNet, "net"},   {TraceCategory::kAll, "all"}};
+
+/// The bit mask of a comma-separated list of kTraceCategoryNames
+/// ("send,recv"); nullopt on an unknown or empty element.
+[[nodiscard]] std::optional<std::uint32_t> parse_trace_mask(std::string_view spec);
+/// "sdma,send,recv,rdma,net,all", for help text and refusals.
+[[nodiscard]] std::string trace_mask_names();
+
+}  // namespace nicbar::sim
 
 namespace nicbar::sim::telemetry {
 

@@ -1,17 +1,18 @@
 #include "wl/spec.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
+#include <cstdint>
 #include <istream>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 
 #include "sim/names.hpp"
+#include "sim/value.hpp"
 
 namespace nicbar::wl {
 
@@ -49,6 +50,10 @@ std::size_t WorkloadSpec::total_jobs() const {
 
 void validate(const WorkloadSpec& spec) {
   auto bad = [](const std::string& msg) { throw std::invalid_argument("workload spec: " + msg); };
+  // A class's diagnostic names it; the prefix is built only on failure.
+  auto bad_class = [&bad](const JobClass& c, const std::string& msg) {
+    bad("class '" + c.name + "': " + msg);
+  };
   if (spec.cluster_nodes == 0) bad("cluster-nodes must be positive");
   if (spec.classes.empty()) bad("at least one job class is required");
   if (spec.total_jobs() == 0) bad("total job count is zero");
@@ -61,129 +66,87 @@ void validate(const WorkloadSpec& spec) {
   }
   if (spec.cluster.nic.barrier_slots < 0) bad("nic-slots must be non-negative");
   for (const JobClass& c : spec.classes) {
-    const std::string who = "class '" + c.name + "': ";
-    if (c.nodes == 0) bad(who + "nodes must be positive");
-    if (c.nodes > spec.cluster_nodes) bad(who + "wider than the cluster");
-    if (c.iterations <= 0) bad(who + "iterations must be positive");
-    if (c.mix.total() <= 0.0) bad(who + "collective mix has no weight");
+    if (c.nodes == 0) bad_class(c, "nodes must be positive");
+    if (c.nodes > spec.cluster_nodes) bad_class(c, "wider than the cluster");
+    if (c.iterations <= 0) bad_class(c, "iterations must be positive");
+    if (c.mix.total() <= 0.0) bad_class(c, "collective mix has no weight");
     for (const double w : {c.mix.barrier, c.mix.broadcast, c.mix.allreduce, c.mix.fuzzy}) {
-      if (w < 0.0) bad(who + "mix weights must be non-negative");
+      if (w < 0.0) bad_class(c, "mix weights must be non-negative");
     }
     if (c.compute_imbalance < 0.0 || c.compute_imbalance >= 1.0) {
-      bad(who + "imbalance must be in [0, 1)");
+      bad_class(c, "imbalance must be in [0, 1)");
     }
     if (const std::string why = coll::family_refusal(
             c.barrier.family, {.dim = c.barrier.dim, .managed = c.managed,
                                .fuzzy = c.mix.fuzzy > 0.0, .reductions = !c.mix.barrier_only()});
         !why.empty()) {
-      bad(who + why);
+      bad_class(c, why);
     }
     if (c.mix.fuzzy > 0.0 && !c.mix.barrier_only()) {
-      bad(who + "fuzzy barriers cannot be mixed with reductions (one event "
-                "stream per port; use a separate class)");
+      bad_class(c, "fuzzy barriers cannot be mixed with reductions (one event "
+                   "stream per port; use a separate class)");
     }
     if (c.mix.fuzzy > 0.0 && c.fuzzy_chunk.ps() <= 0) {
-      bad(who + "fuzzy-chunk-us must be positive");
+      bad_class(c, "fuzzy-chunk-us must be positive");
     }
     if (c.mix.barrier_only() && !c.layer_overhead.is_zero()) {
-      bad(who + "layer-us applies to the communicator path only (add a "
-                "reduction weight, or drop it to model raw GM)");
+      bad_class(c, "layer-us applies to the communicator path only (add a "
+                   "reduction weight, or drop it to model raw GM)");
     }
     if (!c.slo.is_zero() && (c.slo_target <= 0.0 || c.slo_target >= 1.0)) {
-      bad(who + "slo-target must be in (0, 1)");
+      bad_class(c, "slo-target must be in (0, 1)");
     }
     if (c.slo.ps() < 0 || c.slo_window.ps() < 0) {
-      bad(who + "slo-us and slo-window-us must be non-negative");
+      bad_class(c, "slo-us and slo-window-us must be non-negative");
     }
     if (c.managed) {
       // A managed group owns the whole barrier path (NIC slot or host
       // fallback); reductions and fuzzy barriers bypass that lifecycle.
       if (!c.mix.barrier_only() || c.mix.fuzzy > 0.0) {
-        bad(who + "lifecycle managed requires a pure-barrier mix");
+        bad_class(c, "lifecycle managed requires a pure-barrier mix");
       }
-      if (c.promote_every < 0) bad(who + "promote-every must be non-negative");
+      if (c.promote_every < 0) bad_class(c, "promote-every must be non-negative");
     }
+  }
+  // A disjoint or strided layout must fit; an overlapping one always does.
+  std::size_t demanded = 0;
+  for (const JobClass& c : spec.classes) demanded += c.count * c.nodes;
+  if (spec.placement != Placement::kOverlapping && demanded > spec.cluster_nodes) {
+    bad(std::string(to_string(spec.placement)) + " placement needs " + std::to_string(demanded) +
+        " nodes but the cluster has " + std::to_string(spec.cluster_nodes));
   }
 }
 
 std::vector<std::vector<net::NodeId>> place_jobs(const WorkloadSpec& spec) {
-  const std::size_t N = spec.cluster_nodes;
+  validate(spec);  // a disjoint or strided layout must fit
   const std::size_t jobs = spec.total_jobs();
   std::vector<std::vector<net::NodeId>> sets;
   sets.reserve(jobs);
-
-  std::size_t demanded = 0;
-  for (const JobClass& c : spec.classes) demanded += c.count * c.nodes;
-
-  switch (spec.placement) {
-    case Placement::kDisjoint: {
-      // Consecutive packs: job j gets the next `nodes` unclaimed nodes.
-      if (demanded > N) {
-        throw std::invalid_argument("workload spec: disjoint placement needs " +
-                                    std::to_string(demanded) + " nodes but the cluster has " +
-                                    std::to_string(N));
+  // Member m of job j, whose window starts at `base`:
+  //   disjoint: consecutive packs, base + m, the next `nodes` unclaimed nodes;
+  //   strided: a round-robin interleave, j + m·J, the same node budget
+  //     spread across the topology, so jobs share switches and links;
+  //   overlapping: sliding windows advancing half a window per job (and
+  //     wrapping), so consecutive jobs share about half their nodes by
+  //     construction: co-located jobs land on distinct GM ports of one NIC
+  //     and contend for its LANai processor and PCI bus.
+  std::size_t base = 0;
+  for (const JobClass& c : spec.classes) {
+    for (std::size_t k = 0; k < c.count; ++k) {
+      const std::size_t j = sets.size();
+      std::vector<net::NodeId>& set = sets.emplace_back(c.nodes);
+      for (std::size_t m = 0; m < c.nodes; ++m) {
+        const std::size_t node = spec.placement == Placement::kStrided ? j + m * jobs : base + m;
+        set[m] = static_cast<net::NodeId>(node % spec.cluster_nodes);
       }
-      std::size_t base = 0;
-      for (const JobClass& c : spec.classes) {
-        for (std::size_t k = 0; k < c.count; ++k) {
-          std::vector<net::NodeId> s;
-          s.reserve(c.nodes);
-          for (std::size_t m = 0; m < c.nodes; ++m) {
-            s.push_back(static_cast<net::NodeId>(base + m));
-          }
-          base += c.nodes;
-          sets.push_back(std::move(s));
-        }
-      }
-      break;
-    }
-    case Placement::kStrided: {
-      // Round-robin interleave: job j takes nodes j, j+J, j+2J, ... — the
-      // same node budget as disjoint but spread across the topology, so
-      // jobs share switches (and, on chains/trees, inter-switch links).
-      if (demanded > N) {
-        throw std::invalid_argument("workload spec: strided placement needs " +
-                                    std::to_string(demanded) + " nodes but the cluster has " +
-                                    std::to_string(N));
-      }
-      std::size_t j = 0;
-      for (const JobClass& c : spec.classes) {
-        for (std::size_t k = 0; k < c.count; ++k) {
-          std::vector<net::NodeId> s;
-          s.reserve(c.nodes);
-          for (std::size_t m = 0; m < c.nodes; ++m) {
-            s.push_back(static_cast<net::NodeId>((j + m * jobs) % N));
-          }
-          sets.push_back(std::move(s));
-          ++j;
-        }
-      }
-      break;
-    }
-    case Placement::kOverlapping: {
-      // Sliding windows advancing half a window per job (and wrapping), so
-      // consecutive jobs share ~half their nodes BY CONSTRUCTION — the
-      // co-located jobs land on distinct GM ports of the same NIC and
-      // contend for its LANai processor and PCI bus.
-      std::size_t base = 0;
-      for (const JobClass& c : spec.classes) {
-        for (std::size_t k = 0; k < c.count; ++k) {
-          std::vector<net::NodeId> s;
-          s.reserve(c.nodes);
-          for (std::size_t m = 0; m < c.nodes; ++m) {
-            s.push_back(static_cast<net::NodeId>((base + m) % N));
-          }
-          base += c.nodes > 1 ? c.nodes / 2 : 1;
-          sets.push_back(std::move(s));
-        }
-      }
-      break;
+      base += spec.placement == Placement::kOverlapping ? std::max<std::size_t>(c.nodes / 2, 1)
+                                                         : c.nodes;
     }
   }
   return sets;
 }
 
-// --- Spec parser --------------------------------------------------------------
+// --- The key table -------------------------------------------------------------
 
 namespace {
 
@@ -191,51 +154,9 @@ bool is_space(char c) {
   return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
 }
 
-/// Length of the longest prefix of `s` that std::num_get reads for a double
-/// in the "C" locale: [sign] digits [. digits] [e [sign] digits], where the
-/// exponent needs a digit before it. The prefix may end inside a word.
-std::size_t number_prefix(std::string_view s) {
-  std::size_t i = 0;
-  if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
-  bool digit = false;
-  bool dot = false;
-  for (; i < s.size(); ++i) {
-    const char c = s[i];
-    if (c >= '0' && c <= '9') {
-      digit = true;
-    } else if (c == '.' && !dot) {
-      dot = true;
-    } else if ((c == 'e' || c == 'E') && digit) {
-      ++i;
-      if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
-      while (i < s.size() && s[i] >= '0' && s[i] <= '9') ++i;
-      break;
-    } else {
-      break;
-    }
-  }
-  return i;
-}
-
-/// The value of a whole number_prefix() token, or nullopt where the stream
-/// set failbit: no digits, a dangling exponent, or a magnitude past the
-/// largest double. A value that underflows reads as the nearest
-/// representable one, as the stream's strtod gave it.
-std::optional<double> to_double(std::string_view tok) {
-  if (!tok.empty() && tok.front() == '+') tok.remove_prefix(1);  // from_chars takes '-' only
-  double v = 0.0;
-  const auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (end != tok.data() + tok.size() || ec == std::errc::invalid_argument) return std::nullopt;
-  if (ec == std::errc::result_out_of_range) {
-    v = std::strtod(std::string(tok).c_str(), nullptr);
-    if (std::isinf(v)) return std::nullopt;
-  }
-  return v;
-}
-
 /// One spec line, tokenized in place the way `std::istream >>` read it:
-/// words end at whitespace, and a number is number_prefix() of what follows,
-/// so "5x" reads 5 and leaves "x" for the next read.
+/// words end at whitespace, and a number is sim::number_prefix() of what
+/// follows, so "5x" reads 5 and leaves "x" for the next read.
 class LineReader {
  public:
   LineReader(const std::string& line, int line_no) : line_(line), rest_(line), line_no_(line_no) {}
@@ -259,18 +180,25 @@ class LineReader {
     return w;
   }
 
-  double number(std::string_view what) {
-    skip_space();
-    const std::optional<double> v = to_double(take(number_prefix(rest_)));
-    if (!v) fail("expected a number for " + std::string(what));
+  /// The next value of `kind`, named `what` in a refusal: a number token
+  /// for a numeric kind, else a word.
+  template <typename Kind>
+  auto read(const Kind& kind, std::string_view what) {
+    std::string_view token;
+    if constexpr (Kind::kNumeric) {
+      skip_space();
+      token = take(sim::number_prefix(rest_));
+    } else {
+      token = word(what);
+    }
+    const auto v = kind.read(token);
+    if (!v) {
+      if (Kind::kNumeric && !sim::to_double(token)) {
+        fail("expected a number for " + std::string(what));
+      }
+      fail(std::string(what) + " " + kind.refusal());
+    }
     return *v;
-  }
-
-  /// A number of at least `min`: a count, a size or a radix.
-  double number(std::string_view what, int min) {
-    const double v = number(what);
-    if (v < min) fail(std::string(what) + " must be >= " + std::to_string(min));
-    return v;
   }
 
   void expect_end() {
@@ -293,25 +221,297 @@ class LineReader {
   int line_no_;
 };
 
-/// "barrier=0.7" -> sets the named weight on `mix`.
-void parse_mix_term(std::string_view term, CollectiveMix& mix, const LineReader& rd) {
-  const std::size_t eq = term.find('=');
-  if (eq == std::string_view::npos) rd.fail("mix terms look like kind=weight");
-  const std::string_view kind = term.substr(0, eq);
-  const std::string_view weight = term.substr(eq + 1);
-  const std::optional<double> w =
-      number_prefix(weight) == weight.size() ? to_double(weight) : std::nullopt;
-  if (!w) rd.fail("bad weight in '" + std::string(term) + "'");
-  if (kind == "barrier") {
-    mix.barrier = *w;
-  } else if (kind == "bcast" || kind == "broadcast") {
-    mix.broadcast = *w;
-  } else if (kind == "allreduce") {
-    mix.allreduce = *w;
-  } else if (kind == "fuzzy") {
-    mix.fuzzy = *w;
+enum Section : std::uint8_t { kPreamble, kJob };
+
+/// What a key prints from and compares: the spec and, for a job key, the
+/// class (an empty one for the preamble).
+struct View {
+  const WorkloadSpec& spec;
+  const JobClass& job;
+};
+
+/// What a key reads into: the spec, its current class, and what the
+/// section remembers across lines.
+struct Reading {
+  WorkloadSpec& spec;
+  JobClass& job;
+  /// The class's `location`, kept apart from the family because the
+  /// host-RDMA families ignore it while a later `algorithm pe` still pairs
+  /// with it; close_class() checks it against the family.
+  coll::Location location = coll::Location::kNic;
+  bool mix_given = false;  // the class's first mix line replaces the default weights
+  std::uint64_t given = 0;  // bit k: kKeys[k] was read in this section
+};
+
+struct Key {
+  std::string_view name;
+  Section section;
+  void (*read)(LineReader&, Reading&, std::string_view name);
+  /// The value after the key, exactly as read() reads it back.
+  void (*print)(std::ostream&, const View&);
+  /// Whether two specs hold the same value for the key, field by field.
+  bool (*equal)(const View&, const View&);
+  /// Whether print_spec() writes the key; one it leaves out holds its
+  /// default or a value nothing reads. Null: always.
+  bool (*printed)(const View&) = nullptr;
+};
+
+/// Equality on what `kField` returns.
+template <auto kField>
+bool same(const View& a, const View& b) {
+  return kField(a) == kField(b);
+}
+
+/// A key whose value `kKind` reads into the field `kField` returns.
+template <auto kKind, auto kField>
+constexpr Key scalar(std::string_view name, Section section,
+                     bool (*printed)(const View&) = nullptr) {
+  return {name, section,
+          [](LineReader& rd, Reading& r, std::string_view key) {
+            auto& field = kField(r);
+            field = static_cast<std::remove_reference_t<decltype(field)>>(rd.read(kKind, key));
+          },
+          [](std::ostream& os, const View& v) { os << kKind.print(kField(v)); }, same<kField>,
+          printed};
+}
+
+// The structured keys read, print and compare themselves.
+
+void read_nic(LineReader& rd, Reading& r, std::string_view key);
+
+void read_topology(LineReader& rd, Reading& r, std::string_view key) {
+  const host::TopologyName* t = rd.read(sim::Name<host::kTopologyNames>{}, key);
+  r.spec.cluster.topology = t->topology;
+  if (t->shaped) {
+    const std::string shape(t->name);
+    r.spec.cluster.fabric_radix =
+        static_cast<std::size_t>(rd.read(host::kFabricRadix, shape + " radix"));
+    r.spec.cluster.fabric_oversub =
+        static_cast<std::size_t>(rd.read(host::kOversub, shape + " oversubscription"));
+  }
+}
+
+void print_topology(std::ostream& os, const View& v) {
+  const host::TopologyName& t = host::topology_name(v.spec.cluster.topology);
+  os << t.name;
+  if (t.shaped) os << " " << v.spec.cluster.fabric_radix << " " << v.spec.cluster.fabric_oversub;
+}
+
+bool topology_equal(const View& a, const View& b) {
+  const host::ClusterParams& x = a.spec.cluster;
+  const host::ClusterParams& y = b.spec.cluster;
+  return x.topology == y.topology && (!host::topology_name(x.topology).shaped ||
+                                      (x.fabric_radix == y.fabric_radix &&
+                                       x.fabric_oversub == y.fabric_oversub));
+}
+
+constexpr sim::Name<kArrivalNames, &ArrivalName::kind> kArrivalKind;
+constexpr sim::Int kWidth{1, std::numeric_limits<std::int64_t>::max()};
+
+void read_arrival(LineReader& rd, Reading& r, std::string_view key) {
+  Arrival& a = r.spec.arrival;
+  a.kind = rd.read(kArrivalKind, key);
+  if (a.kind == ArrivalKind::kClosedLoop) {
+    a.width = static_cast<std::size_t>(rd.read(kWidth, "closed-loop width"));
+    a.think = rd.read(sim::Micros{}, "closed-loop think time");
   } else {
-    rd.fail("unknown collective '" + std::string(kind) + "'");
+    a.interval =
+        rd.read(sim::Micros{}, a.kind == ArrivalKind::kFixed ? "fixed gap" : "poisson mean gap");
+  }
+}
+
+void print_arrival(std::ostream& os, const View& v) {
+  const Arrival& a = v.spec.arrival;
+  os << kArrivalKind.print(a.kind) << " ";
+  if (a.kind == ArrivalKind::kClosedLoop) {
+    os << a.width << " " << sim::Micros::print(a.think);
+  } else {
+    os << sim::Micros::print(a.interval);
+  }
+}
+
+/// The `mix` terms: kind=weight, a weight being a number >= 0.
+struct MixTerm {
+  std::string_view name;
+  double CollectiveMix::*weight;
+};
+constexpr MixTerm kMixTerms[] = {{"barrier", &CollectiveMix::barrier},
+                                 {"bcast", &CollectiveMix::broadcast},
+                                 {"broadcast", &CollectiveMix::broadcast},
+                                 {"allreduce", &CollectiveMix::allreduce},
+                                 {"fuzzy", &CollectiveMix::fuzzy}};
+constexpr sim::Real kWeight{0.0, std::numeric_limits<double>::max()};
+
+void read_mix(LineReader& rd, Reading& r, std::string_view) {
+  if (!r.mix_given) {
+    // First mix line: weights are exactly what the spec says.
+    r.job.mix = CollectiveMix{0.0, 0.0, 0.0, 0.0};
+    r.mix_given = true;
+  }
+  bool saw_term = false;
+  for (std::string_view term = rd.next_word(); !term.empty(); term = rd.next_word()) {
+    const std::size_t eq = term.find('=');
+    if (eq == std::string_view::npos) rd.fail("mix terms look like kind=weight");
+    const MixTerm* kind = sim::find_named(kMixTerms, term.substr(0, eq));
+    if (kind == nullptr) rd.fail("unknown collective '" + std::string(term.substr(0, eq)) + "'");
+    const std::optional<double> w = kWeight.read(term.substr(eq + 1));
+    if (!w) rd.fail("bad weight in '" + std::string(term) + "' (" + kWeight.refusal() + ")");
+    r.job.mix.*kind->weight = *w;
+    saw_term = true;
+  }
+  if (!saw_term) rd.fail("mix needs at least one kind=weight term");
+}
+
+void print_mix(std::ostream& os, const View& v) {
+  const CollectiveMix& m = v.job.mix;
+  os << "barrier=" << sim::Real::print(m.barrier) << " bcast=" << sim::Real::print(m.broadcast)
+     << " allreduce=" << sim::Real::print(m.allreduce) << " fuzzy=" << sim::Real::print(m.fuzzy);
+}
+
+void read_location(LineReader& rd, Reading& r, std::string_view key) {
+  r.location = rd.read(sim::Name<coll::kLocationNames, &coll::LocationName::location>{}, key);
+  r.job.barrier.family =
+      coll::find_family(coll::family_row(r.job.barrier.family).name, r.location)->family;
+}
+
+void read_algorithm(LineReader& rd, Reading& r, std::string_view key) {
+  // One key selects the whole family, so the last `algorithm` line wins.
+  const std::string_view v = rd.word(key);
+  const coll::FamilyRow* row = coll::find_family(v, r.location);
+  if (row == nullptr) {
+    rd.fail("algorithm must be " + sim::or_list(coll::kFamilies, [](const coll::FamilyRow& f) {
+              return std::string(f.name).append(coll::dim_text(f.dim).arg);
+            }));
+  }
+  // A family without a parameter takes the default one, which is also its
+  // reduce-tree dimension, so print_spec() loses nothing.
+  r.job.barrier = {row->family, coll::FamilyChoice{}.dim};
+  if (row->dim != coll::DimRule::kIgnored) {
+    const std::string what = std::string(v) + " " + std::string(coll::dim_text(row->dim).what);
+    r.job.barrier.dim = static_cast<std::size_t>(rd.read(coll::kDimension, what));
+  }
+}
+
+void print_algorithm(std::ostream& os, const View& v) {
+  const coll::FamilyRow& family = coll::family_row(v.job.barrier.family);
+  os << family.name;
+  if (family.dim != coll::DimRule::kIgnored) os << " " << v.job.barrier.dim;
+}
+
+bool algorithm_equal(const View& a, const View& b) {
+  const coll::FamilyChoice& x = a.job.barrier;
+  return x.family == b.job.barrier.family &&
+         (coll::family_row(x.family).dim == coll::DimRule::kIgnored || x.dim == b.job.barrier.dim);
+}
+
+coll::Location location(const View& v) { return coll::family_row(v.job.barrier.family).location; }
+
+/// The `lifecycle` key's values.
+struct LifecycleName { bool managed; std::string_view name; };
+constexpr LifecycleName kLifecycleNames[] = {{false, "none"}, {true, "managed"}};
+
+bool slo_declared(const View& v) { return !v.job.slo.is_zero(); }
+bool managed(const View& v) { return v.job.managed; }
+
+constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr double kMaxReal = std::numeric_limits<double>::max();
+
+/// Every key, in the order print_spec() writes them. A later line of a key
+/// replaces an earlier one (`mix` adds terms to the class's first one).
+#define NICBAR_FIELD(path) [](auto& t) -> auto& { return t.path; }
+constexpr Key kKeys[] = {
+    scalar<host::kNodeCount, NICBAR_FIELD(spec.cluster_nodes)>("cluster-nodes", kPreamble),
+    {"nic", kPreamble, read_nic,
+     [](std::ostream& os, const View& v) { os << nic::nic_model_name(v.spec.cluster.nic); },
+     [](const View& a, const View& b) {
+       return same<NICBAR_FIELD(spec.cluster.nic.model)>(a, b) &&
+              same<NICBAR_FIELD(spec.cluster.nic.clock_mhz)>(a, b);
+     }},
+    scalar<sim::Name<nic::kReliabilityNames, &nic::ReliabilityName::mode>{},
+           NICBAR_FIELD(spec.cluster.nic.barrier_reliability)>("reliability", kPreamble),
+    scalar<sim::Int{0, kMaxInt}, NICBAR_FIELD(spec.cluster.nic.barrier_slots)>(
+        "nic-slots", kPreamble,
+        [](const View& v) {
+          return v.spec.cluster.nic.barrier_slots != nic::NicConfig{}.barrier_slots;
+        }),
+    {"topology", kPreamble, read_topology, print_topology, topology_equal},
+    scalar<sim::Name<kPlacementNames, &PlacementName::placement>{}, NICBAR_FIELD(spec.placement)>(
+        "placement", kPreamble),
+    {"arrival", kPreamble, read_arrival, print_arrival, same<NICBAR_FIELD(spec.arrival)>},
+    scalar<sim::kSeed, NICBAR_FIELD(spec.seed)>("seed", kPreamble),
+    scalar<sim::Real{0.0, kMaxReal, true}, NICBAR_FIELD(spec.hist_max_us)>("hist-max-us",
+                                                                           kPreamble),
+
+    scalar<sim::Int{1, kMaxInt}, NICBAR_FIELD(job.count)>("count", kJob),
+    scalar<host::kNodeCount, NICBAR_FIELD(job.nodes)>("nodes", kJob),
+    scalar<sim::Int{1, kMaxInt}, NICBAR_FIELD(job.iterations)>("iters", kJob),
+    {"mix", kJob, read_mix, print_mix, same<NICBAR_FIELD(job.mix)>},
+    scalar<sim::Micros{}, NICBAR_FIELD(job.compute_mean)>("compute-us", kJob),
+    scalar<sim::Real{0.0, 1.0, false, true}, NICBAR_FIELD(job.compute_imbalance)>("imbalance",
+                                                                                  kJob),
+    scalar<sim::Micros{}, NICBAR_FIELD(job.start_skew)>("skew-us", kJob),
+    {"location", kJob, read_location,
+     [](std::ostream& os, const View& v) { os << coll::location_name(location(v)); },
+     same<location>},
+    {"algorithm", kJob, read_algorithm, print_algorithm, algorithm_equal},
+    scalar<sim::Micros{}, NICBAR_FIELD(job.fuzzy_chunk)>("fuzzy-chunk-us", kJob),
+    scalar<sim::Micros{}, NICBAR_FIELD(job.deadline)>("deadline-us", kJob),
+    scalar<sim::Micros{}, NICBAR_FIELD(job.layer_overhead)>(
+        "layer-us", kJob, [](const View& v) { return !v.job.layer_overhead.is_zero(); }),
+    // The SLO and lifecycle keys ride only on classes that declare one, so
+    // specs without them print as they did before those keys existed.
+    scalar<sim::Micros{}, NICBAR_FIELD(job.slo)>("slo-us", kJob, slo_declared),
+    scalar<sim::Real{0.0, 1.0, true, true}, NICBAR_FIELD(job.slo_target)>("slo-target", kJob,
+                                                                           slo_declared),
+    scalar<sim::Micros{}, NICBAR_FIELD(job.slo_window)>("slo-window-us", kJob, slo_declared),
+    scalar<sim::Name<kLifecycleNames, &LifecycleName::managed>{}, NICBAR_FIELD(job.managed)>(
+        "lifecycle", kJob, managed),
+    scalar<sim::Int{0, kMaxInt}, NICBAR_FIELD(job.promote_every)>("promote-every", kJob, managed),
+};
+#undef NICBAR_FIELD
+static_assert(std::size(kKeys) <= 64, "Reading::given holds one bit per key");
+
+constexpr std::uint64_t key_bit(std::string_view name) {
+  return std::uint64_t{1} << (sim::find_named(kKeys, name) - kKeys);
+}
+
+void read_nic(LineReader& rd, Reading& r, std::string_view key) {
+  nic::NicConfig card = rd.read(sim::Name<nic::kNicModels>{}, key)->make();
+  // The card comes first and the keys that override it after, whatever
+  // their order in the preamble.
+  if ((r.given & key_bit("reliability")) != 0) {
+    card.barrier_reliability = r.spec.cluster.nic.barrier_reliability;
+  }
+  if ((r.given & key_bit("nic-slots")) != 0) {
+    card.barrier_slots = r.spec.cluster.nic.barrier_slots;
+  }
+  r.spec.cluster.nic = std::move(card);
+}
+
+void print_section(std::ostream& os, const View& v, Section section, std::string_view indent) {
+  for (const Key& k : kKeys) {
+    if (k.section != section || (k.printed != nullptr && !k.printed(v))) continue;
+    os << indent << k.name << " ";
+    k.print(os, v);
+    os << "\n";
+  }
+}
+
+/// Whether the keys of `section` hold the same values either side; a key
+/// neither side prints holds nothing the format carries.
+bool section_equal(const View& a, const View& b, Section section) {
+  return std::all_of(std::begin(kKeys), std::end(kKeys), [&](const Key& k) {
+    if (k.section != section) return true;
+    const bool shown = k.printed == nullptr || k.printed(a);
+    return (k.printed == nullptr || k.printed(b) == shown) && (!shown || k.equal(a, b));
+  });
+}
+
+/// The class's `location` must suit its family.
+void close_class(const Reading& r) {
+  const std::string why = coll::family_refusal(r.job.barrier.family, {.location = r.location});
+  if (!why.empty()) {
+    throw std::runtime_error("workload spec: class '" + r.job.name + "': " + why);
   }
 }
 
@@ -319,19 +519,9 @@ void parse_mix_term(std::string_view term, CollectiveMix& mix, const LineReader&
 
 WorkloadSpec parse_workload_spec(std::istream& in) {
   WorkloadSpec spec;
-  JobClass* job = nullptr;  // current class; null while in the preamble
-  bool any_mix_term = false;
-  // The current class's `location`. It is kept apart from the family
-  // because the host-RDMA families ignore it while a later `algorithm pe`
-  // still pairs with it; close_class() checks it against the family.
-  coll::Location job_location = coll::Location::kNic;
-  auto close_class = [&] {
-    if (job == nullptr) return;
-    const std::string why = coll::family_refusal(job->barrier.family, {.location = job_location});
-    if (!why.empty()) {
-      throw std::runtime_error("workload spec: class '" + job->name + "': " + why);
-    }
-  };
+  JobClass preamble;  // no preamble key writes the class
+  std::optional<Reading> r(std::in_place, spec, preamble);
+  bool in_job = false;
 
   std::string line;
   int line_no = 0;
@@ -340,162 +530,40 @@ WorkloadSpec parse_workload_spec(std::istream& in) {
     const std::size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     LineReader rd(line, line_no);
-    const std::string_view key = rd.next_word();
-    if (key.empty()) continue;  // blank / comment-only
+    const std::string_view name = rd.next_word();
+    if (name.empty()) continue;  // blank / comment-only
 
-    if (key == "job") {
-      close_class();
-      job_location = coll::Location::kNic;
+    if (name == "job") {
+      // A class header: the keys below apply to a new class.
+      if (in_job) close_class(*r);
       JobClass c;
       c.name = std::string(rd.word("job name"));
-      // Per-class mix weights start from nothing; an unspecified mix means
-      // barrier-only (the struct default).
       rd.expect_end();
       spec.classes.push_back(std::move(c));
-      job = &spec.classes.back();
-      any_mix_term = false;
+      r.emplace(spec, spec.classes.back());
+      in_job = true;
       continue;
     }
-
-    if (job == nullptr) {
-      // Preamble keys.
-      if (key == "cluster-nodes") {
-        spec.cluster_nodes = static_cast<std::size_t>(rd.number("cluster-nodes", 1));
-      } else if (key == "nic") {
-        const nic::NicModel* m = sim::find_named(nic::kNicModels, rd.word("nic"));
-        if (m == nullptr) rd.fail("nic must be " + sim::or_list(nic::kNicModels));
-        spec.cluster.nic = m->make();
-      } else if (key == "topology") {
-        const host::TopologyName* t = sim::find_named(host::kTopologyNames, rd.word("topology"));
-        if (t == nullptr) {
-          rd.fail("topology must be " +
-                  sim::or_list(host::kTopologyNames, [](const host::TopologyName& n) {
-                    return std::string(n.name) + (n.shaped ? " <radix> <oversub>" : "");
-                  }));
-        }
-        spec.cluster.topology = t->topology;
-        if (t->shaped) {
-          const std::string v(t->name);
-          spec.cluster.fabric_radix = static_cast<std::size_t>(rd.number(v + " radix", 3));
-          spec.cluster.fabric_oversub =
-              static_cast<std::size_t>(rd.number(v + " oversubscription", 1));
-        }
-      } else if (key == "reliability") {
-        const nic::ReliabilityName* r =
-            sim::find_named(nic::kReliabilityNames, rd.word("reliability"));
-        if (r == nullptr) rd.fail("reliability must be " + sim::or_list(nic::kReliabilityNames));
-        spec.cluster.nic.barrier_reliability = r->mode;
-      } else if (key == "nic-slots") {
-        // Like `reliability`, this must follow `nic` (which replaces the
-        // whole NIC config).
-        const double v = rd.number("nic-slots");
-        if (v < 0) rd.fail("nic-slots must be non-negative");
-        spec.cluster.nic.barrier_slots = static_cast<int>(v);
-      } else if (key == "placement") {
-        const PlacementName* p = sim::find_named(kPlacementNames, rd.word("placement"));
-        if (p == nullptr) rd.fail("placement must be " + sim::or_list(kPlacementNames));
-        spec.placement = p->placement;
-      } else if (key == "arrival") {
-        const ArrivalName* a = sim::find_named(kArrivalNames, rd.word("arrival"));
-        if (a == nullptr) rd.fail("arrival must be " + sim::or_list(kArrivalNames));
-        spec.arrival.kind = a->kind;
-        if (a->kind == ArrivalKind::kClosedLoop) {
-          spec.arrival.width = static_cast<std::size_t>(rd.number("closed-loop width", 1));
-          spec.arrival.think = sim::microseconds(rd.number("closed-loop think time"));
-        } else {
-          spec.arrival.interval = sim::microseconds(
-              rd.number(a->kind == ArrivalKind::kFixed ? "fixed gap" : "poisson mean gap"));
-        }
-      } else if (key == "seed") {
-        const double v = rd.number("seed");
-        spec.seed = static_cast<std::uint64_t>(v);
-      } else if (key == "hist-max-us") {
-        spec.hist_max_us = rd.number("hist-max-us");
-      } else {
-        rd.fail("unknown key '" + std::string(key) + "' (before the first job)");
+    const Section section = in_job ? kJob : kPreamble;
+    const Key* key = nullptr;
+    for (const Key& k : kKeys) {
+      if (k.section == section && k.name == name) {
+        key = &k;
+        break;
       }
-      rd.expect_end();
-      continue;
     }
-
-    // Job-class keys.
-    if (key == "count") {
-      job->count = static_cast<std::size_t>(rd.number("count", 1));
-    } else if (key == "nodes") {
-      job->nodes = static_cast<std::size_t>(rd.number("nodes", 1));
-    } else if (key == "iters") {
-      job->iterations = static_cast<int>(rd.number("iters", 1));
-    } else if (key == "mix") {
-      if (!any_mix_term) {
-        // First mix line: weights are exactly what the spec says.
-        job->mix = CollectiveMix{0.0, 0.0, 0.0, 0.0};
-        any_mix_term = true;
-      }
-      bool saw_term = false;
-      for (std::string_view term = rd.next_word(); !term.empty(); term = rd.next_word()) {
-        parse_mix_term(term, job->mix, rd);
-        saw_term = true;
-      }
-      if (!saw_term) rd.fail("mix needs at least one kind=weight term");
-      continue;  // consumed the rest of the line
-    } else if (key == "compute-us") {
-      job->compute_mean = sim::microseconds(rd.number("compute-us"));
-    } else if (key == "imbalance") {
-      job->compute_imbalance = rd.number("imbalance");
-    } else if (key == "skew-us") {
-      job->start_skew = sim::microseconds(rd.number("skew-us"));
-    } else if (key == "location") {
-      const coll::LocationName* loc = sim::find_named(coll::kLocationNames, rd.word("location"));
-      if (loc == nullptr) rd.fail("location must be " + sim::or_list(coll::kLocationNames));
-      job_location = loc->location;
-      job->barrier.family =
-          coll::find_family(coll::family_row(job->barrier.family).name, job_location)->family;
-    } else if (key == "algorithm") {
-      // One key selects the whole family, so the last `algorithm` line wins.
-      const std::string_view v = rd.word("algorithm");
-      const coll::FamilyRow* row = coll::find_family(v, job_location);
-      if (row == nullptr) {
-        rd.fail("algorithm must be " + sim::or_list(coll::kFamilies, [](const coll::FamilyRow& r) {
-                  return std::string(r.name).append(coll::dim_text(r.dim).arg);
-                }));
-      }
-      // A family without a parameter takes the default one, which is also
-      // its reduce-tree dimension, so print_spec() loses nothing.
-      job->barrier = {row->family, coll::FamilyChoice{}.dim};
-      if (row->dim != coll::DimRule::kIgnored) {
-        job->barrier.dim = static_cast<std::size_t>(
-            rd.number(std::string(v) + " " + std::string(coll::dim_text(row->dim).what)));
-      }
-    } else if (key == "fuzzy-chunk-us") {
-      job->fuzzy_chunk = sim::microseconds(rd.number("fuzzy-chunk-us"));
-    } else if (key == "deadline-us") {
-      job->deadline = sim::microseconds(rd.number("deadline-us"));
-    } else if (key == "layer-us") {
-      job->layer_overhead = sim::microseconds(rd.number("layer-us"));
-    } else if (key == "slo-us") {
-      job->slo = sim::microseconds(rd.number("slo-us"));
-    } else if (key == "slo-target") {
-      job->slo_target = rd.number("slo-target");
-    } else if (key == "slo-window-us") {
-      job->slo_window = sim::microseconds(rd.number("slo-window-us"));
-    } else if (key == "lifecycle") {
-      const std::string_view v = rd.word("lifecycle");
-      if (v != "none" && v != "managed") rd.fail("lifecycle must be none or managed");
-      job->managed = v == "managed";
-    } else if (key == "promote-every") {
-      const double v = rd.number("promote-every");
-      if (v < 0) rd.fail("promote-every must be non-negative");
-      job->promote_every = static_cast<int>(v);
-    } else {
-      rd.fail("unknown job key '" + std::string(key) + "'");
+    if (key == nullptr) {
+      rd.fail(in_job ? "unknown job key '" + std::string(name) + "'"
+                     : "unknown key '" + std::string(name) + "' (before the first job)");
     }
+    key->read(rd, *r, key->name);
+    r->given |= std::uint64_t{1} << (key - kKeys);
     rd.expect_end();
   }
-  close_class();
+  if (in_job) close_class(*r);
 
   try {
     validate(spec);
-    (void)place_jobs(spec);  // surface placement misfits at parse time too
   } catch (const std::invalid_argument& e) {
     throw std::runtime_error(e.what());
   }
@@ -507,85 +575,12 @@ WorkloadSpec parse_workload_spec(const std::string& text) {
   return parse_workload_spec(is);
 }
 
-// --- Spec printer -------------------------------------------------------------
-
-namespace {
-
-/// Microsecond rendering with full picosecond precision (6 decimals); the
-/// parser's microseconds() conversion reconstructs the same Duration for any
-/// integer-µs value, which is all the format promises to round-trip.
-std::string us_str(sim::Duration d) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", d.us());
-  return buf;
-}
-
-std::string weight_str(double w) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%g", w);
-  return buf;
-}
-
-}  // namespace
-
 void print_spec(const WorkloadSpec& spec, std::ostream& os) {
-  os << "cluster-nodes " << spec.cluster_nodes << "\n";
-  // `nic` replaces the whole NIC config, so `reliability` must follow it.
-  os << "nic " << nic::nic_model_name(spec.cluster.nic) << "\n";
-  os << "reliability "
-     << nic::kReliabilityNames[static_cast<std::size_t>(spec.cluster.nic.barrier_reliability)].name
-     << "\n";
-  // Printed only when it differs from the card default, so pre-lifecycle
-  // specs print byte-identically to the old format.
-  if (spec.cluster.nic.barrier_slots != nic::NicConfig{}.barrier_slots) {
-    os << "nic-slots " << spec.cluster.nic.barrier_slots << "\n";
-  }
-  const host::TopologyName& topology = host::topology_name(spec.cluster.topology);
-  os << "topology " << topology.name;
-  if (topology.shaped) {
-    os << " " << spec.cluster.fabric_radix << " " << spec.cluster.fabric_oversub;
-  }
-  os << "\n";
-  os << "placement " << to_string(spec.placement) << "\n";
-  os << "arrival " << to_string(spec.arrival.kind) << " ";
-  if (spec.arrival.kind == ArrivalKind::kClosedLoop) {
-    os << spec.arrival.width << " " << us_str(spec.arrival.think) << "\n";
-  } else {
-    os << us_str(spec.arrival.interval) << "\n";
-  }
-  os << "seed " << spec.seed << "\n";
-  os << "hist-max-us " << weight_str(spec.hist_max_us) << "\n";
+  const JobClass none;
+  print_section(os, {spec, none}, kPreamble, "");
   for (const JobClass& c : spec.classes) {
     os << "\njob " << c.name << "\n";
-    os << "  count " << c.count << "\n";
-    os << "  nodes " << c.nodes << "\n";
-    os << "  iters " << c.iterations << "\n";
-    os << "  mix barrier=" << weight_str(c.mix.barrier) << " bcast=" << weight_str(c.mix.broadcast)
-       << " allreduce=" << weight_str(c.mix.allreduce) << " fuzzy=" << weight_str(c.mix.fuzzy)
-       << "\n";
-    os << "  compute-us " << us_str(c.compute_mean) << "\n";
-    os << "  imbalance " << weight_str(c.compute_imbalance) << "\n";
-    os << "  skew-us " << us_str(c.start_skew) << "\n";
-    const coll::FamilyRow& family = coll::family_row(c.barrier.family);
-    os << "  location " << coll::location_name(family.location) << "\n";
-    os << "  algorithm " << family.name;
-    if (family.dim != coll::DimRule::kIgnored) os << " " << c.barrier.dim;
-    os << "\n";
-    os << "  fuzzy-chunk-us " << us_str(c.fuzzy_chunk) << "\n";
-    os << "  deadline-us " << us_str(c.deadline) << "\n";
-    if (!c.layer_overhead.is_zero()) os << "  layer-us " << us_str(c.layer_overhead) << "\n";
-    if (!c.slo.is_zero()) {
-      // SLO keys ride only on classes that declare one (like layer-us), so
-      // SLO-free specs print byte-identically to the pre-SLO format.
-      os << "  slo-us " << us_str(c.slo) << "\n";
-      os << "  slo-target " << weight_str(c.slo_target) << "\n";
-      os << "  slo-window-us " << us_str(c.slo_window) << "\n";
-    }
-    if (c.managed) {
-      // Lifecycle keys ride only on managed classes, for the same reason.
-      os << "  lifecycle managed\n";
-      os << "  promote-every " << c.promote_every << "\n";
-    }
+    print_section(os, {spec, c}, kJob, "  ");
   }
 }
 
@@ -596,64 +591,12 @@ std::string print_spec(const WorkloadSpec& spec) {
 }
 
 bool spec_equal(const WorkloadSpec& a, const WorkloadSpec& b) {
-  if (a.cluster_nodes != b.cluster_nodes || a.placement != b.placement || a.seed != b.seed ||
-      a.hist_max_us != b.hist_max_us) {
-    return false;
-  }
-  if (a.arrival.kind != b.arrival.kind || a.arrival.interval != b.arrival.interval ||
-      a.arrival.width != b.arrival.width || a.arrival.think != b.arrival.think) {
-    return false;
-  }
-  if (a.cluster.nic.model != b.cluster.nic.model ||
-      a.cluster.nic.clock_mhz != b.cluster.nic.clock_mhz ||
-      a.cluster.nic.barrier_reliability != b.cluster.nic.barrier_reliability ||
-      a.cluster.nic.barrier_slots != b.cluster.nic.barrier_slots ||
-      a.cluster.topology != b.cluster.topology) {
-    return false;
-  }
-  // The fabric shape rides on the topology line for fat-tree/leaf-spine
-  // only, so it is compared (like printed) only there.
-  if (host::topology_name(a.cluster.topology).shaped &&
-      (a.cluster.fabric_radix != b.cluster.fabric_radix ||
-       a.cluster.fabric_oversub != b.cluster.fabric_oversub)) {
-    return false;
-  }
-  if (a.classes.size() != b.classes.size()) return false;
-  for (std::size_t i = 0; i < a.classes.size(); ++i) {
-    const JobClass& x = a.classes[i];
-    const JobClass& y = b.classes[i];
-    if (x.name != y.name || x.count != y.count || x.nodes != y.nodes ||
-        x.iterations != y.iterations) {
-      return false;
-    }
-    if (x.mix.barrier != y.mix.barrier || x.mix.broadcast != y.mix.broadcast ||
-        x.mix.allreduce != y.mix.allreduce || x.mix.fuzzy != y.mix.fuzzy) {
-      return false;
-    }
-    if (x.compute_mean != y.compute_mean || x.compute_imbalance != y.compute_imbalance ||
-        x.start_skew != y.start_skew || x.fuzzy_chunk != y.fuzzy_chunk ||
-        x.deadline != y.deadline || x.layer_overhead != y.layer_overhead) {
-      return false;
-    }
-    // The format carries the family's parameter only where the family has
-    // one ("algorithm gb <dim>"), so only there is it compared.
-    if (x.barrier.family != y.barrier.family) return false;
-    if (coll::family_row(x.barrier.family).dim != coll::DimRule::kIgnored &&
-        x.barrier.dim != y.barrier.dim) {
-      return false;
-    }
-    // Same for the SLO keys: printed (and thus compared) only when the
-    // class declares an SLO.
-    if (x.slo != y.slo) return false;
-    if (!x.slo.is_zero() &&
-        (x.slo_target != y.slo_target || x.slo_window != y.slo_window)) {
-      return false;
-    }
-    // And the lifecycle keys: printed only on managed classes.
-    if (x.managed != y.managed) return false;
-    if (x.managed && x.promote_every != y.promote_every) return false;
-  }
-  return true;
+  const JobClass none;
+  return section_equal({a, none}, {b, none}, kPreamble) &&
+         std::equal(a.classes.begin(), a.classes.end(), b.classes.begin(), b.classes.end(),
+                    [&](const JobClass& x, const JobClass& y) {
+                      return x.name == y.name && section_equal({a, x}, {b, y}, kJob);
+                    });
 }
 
 }  // namespace nicbar::wl

@@ -82,6 +82,7 @@ struct CollectiveMix {
   [[nodiscard]] bool barrier_only() const { return broadcast == 0.0 && allreduce == 0.0; }
   /// More than one kind has weight (a per-iteration draw is needed).
   [[nodiscard]] bool mixed() const;
+  bool operator==(const CollectiveMix&) const = default;
 };
 
 /// One class of identical jobs; `count` instances are created.
@@ -136,6 +137,7 @@ struct Arrival {
   sim::Duration interval{0};  // fixed gap, or Poisson mean gap
   std::size_t width = 1;      // closed-loop: concurrent job slots
   sim::Duration think{0};     // closed-loop: completion -> next arrival
+  bool operator==(const Arrival&) const = default;
 };
 
 struct WorkloadSpec {
@@ -158,54 +160,60 @@ struct WorkloadSpec {
 
 /// Throws std::invalid_argument naming the offending field on a malformed
 /// spec (no classes, zero-node job, fuzzy weight on a host-based class,
-/// layer overhead on a barrier-only class, imbalance outside [0,1), ...).
+/// layer overhead on a barrier-only class, imbalance outside [0,1), a
+/// disjoint or strided layout that does not fit the cluster, ...).
 void validate(const WorkloadSpec& spec);
 
 /// Expands the placement policy into one node-set per job instance, in job
-/// order (class order, then instance order). Throws std::invalid_argument
-/// when a disjoint or strided layout does not fit the cluster.
+/// order (class order, then instance order) of a spec validate() accepts;
+/// throws its std::invalid_argument otherwise.
 [[nodiscard]] std::vector<std::vector<net::NodeId>> place_jobs(const WorkloadSpec& spec);
 
 /// Parses the line-oriented workload-spec format used by `nicbar_run
-/// workload`. Durations are microseconds, weights are non-negative reals.
-/// Blank lines and `#` comments are ignored.
+/// workload`. Blank lines and `#` comments are ignored. A value is read as
+/// written or refused by its key's name (DESIGN §18): counts are whole, a
+/// duration (`-us`) is microseconds in [0, 3600000000] (an hour) read to
+/// the picosecond. `reliability` and `nic-slots` override the `nic` card in
+/// either order.
 ///
-///   cluster-nodes 32
+///   cluster-nodes 32             # [1, 65536]
 ///   nic lanai43                  # lanai43 | lanai72
 ///   topology switch              # switch | fat-tree <radix> <oversub>
-///                                # | leaf-spine <radix> <oversub>
+///                                # | leaf-spine <radix> <oversub>,
+///                                #   radix >= 3, oversub >= 1
 ///   placement overlapping        # disjoint | strided | overlapping
 ///   reliability shared           # unreliable | shared | separate
 ///                                # (retransmission mode; required with fault
 ///                                # injection when any class uses fuzzy=)
-///   nic-slots 8                  # barrier-state slots per NIC (admission
-///                                # capacity for managed groups; follows `nic`)
+///   nic-slots 8                  # [0, 2147483647] barrier-state slots per
+///                                # NIC (admission capacity for managed groups)
 ///   arrival poisson 500          # fixed <gap_us> | poisson <mean_gap_us>
-///                                # | closed-loop <width> <think_us>
-///   seed 7
-///   hist-max-us 20000
+///                                # | closed-loop <width >= 1> <think_us>
+///   seed 7                       # [0, 18446744073709551615]
+///   hist-max-us 20000            # > 0
 ///
 ///   job stencil                  # starts a job class; keys below apply to it
-///     count 4
-///     nodes 8
-///     iters 200
-///     mix barrier=0.7 allreduce=0.2 bcast=0.1 fuzzy=0
+///     count 4                    # [1, 2147483647]
+///     nodes 8                    # [1, 65536]
+///     iters 200                  # [1, 2147483647]
+///     mix barrier=0.7 allreduce=0.2 bcast=0.1 fuzzy=0   # weights >= 0
 ///     compute-us 50
-///     imbalance 0.3
+///     imbalance 0.3              # [0, 1)
 ///     skew-us 10
 ///     location nic               # nic | host
 ///     algorithm pe               # pe | gb <dim> | hier <dim> | host-dissem
-///                                # | host-tree <radix> (host-* = rma::)
+///                                # | host-tree <radix>, dim and radix in
+///                                # [0, 65535] (host-* = rma::)
 ///     fuzzy-chunk-us 5
-///     deadline-us 0
+///     deadline-us 0              # 0 = none
 ///     layer-us 0
-///     slo-us 150                   # per-collective latency SLO (0 = none)
-///     slo-target 0.99              # compliance target in (0, 1)
-///     slo-window-us 5000           # burn-rate window (0 = whole run)
-///     lifecycle managed            # none | managed (dynamic group
-///                                  # create/destroy with slot admission)
-///     promote-every 4              # managed: degraded barriers between
-///                                  # re-promotion attempts (0 = never)
+///     slo-us 150                 # per-collective latency SLO (0 = none)
+///     slo-target 0.99            # (0, 1): compliance target
+///     slo-window-us 5000         # burn-rate window (0 = whole run)
+///     lifecycle managed          # none | managed (dynamic group
+///                                # create/destroy with slot admission)
+///     promote-every 4            # [0, 2147483647] managed: degraded barriers
+///                                # between re-promotion attempts (0 = never)
 ///
 /// Throws std::runtime_error naming the offending line on malformed input;
 /// the result has already passed validate().
@@ -215,14 +223,16 @@ void validate(const WorkloadSpec& spec);
 /// Prints `spec` back in the line format parse_workload_spec accepts, so
 /// that parse(print(parse(text))) == parse(text) structurally (the
 /// round-trip property exercised by sim::check and tests/wl). Every field
-/// the format carries is emitted explicitly, defaults included. Durations
-/// are printed as microseconds with picosecond precision; integer-µs values
-/// (the whole example corpus) round-trip exactly.
+/// the format carries is emitted explicitly, defaults included, except the
+/// keys that ride only on the classes or NICs that use them. Durations print
+/// to the picosecond and reals in the shortest form that reads back to the
+/// same double, so every value round-trips exactly.
 void print_spec(const WorkloadSpec& spec, std::ostream& os);
 [[nodiscard]] std::string print_spec(const WorkloadSpec& spec);
 
-/// Structural equality over every field the spec line format carries (the
-/// fields print_spec emits); ignores fields the format cannot express.
+/// Equality over every field the spec line format carries, compared key by
+/// key and field by field (a key neither spec prints is skipped), so a lossy
+/// print_spec() shows up as a parse -> print -> parse round trip that differs.
 [[nodiscard]] bool spec_equal(const WorkloadSpec& a, const WorkloadSpec& b);
 
 }  // namespace nicbar::wl

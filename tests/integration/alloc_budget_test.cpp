@@ -22,8 +22,13 @@
 // The budgets are a fifth of what each of the four 2001 variants at N = 16
 // allocated per barrier before packets travelled in recycled handles and
 // firmware jobs became move-only (NIC-PE 864, NIC-GB 459, host-PE 1762,
-// host-GB 829). Packet::describe() allocates its string, so a trace
-// argument evaluated with tracing off shows up here too.
+// host-GB 829).
+//
+// Parsing a workload spec allocates for its text, its lines and its
+// classes, not per key or per check: the tenants64 spec of nicbar_bench,
+// whose parse and driver construction are that workload's set-up, parses in
+// at most 8 allocations (25 before placement moved out of the parser and
+// validate() built its class prefix only on failure).
 //
 // State a run does not use is not allocated: opening a port allocates only
 // the gm::Port and the NIC's PortState (their queues allocate on first
@@ -53,6 +58,7 @@
 #include "nic/connection.hpp"
 #include "nic/nic.hpp"
 #include "sim/sync.hpp"
+#include "wl/spec.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define NICBAR_SANITIZER_HEAP 1
@@ -226,6 +232,35 @@ TEST(FamilyLookupBudgetTest, SuccessfulLookupsAllocateNothing) {
   }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
   EXPECT_EQ(resolved, 3 * coll::kFamilies.size());
+}
+
+TEST(WorkloadSpecBudgetTest, Tenants64SpecParsesInAtMostEightAllocations) {
+  // nicbar_bench's tenants_spec_text(7, 20).
+  const std::string text =
+      "cluster-nodes 64\n"
+      "nic lanai43\n"
+      "topology switch\n"
+      "placement overlapping\n"
+      "reliability shared\n"
+      "nic-slots 1\n"
+      "arrival poisson 200\n"
+      "seed 7\n"
+      "hist-max-us 20000\n"
+      "job managed-pe\n  count 8\n  nodes 8\n  iters 20\n"
+      "  mix barrier=1\n  compute-us 20\n  imbalance 0.3\n  lifecycle managed\n"
+      "job solver\n  count 4\n  nodes 8\n  iters 20\n"
+      "  mix barrier=0.4 allreduce=0.4 bcast=0.2\n  compute-us 20\n  imbalance 0.3\n"
+      "  layer-us 4\n"
+      "job rdma\n  count 4\n  nodes 8\n  iters 20\n"
+      "  mix barrier=1\n  compute-us 20\n  imbalance 0.3\n  algorithm host-dissem\n";
+  (void)wl::parse_workload_spec(text);  // first use of the stream machinery
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const wl::WorkloadSpec spec = wl::parse_workload_spec(text);
+  const std::uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  std::printf("tenants64 spec parse: %llu allocations\n",
+              static_cast<unsigned long long>(allocations));
+  EXPECT_LE(allocations, 8u);
+  EXPECT_EQ(spec.total_jobs(), 16u);
 }
 
 TEST(OpenPortBudgetTest, OpeningAPortOnAFreshNodeAllocatesAtMost512Bytes) {

@@ -133,15 +133,5 @@ TEST(PacketTest, TypePredicates) {
   EXPECT_FALSE(is_control(PacketType::kData));
 }
 
-TEST(PacketTest, DescribeMentionsTypeAndEndpoints) {
-  Packet p = small_packet();
-  p.src_port = 2;
-  p.dst_port = 3;
-  const std::string d = p.describe();
-  EXPECT_NE(d.find("DATA"), std::string::npos);
-  EXPECT_NE(d.find("0.2"), std::string::npos);
-  EXPECT_NE(d.find("1.3"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace nicbar::net

@@ -201,14 +201,14 @@ TEST(TraceEventSinkTest, WriteJsonIsValidChromeTraceFormat) {
 
 TEST(TraceEventSinkTest, MaskFiltersAtEmissionTime) {
   TraceEventSink t;
-  t.set_mask(static_cast<std::uint32_t>(sim::TraceCategory::kBarrier));
+  t.set_mask(static_cast<std::uint32_t>(sim::TraceCategory::kSdma));
   const int a = t.track("mcp0");
   t.duration(a, "keep", sim::SimTime{1000}, sim::Duration{500}, "sim",
-             sim::TraceCategory::kBarrier);
+             sim::TraceCategory::kSdma);
   t.duration(a, "drop", sim::SimTime{2000}, sim::Duration{500}, "sim",
              sim::TraceCategory::kNet);
-  t.instant(a, "drop", sim::SimTime{3000}, "sim", sim::TraceCategory::kHost);
-  t.flow_start(a, "drop", sim::SimTime{4000}, 9, "sim", sim::TraceCategory::kReliab);
+  t.instant(a, "drop", sim::SimTime{3000}, "sim", sim::TraceCategory::kSend);
+  t.flow_start(a, "drop", sim::SimTime{4000}, 9, "sim", sim::TraceCategory::kRecv);
   EXPECT_EQ(t.event_count(), 1u);
   t.set_mask(static_cast<std::uint32_t>(sim::TraceCategory::kAll));
   t.flow_end(a, "keep", sim::SimTime{5000}, 9);
@@ -457,10 +457,14 @@ TEST(TelemetryIntegrationTest, TraceMaskFiltersEndToEnd) {
   EXPECT_GT(masked.trace()->event_count(), 0u);
   EXPECT_LT(masked.trace()->event_count(), full.trace()->event_count());
 
-  // The NIC engines emit sdma/send/recv/rdma sink events; nothing carries the
-  // barrier category, so masking on it empties the stream entirely.
+  // A mask of only the bits no category uses keeps the stream empty; an
+  // event emitted without a real category (the kAll default) would pass it.
+  std::uint32_t named = 0;
+  for (const sim::TraceCategoryName& c : sim::kTraceCategoryNames) {
+    if (c.category != sim::TraceCategory::kAll) named |= static_cast<std::uint32_t>(c.category);
+  }
   Telemetry none;
-  none.enable_trace().set_mask(static_cast<std::uint32_t>(sim::TraceCategory::kBarrier));
+  none.enable_trace().set_mask(~named);
   coll::ExperimentParams p3 = p;
   p3.cluster.telemetry = &none;
   (void)coll::run_barrier_experiment(p3);

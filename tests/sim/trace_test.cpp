@@ -1,66 +1,28 @@
-// Tracer: category filtering, formatting, integration with the NIC.
-#include "sim/trace.hpp"
+// Trace categories: the --trace-mask names parse to the Perfetto sink's
+// category bits, and only to those.
+#include "sim/telemetry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
-
-#include "coll/barrier.hpp"
-#include "host/cluster.hpp"
 
 namespace nicbar {
 namespace {
 
 using sim::TraceCategory;
-using sim::Tracer;
-
-TEST(TracerTest, DisabledByDefault) {
-  Tracer t;
-  EXPECT_FALSE(t.on(TraceCategory::kHost));
-  EXPECT_FALSE(t.on(TraceCategory::kBarrier));
-  t.log(TraceCategory::kBarrier, sim::SimTime{0}, "never seen");  // must not crash
-}
-
-TEST(TracerTest, MaskFiltersCategories) {
-  std::ostringstream os;
-  Tracer t;
-  t.enable(&os, static_cast<std::uint32_t>(TraceCategory::kBarrier));
-  EXPECT_TRUE(t.on(TraceCategory::kBarrier));
-  EXPECT_FALSE(t.on(TraceCategory::kNet));
-  t.log(TraceCategory::kBarrier, sim::SimTime{1'000'000}, "bar %d", 7);
-  t.log(TraceCategory::kNet, sim::SimTime{2'000'000}, "net %d", 8);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("bar 7"), std::string::npos);
-  EXPECT_EQ(out.find("net 8"), std::string::npos);
-}
-
-TEST(TracerTest, NullStreamKeepsTheMaskForALaterEnable) {
-  // Regression: enable(nullptr, mask) used to lose the mask, so a later
-  // enable(&os, mask) caller had to re-supply it from scratch. The mask is
-  // now stored as given; only on() gates on the stream.
-  std::ostringstream os;
-  Tracer t;
-  t.enable(nullptr, static_cast<std::uint32_t>(TraceCategory::kReliab));
-  EXPECT_FALSE(t.on(TraceCategory::kReliab));  // no stream -> off
-  t.enable(&os, static_cast<std::uint32_t>(TraceCategory::kReliab));
-  EXPECT_TRUE(t.on(TraceCategory::kReliab));
-  EXPECT_FALSE(t.on(TraceCategory::kHost));
-}
 
 TEST(TraceMaskTest, ParsesSingleNamesAndLists) {
-  EXPECT_EQ(sim::parse_trace_mask("host"),
-            std::optional<std::uint32_t>(static_cast<std::uint32_t>(TraceCategory::kHost)));
-  EXPECT_EQ(sim::parse_trace_mask("barrier,reliab"),
-            std::optional<std::uint32_t>(static_cast<std::uint32_t>(TraceCategory::kBarrier) |
-                                         static_cast<std::uint32_t>(TraceCategory::kReliab)));
+  EXPECT_EQ(sim::parse_trace_mask("sdma"),
+            std::optional<std::uint32_t>(static_cast<std::uint32_t>(TraceCategory::kSdma)));
+  EXPECT_EQ(sim::parse_trace_mask("send,recv"),
+            std::optional<std::uint32_t>(static_cast<std::uint32_t>(TraceCategory::kSend) |
+                                         static_cast<std::uint32_t>(TraceCategory::kRecv)));
   EXPECT_EQ(sim::parse_trace_mask("all"),
             std::optional<std::uint32_t>(static_cast<std::uint32_t>(TraceCategory::kAll)));
   // Every documented name parses to exactly one bit (or kAll).
-  for (const char* name : {"host", "sdma", "send", "recv", "rdma", "net", "barrier", "reliab"}) {
+  for (const char* name : {"sdma", "send", "recv", "rdma", "net"}) {
     const auto m = sim::parse_trace_mask(name);
     ASSERT_TRUE(m.has_value()) << name;
     EXPECT_EQ(__builtin_popcount(*m), 1) << name;
@@ -70,132 +32,17 @@ TEST(TraceMaskTest, ParsesSingleNamesAndLists) {
 TEST(TraceMaskTest, RejectsUnknownAndEmptyElements) {
   EXPECT_FALSE(sim::parse_trace_mask("").has_value());
   EXPECT_FALSE(sim::parse_trace_mask("bogus").has_value());
-  EXPECT_FALSE(sim::parse_trace_mask("host,").has_value());
-  EXPECT_FALSE(sim::parse_trace_mask(",host").has_value());
-  EXPECT_FALSE(sim::parse_trace_mask("host,,net").has_value());
-  EXPECT_FALSE(sim::parse_trace_mask("Host").has_value());  // case-sensitive
+  EXPECT_FALSE(sim::parse_trace_mask("net,").has_value());
+  EXPECT_FALSE(sim::parse_trace_mask(",net").has_value());
+  EXPECT_FALSE(sim::parse_trace_mask("sdma,,net").has_value());
+  EXPECT_FALSE(sim::parse_trace_mask("Net").has_value());  // case-sensitive
+  // Categories nothing emits are not names: a mask of them would select
+  // no event at all.
+  for (const char* gone : {"host", "barrier", "reliab", "barrier,reliab"}) {
+    EXPECT_FALSE(sim::parse_trace_mask(gone).has_value()) << gone;
+  }
   // The error-message helper names every accepted category.
-  const std::string names = sim::trace_mask_names();
-  for (const char* name : {"host", "sdma", "send", "recv", "rdma", "net", "barrier", "reliab",
-                           "all"}) {
-    EXPECT_NE(names.find(name), std::string::npos) << name;
-  }
-}
-
-TEST(TracerTest, LinesCarrySimulatedTime) {
-  std::ostringstream os;
-  Tracer t;
-  t.enable(&os);
-  t.log(TraceCategory::kHost, sim::SimTime{0} + sim::microseconds(12.5), "x");
-  EXPECT_NE(os.str().find("12.5"), std::string::npos);
-}
-
-TEST(TracerTest, CombinedMasksEnableEachMemberCategory) {
-  std::ostringstream os;
-  Tracer t;
-  t.enable(&os, static_cast<std::uint32_t>(TraceCategory::kBarrier) |
-                    static_cast<std::uint32_t>(TraceCategory::kReliab) |
-                    static_cast<std::uint32_t>(TraceCategory::kSdma));
-  EXPECT_TRUE(t.on(TraceCategory::kBarrier));
-  EXPECT_TRUE(t.on(TraceCategory::kReliab));
-  EXPECT_TRUE(t.on(TraceCategory::kSdma));
-  EXPECT_FALSE(t.on(TraceCategory::kHost));
-  EXPECT_FALSE(t.on(TraceCategory::kSend));
-  EXPECT_FALSE(t.on(TraceCategory::kRecv));
-  EXPECT_FALSE(t.on(TraceCategory::kRdma));
-  EXPECT_FALSE(t.on(TraceCategory::kNet));
-  t.log(TraceCategory::kReliab, sim::SimTime{0}, "kept");
-  t.log(TraceCategory::kNet, sim::SimTime{0}, "filtered");
-  EXPECT_NE(os.str().find("kept"), std::string::npos);
-  EXPECT_EQ(os.str().find("filtered"), std::string::npos);
-}
-
-TEST(TracerTest, AllMaskEnablesEveryCategory) {
-  std::ostringstream os;
-  Tracer t;
-  t.enable(&os);  // defaults to kAll
-  for (TraceCategory c : {TraceCategory::kHost, TraceCategory::kSdma, TraceCategory::kSend,
-                          TraceCategory::kRecv, TraceCategory::kRdma, TraceCategory::kNet,
-                          TraceCategory::kBarrier, TraceCategory::kReliab}) {
-    EXPECT_TRUE(t.on(c));
-  }
-}
-
-TEST(TracerTest, NullStreamForcesMaskToZero) {
-  // The disabled fast path: enable(nullptr, mask) must leave every category
-  // off regardless of the mask, so call sites stay one untaken branch.
-  Tracer t;
-  t.enable(nullptr, static_cast<std::uint32_t>(TraceCategory::kAll));
-  EXPECT_FALSE(t.on(TraceCategory::kBarrier));
-  EXPECT_FALSE(t.on(TraceCategory::kHost));
-  t.log(TraceCategory::kBarrier, sim::SimTime{0}, "never");  // must not crash
-}
-
-TEST(TracerTest, DisableStopsOutput) {
-  std::ostringstream os;
-  Tracer t;
-  t.enable(&os);
-  t.enable(nullptr);
-  t.log(TraceCategory::kHost, sim::SimTime{0}, "gone");
-  EXPECT_TRUE(os.str().empty());
-}
-
-TEST(TracerTest, NicBarrierRunEmitsTrace) {
-  host::ClusterParams cp;
-  cp.nodes = 2;
-  host::Cluster cluster(cp);
-  std::ostringstream os;
-  Tracer tracer;
-  tracer.enable(&os, static_cast<std::uint32_t>(TraceCategory::kBarrier));
-  cluster.nic(0).set_tracer(&tracer);
-  cluster.nic(1).set_tracer(&tracer);
-
-  std::vector<gm::Endpoint> group{{0, 2}, {1, 2}};
-  auto p0 = cluster.open_port(0, 2);
-  auto p1 = cluster.open_port(1, 2);
-  coll::BarrierSpec spec;
-  spec.location = coll::Location::kNic;
-  coll::BarrierMember m0(*p0, group, spec);
-  coll::BarrierMember m1(*p1, group, spec);
-  cluster.sim().spawn([](coll::BarrierMember& m) -> sim::Task { co_await m.run(); }(m0));
-  cluster.sim().spawn([](coll::BarrierMember& m) -> sim::Task { co_await m.run(); }(m1));
-  cluster.sim().run();
-
-  const std::string out = os.str();
-  EXPECT_NE(out.find("start PE barrier"), std::string::npos);
-  EXPECT_NE(out.find("complete"), std::string::npos);
-  EXPECT_NE(out.find("nic0"), std::string::npos);
-  EXPECT_NE(out.find("nic1"), std::string::npos);
-}
-
-TEST(TracerTest, ReliabilityTraceShowsRetransmissions) {
-  host::ClusterParams cp;
-  cp.nodes = 2;
-  cp.nic.retransmit_timeout = sim::microseconds(200.0);
-  host::Cluster cluster(cp);
-  std::ostringstream os;
-  Tracer tracer;
-  tracer.enable(&os, static_cast<std::uint32_t>(TraceCategory::kReliab));
-  cluster.nic(0).set_tracer(&tracer);
-  bool dropped = false;
-  cluster.network().uplink(0).set_drop_predicate([&dropped](const net::Packet& p) {
-    if (!dropped && p.type == net::PacketType::kData) {
-      dropped = true;
-      return true;
-    }
-    return false;
-  });
-  auto p0 = cluster.open_port(0, 2);
-  auto p1 = cluster.open_port(1, 2);
-  cluster.sim().spawn([](gm::Port& port) -> sim::Task {
-    co_await port.provide_receive_buffer(64);
-    (void)co_await port.receive();
-  }(*p1));
-  cluster.sim().spawn([](gm::Port& port) -> sim::Task {
-    co_await port.send(gm::Endpoint{1, 2}, 64);
-  }(*p0));
-  cluster.sim().run(sim::SimTime{0} + sim::milliseconds(10.0));
-  EXPECT_NE(os.str().find("retransmit"), std::string::npos);
+  EXPECT_EQ(sim::trace_mask_names(), "sdma,send,recv,rdma,net,all");
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "wl/spec.hpp"
 
 namespace nicbar::cli {
 namespace {
@@ -35,11 +39,11 @@ TEST(CliTest, DefaultsMatchTheTool) {
 
 TEST(CliTest, JobsAcceptsSpaceAndZero) {
   std::string err;
-  auto o = parse_args({"--jobs", "4"}, err);
+  auto o = parse_args({"--seeds", "2", "--jobs", "4"}, err);
   ASSERT_TRUE(o.has_value()) << err;
   EXPECT_EQ(o->jobs, 4u);
 
-  o = parse_args({"--jobs", "0"}, err);  // 0 = one worker per hardware thread
+  o = parse_args({"--algorithm", "gb", "--dim", "0", "--jobs", "0"}, err);  // 0 = all cores
   ASSERT_TRUE(o.has_value()) << err;
   EXPECT_EQ(o->jobs, 0u);
 }
@@ -198,9 +202,9 @@ TEST(CliTest, WorkloadSubcommandTakesASpecPath) {
   std::string err;
   const auto o = parse_args({"workload", "spec.wl"}, err);
   ASSERT_TRUE(o.has_value()) << err;
-  EXPECT_TRUE(o->workload);
+  EXPECT_EQ(o->mode, Mode::kWorkload);
   EXPECT_EQ(o->workload_spec_path, "spec.wl");
-  EXPECT_FALSE(o->seed_given);
+  EXPECT_FALSE(o->given("--seed"));
 }
 
 TEST(CliTest, WorkloadComposesWithSweepAndFaultFlags) {
@@ -209,10 +213,10 @@ TEST(CliTest, WorkloadComposesWithSweepAndFaultFlags) {
                              "9", "--loss", "0.01", "--report-json", "r.json"},
                             err);
   ASSERT_TRUE(o.has_value()) << err;
-  EXPECT_TRUE(o->workload);
+  EXPECT_EQ(o->mode, Mode::kWorkload);
   EXPECT_EQ(o->seeds, 5u);
   EXPECT_EQ(o->jobs, 4u);
-  EXPECT_TRUE(o->seed_given);
+  EXPECT_TRUE(o->given("--seed"));
   EXPECT_EQ(o->params.seed, 9u);
   EXPECT_EQ(o->report_path, "r.json");
 }
@@ -250,10 +254,9 @@ TEST(CliTest, CheckSubcommandParses) {
   std::string err;
   const auto o = parse_args({"check"}, err);
   ASSERT_TRUE(o.has_value()) << err;
-  EXPECT_TRUE(o->check);
-  EXPECT_FALSE(o->workload);
+  EXPECT_EQ(o->mode, Mode::kCheck);
   EXPECT_EQ(o->check_cases, 50u);
-  EXPECT_FALSE(o->have_case_seed);
+  EXPECT_FALSE(o->given("--case-seed"));
 }
 
 TEST(CliTest, CheckComposesWithCasesAndCaseSeed) {
@@ -265,7 +268,7 @@ TEST(CliTest, CheckComposesWithCasesAndCaseSeed) {
 
   o = parse_args({"check", "--case-seed", "12345"}, err);
   ASSERT_TRUE(o.has_value()) << err;
-  EXPECT_TRUE(o->have_case_seed);
+  EXPECT_EQ(o->mode, Mode::kReplay);
   EXPECT_EQ(o->case_seed, 12345u);
 }
 
@@ -289,11 +292,11 @@ TEST(CliTest, CheckRejectsGarbageAndSingleRunArtifacts) {
 
 TEST(CliTest, TraceMaskParsesCategoryLists) {
   std::string err;
-  auto o = parse_args({"--trace-json", "t.json", "--trace-mask", "barrier,reliab"}, err);
+  auto o = parse_args({"--trace-json", "t.json", "--trace-mask", "send,recv"}, err);
   ASSERT_TRUE(o.has_value()) << err;
-  EXPECT_TRUE(o->have_trace_mask);
-  EXPECT_EQ(o->trace_mask, static_cast<std::uint32_t>(sim::TraceCategory::kBarrier) |
-                               static_cast<std::uint32_t>(sim::TraceCategory::kReliab));
+  EXPECT_TRUE(o->given("--trace-mask"));
+  EXPECT_EQ(o->trace_mask, static_cast<std::uint32_t>(sim::TraceCategory::kSend) |
+                               static_cast<std::uint32_t>(sim::TraceCategory::kRecv));
 
   o = parse_args({"--trace-json=t.json", "--trace-mask=net"}, err);  // = form too
   ASSERT_TRUE(o.has_value()) << err;
@@ -302,7 +305,7 @@ TEST(CliTest, TraceMaskParsesCategoryLists) {
   // Default: everything passes, not flagged as user-given.
   o = parse_args({"--trace-json", "t.json"}, err);
   ASSERT_TRUE(o.has_value()) << err;
-  EXPECT_FALSE(o->have_trace_mask);
+  EXPECT_FALSE(o->given("--trace-mask"));
   EXPECT_EQ(o->trace_mask, static_cast<std::uint32_t>(sim::TraceCategory::kAll));
 }
 
@@ -310,14 +313,14 @@ TEST(CliTest, TraceMaskRejectsUnknownNamesWithTheAcceptedList) {
   std::string err;
   EXPECT_FALSE(parse_args({"--trace-json", "t.json", "--trace-mask", "bogus"}, err).has_value());
   EXPECT_NE(err.find("--trace-mask"), std::string::npos);
-  EXPECT_NE(err.find("barrier"), std::string::npos);  // names the accepted set
+  EXPECT_NE(err.find("sdma,send,recv,rdma,net,all"), std::string::npos) << err;  // the accepted set
   EXPECT_FALSE(parse_args({"--trace-json", "t.json", "--trace-mask", ""}, err).has_value());
   EXPECT_FALSE(parse_args({"--trace-mask"}, err).has_value());
 }
 
 TEST(CliTest, TraceMaskRequiresTraceJson) {
   std::string err;
-  EXPECT_FALSE(parse_args({"--trace-mask", "barrier"}, err).has_value());
+  EXPECT_FALSE(parse_args({"--trace-mask", "net"}, err).has_value());
   EXPECT_NE(err.find("--trace-json"), std::string::npos);
 }
 
@@ -356,8 +359,7 @@ TEST(CliTest, CheckAndWorkloadAreMutuallyExclusive) {
   // happens to spell "check"; no accidental double subcommand.
   const auto o = parse_args({"workload", "check"}, err);
   ASSERT_TRUE(o.has_value()) << err;
-  EXPECT_TRUE(o->workload);
-  EXPECT_FALSE(o->check);
+  EXPECT_EQ(o->mode, Mode::kWorkload);
   EXPECT_EQ(o->workload_spec_path, "check");
   EXPECT_FALSE(parse_args({"check", "workload"}, err).has_value());
   EXPECT_FALSE(parse_args({"check", "extra"}, err).has_value());
@@ -375,7 +377,7 @@ TEST(CliTest, BurstLossParsesTriple) {
   std::string err;
   const auto o = parse_args({"--burst-loss", "0.01,0.5,0.9"}, err);
   ASSERT_TRUE(o.has_value()) << err;
-  EXPECT_TRUE(o->have_burst);
+  EXPECT_TRUE(o->given("--burst-loss"));
   EXPECT_DOUBLE_EQ(o->burst_enter, 0.01);
   EXPECT_DOUBLE_EQ(o->burst_exit, 0.5);
   EXPECT_DOUBLE_EQ(o->burst_rate, 0.9);
@@ -386,14 +388,15 @@ TEST(CliTest, PdesWorkersParses) {
   std::string err;
   const auto o = parse_args({"--pdes-workers", "4"}, err);
   ASSERT_TRUE(o.has_value()) << err;
-  EXPECT_TRUE(o->pdes_given);
+  EXPECT_TRUE(o->given("--pdes-workers"));
+  EXPECT_EQ(o->mode, Mode::kPdes);
   EXPECT_EQ(o->params.cluster.pdes_partitions, 4u);
   EXPECT_EQ(o->params.cluster.pdes_workers, 4u);
 
   // Default: serial engine, flag not given.
   const auto d = parse_args({}, err);
   ASSERT_TRUE(d.has_value()) << err;
-  EXPECT_FALSE(d->pdes_given);
+  EXPECT_FALSE(d->given("--pdes-workers"));
   EXPECT_EQ(d->params.cluster.pdes_partitions, 1u);
 }
 
@@ -494,6 +497,330 @@ TEST(CliTest, RealValuedFlagsRejectGarbageAndOutOfRangeNamingTheFlag) {
   EXPECT_EQ(o->loss, 1.0);
   EXPECT_EQ(o->params.cluster.gm.layer_overhead, sim::microseconds(2.5));
   EXPECT_EQ(o->params.spec.deadline, sim::microseconds(300.0));
+}
+
+/// Everything a mode can read from the options, as text, so two parses can
+/// be compared; the given-flag bits are left out on purpose.
+std::string describe(const Options& o) {
+  const coll::ExperimentParams& p = o.params;
+  const nic::NicConfig& nic = p.cluster.nic;
+  std::ostringstream os;
+  os << static_cast<int>(o.mode) << '|' << p.nodes << '|' << p.reps << '|' << p.seed << '|'
+     << static_cast<int>(p.spec.location) << static_cast<int>(p.spec.algorithm)
+     << static_cast<int>(p.spec.rdma) << p.spec.hierarchical << '|' << p.spec.gb_dimension << '|'
+     << p.spec.deadline.ps() << '|' << p.max_start_skew.ps() << '|'
+     << static_cast<int>(p.cluster.topology) << '|' << p.cluster.fabric_radix << '|'
+     << p.cluster.fabric_oversub << '|' << nic.model << '|' << nic.clock_mhz << '|'
+     << static_cast<int>(nic.barrier_reliability) << nic.adaptive_rto << '|'
+     << p.cluster.gm.layer_overhead.ps() << '|' << p.cluster.pdes_partitions << '|'
+     << p.cluster.pdes_workers << '|' << o.sweep_dim << o.predict << o.breakdown
+     << o.critical_path << '|' << o.metrics_path << '|' << o.trace_path << '|' << o.trace_mask
+     << '|' << o.slo_report_path << '|' << o.fault_plan_path << '|' << o.loss << '|'
+     << o.burst_enter << ',' << o.burst_exit << ',' << o.burst_rate << '|' << o.jobs << '|'
+     << o.seeds << '|' << o.workload_spec_path << '|' << o.report_path << '|' << o.check_cases
+     << '|' << o.case_seed;
+  return os.str();
+}
+
+/// A valid value for every flag that differs from its default, and the flags
+/// it needs to change the run.
+struct Sample {
+  std::string_view flag;
+  std::vector<std::string> value;
+  std::vector<std::string> needs = {};
+};
+
+const Sample* sample_of(std::string_view flag) {
+  static const std::vector<Sample> samples = {
+      {"--nodes", {"5"}},
+      {"--reps", {"7"}},
+      {"--location", {"host"}},
+      {"--algorithm", {"gb"}},
+      {"--dim", {"3"}, {"--algorithm", "gb"}},
+      {"--nic", {"lanai72"}},
+      {"--clock", {"50"}},
+      {"--reliability", {"shared"}},
+      {"--rto", {"fixed"}},
+      {"--topology", {"fat-tree"}},
+      {"--radix", {"8"}, {"--topology", "fat-tree"}},
+      {"--oversub", {"3"}, {"--topology", "fat-tree"}},
+      {"--loss", {"0.5"}},
+      {"--burst-loss", {"0.1,0.2,0.3"}},
+      {"--fault-plan", {"f.plan"}},
+      {"--deadline-us", {"5"}},
+      {"--skew-us", {"5"}},
+      {"--layer-us", {"5"}},
+      {"--seed", {"9"}},
+      {"--seeds", {"3"}},
+      {"--jobs", {"4"}, {"--seeds", "2"}},
+      {"--pdes-workers", {"3"}},
+      {"--cases", {"7"}},
+      {"--case-seed", {"6"}},
+      {"--predict", {}},
+      {"--breakdown", {}},
+      {"--critical-path", {}},
+      {"--metrics-json", {"m.json"}},
+      {"--trace-json", {"t.json"}},
+      {"--trace-mask", {"net"}, {"--trace-json", "t.json"}},
+      {"--report-json", {"r.json"}},
+      {"--slo-report", {"s.json"}},
+  };
+  for (const Sample& s : samples) {
+    if (s.flag == flag) return &s;
+  }
+  return nullptr;
+}
+
+TEST(CliTest, EveryFlagInEveryModeChangesTheRunOrIsRefusedByName) {
+  const std::pair<Mode, std::vector<std::string>> bases[] = {
+      {Mode::kSingle, {}},
+      {Mode::kPdes, {"--pdes-workers", "2"}},
+      {Mode::kSeeds, {"--seeds", "2"}},
+      {Mode::kWorkload, {"workload", "spec.wl"}},
+      {Mode::kCheck, {"check"}},
+      {Mode::kReplay, {"check", "--case-seed", "5"}}};
+  std::size_t used = 0;
+  std::size_t refused = 0;
+  for (const auto& [mode, base] : bases) {
+    std::string err;
+    const auto plain = parse_args(base, err);
+    ASSERT_TRUE(plain.has_value()) << err;
+    ASSERT_EQ(plain->mode, mode);
+    for (const Flag& f : kFlags) {
+      const Sample* sample = sample_of(f.name);
+      ASSERT_NE(sample, nullptr) << f.name << " has no sample value";
+      // The needed flags join the baseline where they apply to the mode.
+      std::vector<std::string> args = base;
+      args.insert(args.end(), sample->needs.begin(), sample->needs.end());
+      std::optional<Options> before = parse_args(args, err);
+      if (!before) {
+        args = base;
+        before = plain;
+      }
+      args.emplace_back(f.name);
+      args.insert(args.end(), sample->value.begin(), sample->value.end());
+      const auto after = parse_args(args, err);
+      const std::string where = std::string(f.name) + " in " +
+                                std::string(kModeNames[static_cast<std::size_t>(mode)].name);
+      if (after.has_value()) {
+        ++used;
+        EXPECT_NE(f.modes & bit(after->mode), 0) << where;
+        EXPECT_NE(describe(*after), describe(*before)) << where << " was parsed and ignored";
+      } else {
+        ++refused;
+        EXPECT_EQ(err.rfind(std::string(f.name) + " ", 0), 0u) << where << ": " << err;
+      }
+    }
+  }
+  EXPECT_EQ(used + refused, 6 * std::size(kFlags));
+  EXPECT_GT(used, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
+TEST(CliTest, SeedSweepRefusesPredictRatherThanDroppingIt) {
+  std::string err;
+  EXPECT_FALSE(parse_args({"--seeds", "2", "--reps", "5", "--predict"}, err).has_value());
+  EXPECT_EQ(err.rfind("--predict does not apply to --seeds > 1", 0), 0u) << err;
+  // One seed is a single run, which --predict describes.
+  const auto o = parse_args({"--seeds", "1", "--reps", "5", "--predict"}, err);
+  ASSERT_TRUE(o.has_value()) << err;
+  EXPECT_EQ(o->mode, Mode::kSingle);
+}
+
+TEST(CliTest, ClockOutsideWhatCyclesRepresentIsRefusedNamingTheFlag) {
+  std::string err;
+  for (const char* bad : {"1e-300", "0.0009", "1000001", "1e7"}) {
+    EXPECT_FALSE(parse_args({"--clock", bad, "--nodes", "2", "--reps", "2"}, err).has_value())
+        << bad;
+    EXPECT_EQ(err.rfind("--clock needs", 0), 0u) << err;
+  }
+  for (const char* good : {"0.001", "1000000", "33.3"}) {
+    EXPECT_TRUE(parse_args({"--clock", good}, err).has_value()) << good << ": " << err;
+  }
+}
+
+TEST(CliTest, PredictNeedsTwoNodes) {
+  std::string err;
+  for (const char* location : {"host", "nic"}) {
+    EXPECT_FALSE(
+        parse_args({"--nodes", "1", "--location", location, "--predict"}, err).has_value());
+    EXPECT_EQ(err, "--predict needs --nodes >= 2");
+  }
+  EXPECT_TRUE(parse_args({"--nodes", "2", "--location", "host", "--predict"}, err).has_value())
+      << err;
+}
+
+TEST(CliTest, WorkloadAndCheckRefuseTheFlagsTheyWouldIgnore) {
+  std::string err;
+  EXPECT_FALSE(parse_args({"workload", "smoke.wl", "--nic", "lanai72", "--clock", "10", "--nodes",
+                           "4", "--algorithm", "gb", "--deadline-us", "1", "--layer-us", "3",
+                           "--skew-us", "5"},
+                          err)
+                   .has_value());
+  for (const std::vector<std::string>& flag :
+       {std::vector<std::string>{"--nic", "lanai72"}, {"--clock", "10"}, {"--nodes", "4"},
+        {"--algorithm", "gb"}, {"--deadline-us", "1"}, {"--layer-us", "3"}, {"--skew-us", "5"}}) {
+    std::vector<std::string> args = {"workload", "smoke.wl"};
+    args.insert(args.end(), flag.begin(), flag.end());
+    EXPECT_FALSE(parse_args(args, err).has_value()) << flag[0];
+    EXPECT_EQ(err.rfind(flag[0] + " does not apply to workload", 0), 0u) << err;
+  }
+  for (const std::vector<std::string>& flag :
+       {std::vector<std::string>{"--nic", "lanai72"}, {"--loss", "0.5"}, {"--nodes", "4"},
+        {"--clock", "10"}}) {
+    std::vector<std::string> args = {"check", "--cases", "3"};
+    args.insert(args.end(), flag.begin(), flag.end());
+    EXPECT_FALSE(parse_args(args, err).has_value()) << flag[0];
+    EXPECT_EQ(err.rfind(flag[0] + " does not apply to check", 0), 0u) << err;
+  }
+  // A replayed case ignores the sweep's size and seed.
+  EXPECT_FALSE(parse_args({"check", "--case-seed", "5", "--cases", "3"}, err).has_value());
+  EXPECT_EQ(err.rfind("--cases does not apply to check --case-seed", 0), 0u) << err;
+}
+
+TEST(CliTest, IntegersAreReadWholeWithoutOverflow) {
+  std::string err;
+  const std::pair<const char*, const char*> bad[] = {
+      {"--reps", "4294967297"}, {"--reps", "2.5"},          {"--nodes", "65537"},
+      {"--nodes", "1e3"},       {"--jobs", "4294967296"},    {"--cases", "-1"},
+      {"--seed", "99999999999999999999999"},                 {"--seed", "18446744073709551616"},
+      {"--seed", "-1"},         {"--case-seed", "2.5"},      {"--pdes-workers", "4294967296"}};
+  for (const auto& [flag, value] : bad) {
+    EXPECT_FALSE(parse_args({flag, value}, err).has_value()) << flag << " " << value;
+    EXPECT_EQ(err.rfind(std::string(flag) + " needs an integer", 0), 0u) << err;
+  }
+  const auto o = parse_args({"--seed", "18446744073709551615", "--reps", "2147483647", "--nodes",
+                             "65536"},
+                            err);
+  ASSERT_TRUE(o.has_value()) << err;
+  EXPECT_EQ(o->params.seed, 18446744073709551615u);
+  EXPECT_EQ(o->params.reps, 2147483647);
+  EXPECT_EQ(o->params.nodes, 65536u);
+}
+
+TEST(CliTest, DurationsAreExactAndAtMostAnHour) {
+  std::string err;
+  for (const char* flag : {"--deadline-us", "--layer-us", "--skew-us"}) {
+    for (const char* bad : {"1e300", "3600000000.000001", "9223372036854.775807", "-1"}) {
+      EXPECT_FALSE(parse_args({flag, bad}, err).has_value()) << flag << " " << bad;
+      EXPECT_EQ(err, std::string(flag) + " needs a number of us in [0, 3600000000]");
+    }
+  }
+  const auto o = parse_args({"--deadline-us", "3600000000", "--layer-us", "0.000498",
+                             "--skew-us", "1e-7"},
+                            err);
+  ASSERT_TRUE(o.has_value()) << err;
+  EXPECT_EQ(o->params.spec.deadline.ps(), 3'600'000'000'000'000);
+  EXPECT_EQ(o->params.cluster.gm.layer_overhead.ps(), 498);
+  EXPECT_EQ(o->params.max_start_skew.ps(), 0);  // 0.1 ps rounds to the nearest picosecond
+}
+
+TEST(CliTest, TheLargestDurationsAreUsedAsWritten) {
+  std::string err;
+  const auto plain = parse_args({"--nodes", "2", "--reps", "2"}, err);
+  ASSERT_TRUE(plain.has_value()) << err;
+  const coll::ExperimentResult base = coll::run_barrier_experiment(plain->params);
+
+  // An hour's deadline never fires in a run of microseconds.
+  const auto deadline =
+      parse_args({"--nodes", "2", "--reps", "2", "--deadline-us", "3600000000"}, err);
+  ASSERT_TRUE(deadline.has_value()) << err;
+  const coll::ExperimentResult d = coll::run_barrier_experiment(deadline->params);
+  EXPECT_EQ(d.total, base.total);
+  EXPECT_EQ(d.barrier_failures, 0u);
+
+  // An hour of layer cost on every host call slows each barrier by hours.
+  const auto layer = parse_args({"--nodes", "2", "--reps", "2", "--layer-us", "3600000000"}, err);
+  ASSERT_TRUE(layer.has_value()) << err;
+  const coll::ExperimentResult l = coll::run_barrier_experiment(layer->params);
+  EXPECT_GT(l.mean_us, 3.6e9);
+  EXPECT_EQ(l.barriers_completed, base.barriers_completed);
+}
+
+TEST(CliTest, TraceMaskRefusesCategoriesNothingEmits) {
+  std::string err;
+  for (const char* gone : {"barrier,reliab", "host", "barrier"}) {
+    EXPECT_FALSE(parse_args({"--trace-json", "t.json", "--trace-mask", gone}, err).has_value());
+    EXPECT_EQ(err, "--trace-mask needs a comma-separated subset of sdma,send,recv,rdma,net,all");
+  }
+}
+
+TEST(CliTest, ShapeDimensionAndJobsFlagsNeedWhatTheyApplyTo) {
+  std::string err;
+  EXPECT_FALSE(parse_args({"--jobs", "4"}, err).has_value());  // one run: nothing to shard
+  EXPECT_EQ(err.rfind("--jobs needs a sweep", 0), 0u) << err;
+  EXPECT_FALSE(parse_args({"workload", "spec.wl", "--jobs", "4"}, err).has_value());
+  EXPECT_FALSE(parse_args({"--radix", "8"}, err).has_value());
+  EXPECT_EQ(err, "--radix needs --topology fat-tree or leaf-spine");
+  EXPECT_FALSE(parse_args({"--oversub", "2", "--topology", "switch"}, err).has_value());
+  EXPECT_FALSE(parse_args({"--dim", "3"}, err).has_value());
+  EXPECT_EQ(err.rfind("--dim needs an --algorithm with a parameter", 0), 0u) << err;
+  EXPECT_TRUE(parse_args({"--dim", "3", "--algorithm", "host-tree"}, err).has_value()) << err;
+}
+
+/// The diagnostic after a spec error's line prefix ("...'): why").
+std::string spec_refusal(const std::string& text) {
+  try {
+    (void)wl::parse_workload_spec(text);
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    const std::size_t at = what.find("): ");
+    return at == std::string::npos ? what : what.substr(at + 3);
+  }
+  return {};
+}
+
+TEST(CliTest, FlagsAndSpecKeysOfOneKindRefuseTheSameValuesByName) {
+  struct Shared {
+    const char* flag;
+    const char* key;
+    bool job;  // a job-class key, else a preamble key
+    std::vector<const char*> bad;
+  };
+  const Shared shared[] = {
+      {"--nic", "nic", false, {"lanai9", "LANAI43", "-5"}},
+      {"--topology", "topology", false, {"chain", "tree", "2.5"}},
+      {"--reliability", "reliability", false, {"maybe", "0"}},
+      {"--deadline-us", "deadline-us", true, {"-5", "1e300", "3600000000.000001"}},
+      {"--layer-us", "layer-us", true, {"-4", "1e300", "99999999999999999999999"}},
+      {"--skew-us", "skew-us", true, {"-40", "1e300", "-0.5"}},
+      {"--seed", "seed", false, {"-1", "2.5", "18446744073709551616", "99999999999999999999999"}}};
+  for (const Shared& s : shared) {
+    for (const char* bad : s.bad) {
+      std::string err;
+      EXPECT_FALSE(parse_args({s.flag, bad}, err).has_value()) << s.flag << " " << bad;
+      EXPECT_EQ(err.rfind(std::string(s.flag) + " ", 0), 0u) << err;
+      const std::string line = std::string(s.key) + " " + bad + "\n";
+      const std::string text = s.job ? "job j\n  nodes 4\n  " + line : line + "job j\n  nodes 4\n";
+      const std::string why = spec_refusal(text);
+      EXPECT_FALSE(why.empty()) << "spec accepted " << line;
+      EXPECT_NE(why.find(s.key), std::string::npos) << why;
+      // The same kind says the same thing about the value.
+      EXPECT_EQ(err.substr(err.find(' ')), why.substr(why.find(' '))) << s.key << " " << bad;
+    }
+  }
+  // And both read an accepted value the same way.
+  std::string err;
+  const auto o = parse_args({"--seed", "18446744073709551615", "--deadline-us", "0.000498"}, err);
+  ASSERT_TRUE(o.has_value()) << err;
+  const wl::WorkloadSpec spec = wl::parse_workload_spec(
+      "seed 18446744073709551615\njob j\n  nodes 4\n  deadline-us 0.000498\n");
+  EXPECT_EQ(spec.seed, o->params.seed);
+  EXPECT_EQ(spec.classes[0].deadline, o->params.spec.deadline);
+}
+
+TEST(CliTest, ARadixBelowThreeIsRefusedAtParseTimeAsTheSpecRefusesIt) {
+  // The fabric builder wires no tree of switches with fewer than three ports.
+  for (const char* bad : {"1", "2"}) {
+    std::string err;
+    EXPECT_FALSE(parse_args({"--topology", "fat-tree", "--radix", bad}, err).has_value());
+    EXPECT_EQ(err, "--radix needs an integer >= 3");
+    EXPECT_EQ(spec_refusal(std::string("topology leaf-spine ") + bad + " 1\njob j\n  nodes 4\n"),
+              "leaf-spine radix needs an integer >= 3");
+  }
+  std::string err;
+  EXPECT_TRUE(parse_args({"--topology", "fat-tree", "--radix", "3", "--oversub", "1"}, err))
+      << err;
 }
 
 }  // namespace

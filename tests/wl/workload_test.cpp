@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -188,6 +191,179 @@ TEST(WorkloadSpecTest, ReliabilityKeySelectsTheRetransmissionMode) {
             nic::BarrierReliability::kSeparateAcks);
   EXPECT_THROW((void)parse_workload_spec("reliability maybe\njob j\n  nodes 4\n"),
                std::runtime_error);
+}
+
+/// The diagnostic after a spec error's line prefix ("...'): why"); empty
+/// when `text` parses.
+std::string refusal(const std::string& text) {
+  try {
+    (void)parse_workload_spec(text);
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    const std::size_t at = what.find("): ");
+    return at == std::string::npos ? what : what.substr(at + 3);
+  }
+  return {};
+}
+
+/// The first word of every line print_spec() writes.
+std::set<std::string> printed_keys(const WorkloadSpec& s) {
+  std::set<std::string> keys;
+  std::istringstream in(print_spec(s));
+  std::string word;
+  for (std::string line; std::getline(in, line);) {
+    if (std::istringstream(line) >> word) keys.insert(word);
+  }
+  return keys;
+}
+
+TEST(WorkloadSpecTest, EveryKeyIsReadAsWrittenOrRefusedByName) {
+  // Each value slot of each key with a fractional, a negative, an
+  // overflowing and an out-of-range value; `accepts` marks the ones its
+  // kind takes, which must then survive print -> parse unchanged.
+  struct Case {
+    const char* line;  // "{}" is the value
+    bool job;
+    const char* names;  // what the refusal names
+    std::array<const char*, 4> values;
+    const char* accepts;
+  };
+  const char* const kInt[] = {"2.5", "-3", "99999999999999999999999", "65537"};
+  const Case cases[] = {
+      {"cluster-nodes {}", false, "cluster-nodes", {kInt[0], kInt[1], kInt[2], kInt[3]}, "----"},
+      {"nic {}", false, "nic", {"2.5", "-3", "1e400", "lanai9"}, "----"},
+      {"reliability {}", false, "reliability", {"2.5", "-3", "1e400", "shared2"}, "----"},
+      {"nic-slots {}", false, "nic-slots", {"2.5", "-3", "99999999999999999999999", "2147483648"},
+       "----"},
+      {"topology {}", false, "topology", {"2.5", "-3", "1e400", "chain"}, "----"},
+      {"topology fat-tree {} 1", false, "fat-tree radix",
+       {"2.5", "-3", "99999999999999999999999", "2"}, "----"},
+      {"topology leaf-spine 8 {}", false, "leaf-spine oversubscription",
+       {"2.5", "-3", "99999999999999999999999", "0"}, "----"},
+      {"placement {}", false, "placement", {"2.5", "-3", "1e400", "scattered"}, "----"},
+      {"arrival {}", false, "arrival", {"2.5", "-3", "1e400", "bursty"}, "----"},
+      {"arrival fixed {}", false, "fixed gap", {"2.5", "-3", "1e400", "3600000000.000001"},
+       "y---"},
+      {"arrival poisson {}", false, "poisson mean gap",
+       {"2.5", "-3", "1e400", "3600000000.000001"}, "y---"},
+      {"arrival closed-loop {} 10", false, "closed-loop width",
+       {"2.5", "-3", "99999999999999999999999", "0"}, "----"},
+      {"arrival closed-loop 2 {}", false, "closed-loop think time",
+       {"2.5", "-3", "1e400", "3600000000.000001"}, "y---"},
+      {"seed {}", false, "seed", {"2.5", "-3", "99999999999999999999999", "18446744073709551616"},
+       "----"},
+      {"hist-max-us {}", false, "hist-max-us", {"2.5", "-3", "1e400", "0"}, "y---"},
+      {"count {}", true, "count", {"2.5", "-3", "99999999999999999999999", "0"}, "----"},
+      {"nodes {}", true, "nodes", {kInt[0], kInt[1], kInt[2], kInt[3]}, "----"},
+      {"iters {}", true, "iters", {"2.5", "-3", "1e10", "0"}, "----"},
+      {"mix barrier={}", true, "barrier=", {"0.5", "-3", "1e400", "-0.5"}, "y---"},
+      {"compute-us {}", true, "compute-us", {"2.5", "-3", "1e400", "3600000000.000001"},
+       "y---"},
+      {"imbalance {}", true, "imbalance", {"0.5", "-3", "1e400", "1"}, "y---"},
+      {"skew-us {}", true, "skew-us", {"2.5", "-40", "1e400", "3600000000.000001"}, "y---"},
+      {"location {}", true, "location", {"2.5", "-3", "1e400", "gpu"}, "----"},
+      {"algorithm {}", true, "algorithm", {"2.5", "-3", "1e400", "ring"}, "----"},
+      {"algorithm gb {}", true, "gb dimension", {"2.5", "-3", "99999999999999999999999", "65536"},
+       "----"},
+      {"fuzzy-chunk-us {}", true, "fuzzy-chunk-us",
+       {"2.5", "-3", "1e400", "3600000000.000001"}, "y---"},
+      {"deadline-us {}", true, "deadline-us", {"2.5", "-5", "1e300", "3600000000.000001"},
+       "y---"},
+      {"layer-us {}", true, "layer-us", {"2.5", "-4", "1e300", "3600000000.000001"}, "y---"},
+      {"slo-us {}", true, "slo-us", {"2.5", "-3", "1e400", "3600000000.000001"}, "y---"},
+      {"slo-target {}", true, "slo-target", {"0.5", "-3", "1e400", "1"}, "y---"},
+      {"slo-window-us {}", true, "slo-window-us", {"2.5", "-3", "1e400", "3600000000.000001"},
+       "y---"},
+      {"lifecycle {}", true, "lifecycle", {"2.5", "-3", "1e400", "sometimes"}, "----"},
+      {"promote-every {}", true, "promote-every",
+       {"2.5", "-3", "99999999999999999999999", "2147483648"}, "----"},
+  };
+
+  // The walk covers every key print_spec() can write.
+  WorkloadSpec every;
+  every.cluster.nic.barrier_slots = 2;
+  JobClass managed;
+  managed.managed = true;
+  JobClass solver;
+  solver.mix.allreduce = 0.5;
+  solver.layer_overhead = sim::microseconds(4.0);
+  solver.slo = sim::microseconds(150.0);
+  every.classes = {managed, solver};
+  std::set<std::string> walked = {"job"};
+  for (const Case& c : cases) {
+    const std::string line = c.line;
+    walked.insert(line.substr(0, line.find(' ')));
+  }
+  EXPECT_EQ(walked, printed_keys(every));
+
+  for (const Case& c : cases) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      std::string line = c.line;
+      line.replace(line.find("{}"), 2, c.values[k]);
+      const std::string job = "job j\n  nodes 4\n  mix barrier=1 allreduce=1\n  ";
+      const std::string text = c.job ? job + line + "\n" : line + "\njob j\n  nodes 4\n";
+      const std::string why = refusal(text);
+      if (c.accepts[k] == 'y') {
+        EXPECT_EQ(why, "") << line;
+        if (!why.empty()) continue;
+        const WorkloadSpec a = parse_workload_spec(text);
+        const std::string printed = print_spec(a);
+        EXPECT_TRUE(spec_equal(a, parse_workload_spec(printed))) << line << "\n" << printed;
+        EXPECT_EQ(print_spec(parse_workload_spec(printed)), printed) << line;
+      } else {
+        EXPECT_NE(why.find(c.names), std::string::npos) << line << " -> " << why;
+      }
+    }
+  }
+}
+
+TEST(WorkloadSpecTest, IntegerKeysAreReadWholeAndSeedsAtFullWidth) {
+  EXPECT_EQ(refusal("job j\n  nodes 4\n  iters 2.5\n"),
+            "iters needs an integer in [1, 2147483647]");
+  EXPECT_EQ(refusal("job j\n  nodes 4\n  iters 1e10\n"),
+            "iters needs an integer in [1, 2147483647]");
+  for (const std::uint64_t seed : {18446744073709551615ull, 12345678901234567ull}) {
+    const WorkloadSpec s =
+        parse_workload_spec("seed " + std::to_string(seed) + "\njob j\n  nodes 4\n");
+    EXPECT_EQ(s.seed, seed);
+    EXPECT_EQ(parse_workload_spec(print_spec(s)).seed, seed);
+  }
+}
+
+TEST(WorkloadSpecTest, DurationKeysRefuseNegativeValuesAsTheFlagsDo) {
+  for (const char* line : {"deadline-us -5", "skew-us -40", "layer-us -4"}) {
+    const std::string key = std::string(line).substr(0, std::string(line).find(' '));
+    EXPECT_EQ(refusal(std::string("job j\n  nodes 4\n  mix barrier=1 allreduce=1\n  ") + line +
+                      "\n"),
+              key + " needs a number of us in [0, 3600000000]");
+  }
+}
+
+TEST(WorkloadSpecTest, NicCardComesFirstAndItsOverridesAfterWhateverTheOrder) {
+  for (const char* preamble : {"reliability shared\nnic-slots 1\nnic lanai72\n",
+                               "nic lanai72\nreliability shared\nnic-slots 1\n",
+                               "nic-slots 1\nnic lanai72\nreliability shared\n"}) {
+    const WorkloadSpec s = parse_workload_spec(std::string(preamble) + "job j\n  nodes 4\n");
+    EXPECT_EQ(s.cluster.nic.model, nic::lanai72().model) << preamble;
+    EXPECT_EQ(s.cluster.nic.barrier_reliability, nic::BarrierReliability::kSharedStream)
+        << preamble;
+    EXPECT_EQ(s.cluster.nic.barrier_slots, 1) << preamble;
+  }
+}
+
+TEST(WorkloadSpecTest, PrintedSpecKeepsEveryDigitItWasGiven) {
+  const WorkloadSpec s = parse_workload_spec(
+      "hist-max-us 1234567\njob j\n  nodes 4\n  imbalance 0.1234567\n  compute-us 0.000498\n");
+  EXPECT_EQ(s.classes[0].compute_mean.ps(), 498);
+  const std::string printed = print_spec(s);
+  EXPECT_NE(printed.find("hist-max-us 1234567\n"), std::string::npos) << printed;
+  EXPECT_NE(printed.find("imbalance 0.1234567\n"), std::string::npos) << printed;
+  EXPECT_NE(printed.find("compute-us 0.000498\n"), std::string::npos) << printed;
+  const WorkloadSpec back = parse_workload_spec(printed);
+  EXPECT_TRUE(spec_equal(s, back));
+  EXPECT_EQ(back.hist_max_us, 1234567.0);
+  EXPECT_EQ(back.classes[0].compute_imbalance, 0.1234567);
+  EXPECT_EQ(back.classes[0].compute_mean.ps(), 498);
 }
 
 TEST(WorkloadDriverTest, FuzzyOnFaultyUnreliableFabricIsRejected) {

@@ -86,7 +86,9 @@ bool load_faults(const cli::Options& o, std::uint64_t seed, sim::fault::FaultPla
     faults.seed = seed;
   }
   if (o.loss > 0.0) faults.loss.push_back({"", o.loss});
-  if (o.have_burst) faults.bursts.push_back({"", o.burst_enter, o.burst_exit, 0.0, o.burst_rate});
+  if (o.given("--burst-loss")) {
+    faults.bursts.push_back({"", o.burst_enter, o.burst_exit, 0.0, o.burst_rate});
+  }
   return true;
 }
 
@@ -283,7 +285,7 @@ int run_workload_cmd(const cli::Options& o) {
     std::fprintf(stderr, "error: %s: %s\n", o.workload_spec_path.c_str(), e.what());
     return 1;
   }
-  if (o.seed_given) spec.seed = o.params.seed;
+  if (o.given("--seed")) spec.seed = o.params.seed;
 
   if (!load_faults(o, spec.seed, spec.cluster.faults)) return 1;
 
@@ -376,7 +378,7 @@ int run_workload_cmd(const cli::Options& o) {
 /// command printed with every fuzz failure).
 int run_check_cmd(const cli::Options& o) {
   namespace chk = sim::check;
-  if (o.have_case_seed) {
+  if (o.mode == cli::Mode::kReplay) {
     const chk::PropertyReport rep = chk::run_fuzz_case(o.case_seed);
     std::string summary;
     (void)chk::generate_fuzz_case(o.case_seed, &summary);
@@ -429,13 +431,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   cli::Options& o = *parsed;
-  if (o.check) return run_check_cmd(o);
-  if (o.workload) return run_workload_cmd(o);
+  if (o.mode == cli::Mode::kCheck || o.mode == cli::Mode::kReplay) return run_check_cmd(o);
+  if (o.mode == cli::Mode::kWorkload) return run_workload_cmd(o);
   coll::ExperimentParams& p = o.params;
 
   if (!load_faults(o, p.seed, p.cluster.faults)) return 1;
 
-  if (o.seeds > 1) return run_seed_sweep(o);
+  if (o.mode == cli::Mode::kSeeds) return run_seed_sweep(o);
 
   double mean_us = 0.0;
   if (o.sweep_dim) {
