@@ -40,7 +40,7 @@ RunOutput execute(const SweepCase& c, std::size_t dim, bool instrumented) {
   // Telemetry hooks are untaken branches on the simulated timeline, so an
   // instrumented run reports exactly the numbers an uninstrumented one would.
   std::optional<sim::telemetry::Telemetry> telemetry;
-  if (instrumented) telemetry.emplace().enable_breakdown();
+  if (instrumented) telemetry.emplace();
   sim::telemetry::Telemetry* t = telemetry ? &*telemetry : nullptr;
   RunOutput out;
   if (c.custom) {

@@ -80,23 +80,16 @@ sim::ValueTask<std::optional<GmEvent>> Port::poll() {
 }
 
 void Port::note_event_received(const GmEvent& ev) {
-  if (ev.type != GmEventType::kBarrierComplete && ev.type != GmEventType::kReduceComplete) {
-    return;
-  }
-  auto* bcoll = nic_.breakdown_collector();
-  if (bcoll != nullptr) {
-    // The HRecv term of Eq. 1-2: the host CPU cost of seeing the completion.
-    bcoll->barrier_completed(node(), id_, ev.barrier_epoch, sim_.now(),
-                             config_.host_recv_overhead + config_.layer_overhead);
-  }
   auto* causal = nic_.causal_tracer();
   if (causal != nullptr && ev.type == GmEventType::kBarrierComplete && ev.causal != 0) {
     // Sink span of the barrier's dependency DAG: the HRecv (+Layer) term of
     // Eq. 1-2 — host CPU consuming the completion event.
     const sim::Duration host = config_.host_recv_overhead + config_.layer_overhead;
-    const std::uint64_t sink = causal->record(sim::causal::Segment::kHost, node(),
-                                              "host_recv", sim_.now() - host, sim_.now(),
-                                              ev.causal);
+    const std::uint64_t sink = causal->record(
+        {.seg = sim::causal::Segment::kHost, .res = sim::causal::Resource::kHost,
+         .node = node(), .label = "host_recv", .start = sim_.now() - host, .end = sim_.now(),
+         .busy_end = sim_.now()},
+        ev.causal);
     causal->complete_barrier(node(), id_, ev.barrier_epoch, sink);
   }
 }
@@ -115,15 +108,10 @@ sim::Task Port::provide_barrier_buffer() {
 sim::Task Port::compute(sim::Duration d) { co_await cpu_.use(d); }
 
 sim::ValueTask<Epoch> Port::reduce_send(nic::ReduceToken token) {
-  const sim::SimTime t0 = sim_.now();
   co_await cpu_.use(config_.host_barrier_overhead + config_.layer_overhead);
   token.src_port = id_;
   token.epoch = next_epoch_++;
   const std::uint32_t epoch = token.epoch;
-  if (auto* bcoll = nic_.breakdown_collector()) {
-    bcoll->barrier_posted(node(), id_, epoch, t0,
-                          config_.host_barrier_overhead + config_.layer_overhead);
-  }
   nic_.post_reduce_token(std::move(token));
   co_return Epoch{epoch};
 }
@@ -134,19 +122,17 @@ sim::ValueTask<Epoch> Port::barrier_send(nic::BarrierToken token) {
   token.src_port = id_;
   token.epoch = next_epoch_++;
   const std::uint32_t epoch = token.epoch;
-  if (auto* bcoll = nic_.breakdown_collector()) {
-    // The Send term of Eq. 1-2: host software cost of posting the token.
-    bcoll->barrier_posted(node(), id_, epoch, t0,
-                          config_.host_barrier_overhead + config_.layer_overhead);
-  }
   if (auto* causal = nic_.causal_tracer()) {
     // Origin span of the barrier's dependency DAG: the Send (+Layer) term of
     // Eq. 1-2. Spans any host-CPU queueing as well (attributed to kHost). A
     // caller may pre-seed token.causal with a provenance span (the
     // hierarchical barrier's representative hand-off); it becomes this
     // origin's parent, chaining the phases into one DAG.
-    token.causal = causal->record(sim::causal::Segment::kHost, node(), "barrier_post", t0,
-                                  sim_.now(), token.causal);
+    token.causal = causal->record(
+        {.seg = sim::causal::Segment::kHost, .res = sim::causal::Resource::kHost,
+         .node = node(), .label = "barrier_post", .start = t0, .end = sim_.now(),
+         .busy_end = sim_.now()},
+        token.causal);
   }
   nic_.post_barrier_token(std::move(token));
   co_return Epoch{epoch};

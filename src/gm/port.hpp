@@ -130,8 +130,8 @@ class Port {
   [[nodiscard]] sim::Task compute(sim::Duration d);
 
  private:
-  /// Closes out the breakdown record when a collective completion reaches
-  /// the host (the Eq. 1-2 HRecv term). No-op for other events.
+  /// Records the barrier's sink span when its completion reaches the host
+  /// (the Eq. 1-2 HRecv term). No-op for other events.
   void note_event_received(const GmEvent& ev);
 
   sim::Simulator& sim_;

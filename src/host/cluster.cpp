@@ -37,18 +37,7 @@ Cluster::Cluster(ClusterParams params) : params_(std::move(params)) {
     nodes_.push_back(std::move(n));
   }
   if (params_.telemetry != nullptr) {
-    if (pdes_ != nullptr && params_.telemetry->trace() != nullptr) {
-      throw std::invalid_argument(
-          "pdes: the chrome trace sink records in global wall order and is "
-          "not shardable; run traced experiments with pdes_partitions = 1");
-    }
-    if (pdes_ != nullptr && params_.telemetry->breakdown() != nullptr) {
-      throw std::invalid_argument(
-          "pdes: the latency-breakdown collector accumulates into shared "
-          "histograms; run breakdown experiments with pdes_partitions = 1");
-    }
     for (auto& n : nodes_) n->nic->set_telemetry(params_.telemetry);
-    net_->set_trace_sink(params_.telemetry->trace());
     net_->set_causal(params_.telemetry->causal());
     if (pdes_ != nullptr && params_.telemetry->causal() != nullptr) {
       // One span arena per lane; the worker binds its lane's shard before
@@ -319,8 +308,6 @@ void Cluster::snapshot_metrics() {
     m.counter(pfx + "port_down_drops") = s.packets_dropped_port_down();
   }
   m.counter("net.packets_injected") = net_->packets_injected();
-
-  if (auto* bc = params_.telemetry->breakdown()) bc->snapshot(m);
 }
 
 std::unique_ptr<gm::Port> Cluster::make_port(net::NodeId node_id, nic::PortId port) {

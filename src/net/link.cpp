@@ -60,31 +60,28 @@ sim::SimTime Link::transmit(PacketPtr p) {
   const sim::Duration occupy = wire_time(*p);
   if (drop) {
     const sim::SimTime done = wire_.submit(occupy);
-    if (trace_sink_ != nullptr) {
-      trace_sink_->duration(trace_track_, "drop", done - occupy, occupy, "net",
-                            sim::TraceCategory::kNet, p->id);
-    }
     if (causal_ != nullptr) {
       // Terminal span: the packet's chain ends here; a retransmission starts
       // a fresh SEND span from the sender's stored record.
-      causal_->record(sim::causal::Segment::kWire, p->dst_node, "wire_drop", done - occupy,
-                      done, p->causal, 0, p->id);
+      causal_->record({.seg = sim::causal::Segment::kWire, .res = sim::causal::Resource::kLink,
+                       .node = p->dst_node, .label = "wire_drop", .start = done - occupy,
+                       .end = done, .busy_end = done, .unit = uid_, .key = p->id},
+                      p->causal);
     }
     // The wire is still burned for the packet's duration; nothing arrives.
     return done;
   }
   const sim::Duration prop = params_.propagation;
   const sim::SimTime done = wire_.submit(occupy);
-  if (trace_sink_ != nullptr) {
-    trace_sink_->duration(trace_track_, to_string(p->type), done - occupy, occupy, "net",
-                          sim::TraceCategory::kNet, p->id);
-  }
   if (causal_ != nullptr) {
     // One span per directed hop, covering serialisation and propagation:
     // [done - occupy, done + prop]. Queueing behind earlier packets on this
     // wire shows up as the gap between the parent's end and done - occupy.
-    p->causal = causal_->record(sim::causal::Segment::kWire, p->dst_node, "wire",
-                                done - occupy, done + prop, p->causal, 0, p->id);
+    p->causal = causal_->record(
+        {.seg = sim::causal::Segment::kWire, .res = sim::causal::Resource::kLink,
+         .node = p->dst_node, .label = "wire", .start = done - occupy, .end = done + prop,
+         .busy_end = done, .unit = uid_, .key = p->id},
+        p->causal);
   }
   in_flight_.fetch_add(1, std::memory_order_relaxed);
   // Deliveries are *keyed*: at the arrival instant they fire in

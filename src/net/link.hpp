@@ -23,7 +23,10 @@
 #include "sim/random.hpp"
 #include "sim/server.hpp"
 #include "sim/simulator.hpp"
-#include "sim/telemetry.hpp"
+
+namespace nicbar::sim::causal {
+class CausalTracer;
+}
 
 namespace nicbar::net {
 
@@ -149,16 +152,10 @@ class Link {
   /// delivered (the receiver's CRC check discards them and pays the cost).
   void verify_conservation() const;
 
-  /// Attaches a trace sink: every transmission becomes one span on this
-  /// link's track. Pass nullptr to detach (the default, zero-cost state).
-  void set_trace_sink(sim::telemetry::TraceEventSink* sink) {
-    trace_sink_ = sink;
-    if (sink != nullptr) trace_track_ = sink->track("link/" + name());
-  }
-
-  /// Attaches a causal tracer: every delivered packet gains a kWire span
-  /// covering serialisation + propagation (so wire time is never mistaken
-  /// for RECV-engine queueing). Nullptr detaches (default, zero-cost).
+  /// Attaches a causal tracer: every transmission is a kWire span holding
+  /// this link for its serialisation; a delivered packet's span runs on
+  /// through propagation (so wire time is never mistaken for RECV-engine
+  /// queueing). Nullptr detaches (default, zero-cost).
   void set_causal(sim::causal::CausalTracer* causal) { causal_ = causal; }
 
  private:
@@ -210,8 +207,6 @@ class Link {
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> in_flight_{0};
   std::int64_t bytes_sent_ = 0;
-  sim::telemetry::TraceEventSink* trace_sink_ = nullptr;
-  int trace_track_ = 0;
   sim::causal::CausalTracer* causal_ = nullptr;
 };
 

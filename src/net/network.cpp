@@ -3,6 +3,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "sim/causal.hpp"
+
 namespace nicbar::net {
 
 Link* Network::new_link(std::string name, LinkEnd tail, LinkEnd head) {
@@ -100,6 +102,14 @@ Route Network::route(NodeId src, NodeId dst) const {
   Route r = route_(src, dst);
   if (r.empty()) throw std::logic_error("no route between terminals");
   return r;
+}
+
+void Network::set_causal(sim::causal::CausalTracer* causal) {
+  for (auto& l : links_) l->set_causal(causal);
+  for (auto& s : switches_) s->set_causal(causal);
+  if (causal == nullptr) return;
+  causal->fabric = {terminals_.size(), {}, switches_.size()};
+  for (const auto& l : links_) causal->fabric.links.push_back(l->name());
 }
 
 sim::Duration Network::path_time(NodeId src, NodeId dst, std::int64_t payload_bytes) const {

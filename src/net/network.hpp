@@ -92,29 +92,20 @@ class Network {
   /// `payload_bytes` from src to dst: per-link serialisation of the whole
   /// packet (Packet::wire_bytes) + propagation, plus per-switch routing
   /// latency, which is exactly when a lone packet arrives. This is the
-  /// "Network" term of the paper's Eq. 1-2, used by the telemetry cost
-  /// breakdown. Zero for same-node (loopback) traffic, which never touches
-  /// the fabric.
+  /// "Network" term of the paper's Eq. 1-2. Zero for same-node (loopback)
+  /// traffic, which never touches the fabric.
   [[nodiscard]] sim::Duration path_time(NodeId src, NodeId dst,
                                         std::int64_t payload_bytes) const;
 
-  /// Attaches (or detaches, with nullptr) a trace sink to every link in the
-  /// fabric. Call after the topology is fully built.
-  void set_trace_sink(sim::telemetry::TraceEventSink* sink) {
-    for (auto& l : links_) l->set_trace_sink(sink);
-  }
-
   /// Attaches (or detaches, with nullptr) a causal tracer to every link and
-  /// switch in the fabric. Call after the topology is fully built.
-  void set_causal(sim::causal::CausalTracer* causal) {
-    for (auto& l : links_) l->set_causal(causal);
-    for (auto& s : switches_) s->set_causal(causal);
-  }
+  /// switch in the fabric, and names them to it. Call after the topology is
+  /// fully built.
+  void set_causal(sim::causal::CausalTracer* causal);
 
   /// Reserves a fabric-unique packet id for traffic originating at `node`.
   /// NICs stamp ids at the SEND engine (before injection) so loopback
-  /// packets and trace flow events share the same id space; inject() only
-  /// stamps packets that don't have one yet. Ids are striped per node
+  /// packets share the same id space; inject() only stamps packets that
+  /// don't have one yet. Ids are striped per node
   /// (seq * N + node + 1) rather than drawn from a global counter: each
   /// node allocates only from its own stripe, so the id of a packet depends
   /// only on that node's deterministic send order — never on how sends from

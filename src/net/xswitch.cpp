@@ -23,9 +23,13 @@ void Switch::accept(PacketPtr p) {
   ++forwarded_;
   Link* link = out_[port];
   if (causal_ != nullptr) {
-    p->causal = causal_->record(sim::causal::Segment::kSwitch, p->dst_node, "route",
-                                sim_->now(), sim_->now() + params_.routing_latency, p->causal,
-                                0, p->id);
+    // Routing is pipelined: the span spans the latency but holds nothing.
+    p->causal = causal_->record(
+        {.seg = sim::causal::Segment::kSwitch, .res = sim::causal::Resource::kSwitch,
+         .node = p->dst_node, .label = "route", .start = sim_->now(),
+         .end = sim_->now() + params_.routing_latency, .busy_end = sim_->now(),
+         .unit = static_cast<std::uint32_t>(id_), .key = p->id},
+        p->causal);
   }
   ++in_pipeline_;
   sim_->schedule_in(params_.routing_latency, [this, link, p = std::move(p)]() mutable {

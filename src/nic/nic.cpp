@@ -42,77 +42,34 @@ Nic::Nic(sim::Simulator& sim, net::Network& net, NodeId node, const NicConfig& c
       ports_(static_cast<std::size_t>(config_.max_ports)),
       slots_(config_.barrier_slots) {}
 
-void Nic::set_telemetry(sim::telemetry::Telemetry* telemetry) {
-  tsink_ = telemetry != nullptr ? telemetry->trace() : nullptr;
-  bcoll_ = telemetry != nullptr ? telemetry->breakdown() : nullptr;
-  causal_ = telemetry != nullptr ? telemetry->causal() : nullptr;
-  if (tsink_ != nullptr) {
-    const std::string prefix = "nic" + std::to_string(node_) + "/";
-    for (std::size_t i = 0; i < kMcpEngineCount; ++i) {
-      engine_track_[i] = tsink_->track(prefix + to_string(static_cast<McpEngine>(i)));
-    }
-    pci_track_ = tsink_->track("node" + std::to_string(node_) + "/pci");
-    fault_track_ = tsink_->track(prefix + "fault");
-  }
-}
-
-namespace {
-
-/// TraceCategory of each MCP engine, for the sink-level --trace-mask filter.
-constexpr sim::TraceCategory engine_category(McpEngine e) {
-  switch (e) {
-    case McpEngine::kSdma: return sim::TraceCategory::kSdma;
-    case McpEngine::kSend: return sim::TraceCategory::kSend;
-    case McpEngine::kRecv: return sim::TraceCategory::kRecv;
-    case McpEngine::kRdma: return sim::TraceCategory::kRdma;
-  }
-  return sim::TraceCategory::kAll;
-}
-
-}  // namespace
-
-sim::SimTime Nic::engine_submit(McpEngine engine, const char* job, std::int64_t cycles,
-                                sim::SmallFn on_done, std::uint64_t trace_id) {
+Nic::SpanId Nic::engine_submit(McpEngine engine, Segment seg, const char* label,
+                              std::int64_t cycles, sim::SmallFn on_done, SpanId parent,
+                              SpanId parent2, std::int64_t detect_cycles) {
   const auto i = static_cast<std::size_t>(engine);
   ++engines_.jobs[i];
   engines_.cycles[i] += cycles;
   const sim::SimTime end = proc_.submit_cycles(cycles, std::move(on_done));
-  if (tsink_ != nullptr) {
-    const sim::Duration service = proc_.cycles(cycles);
-    tsink_->duration(engine_track_[i], job, end - service, service, "nic",
-                     engine_category(engine), trace_id);
-  }
-  return end;
-}
-
-sim::SimTime Nic::pci_submit(const char* job, sim::Duration service, sim::SmallFn on_done,
-                             std::uint64_t trace_id) {
-  const sim::SimTime end = pci_.submit(service, std::move(on_done));
-  if (tsink_ != nullptr) {
-    tsink_->duration(pci_track_, job, end - service, service, "pci",
-                     sim::TraceCategory::kRdma, trace_id);
-  }
-  return end;
-}
-
-std::uint64_t Nic::causal_engine_span(sim::causal::Segment seg, const char* label,
-                                      sim::SimTime end, std::int64_t cycles,
-                                      std::uint64_t parent, std::uint64_t parent2) {
   if (causal_ == nullptr) return 0;
-  const sim::Duration service = proc_.cycles(cycles);
-  return causal_->record(seg, node_, label, end - service, end, parent, parent2);
+  const auto res = static_cast<sim::causal::Resource>(
+      static_cast<std::size_t>(sim::causal::Resource::kSdma) + i);
+  const sim::SimTime start = end - proc_.cycles(cycles - detect_cycles);
+  if (detect_cycles > 0) {
+    parent = causal_->record({.seg = Segment::kSdma, .res = res, .node = node_,
+                              .label = "sdma_detect",
+                              .start = start - proc_.cycles(detect_cycles), .end = start,
+                              .busy_end = start},
+                             parent);
+  }
+  return causal_->record({.seg = seg, .res = res, .node = node_, .label = label, .start = start,
+                          .end = end, .busy_end = end},
+                         parent, parent2);
 }
 
-void Nic::breakdown_nic(PortId p, std::uint32_t epoch, std::int64_t cycles) {
-  if (bcoll_ != nullptr) bcoll_->add_nic(node_, p, epoch, proc_.cycles(cycles));
-}
-
-void Nic::breakdown_dma(PortId p, std::uint32_t epoch, sim::Duration d) {
-  if (bcoll_ != nullptr) bcoll_->add_dma(node_, p, epoch, d);
-}
-
-void Nic::breakdown_wire(Endpoint dst, std::uint32_t epoch, sim::Duration d) {
-  if (bcoll_ != nullptr) bcoll_->add_wire(dst.node, dst.port, epoch, d);
+void Nic::fault_span(const char* label) {
+  if (causal_ == nullptr) return;
+  causal_->record({.seg = Segment::kFirmware, .res = sim::causal::Resource::kFault,
+                   .node = node_, .label = label, .start = sim_.now(), .end = sim_.now(),
+                   .busy_end = sim_.now()});
 }
 
 Connection& Nic::conn(NodeId remote) { return conns_.get_or_create(remote); }
@@ -198,7 +155,8 @@ void Nic::provide_barrier_buffer(PortId p) { ++port(p).barrier_buffers; }
 void Nic::post_send_token(SendToken token) {
   // SDMA notices the token (poll loop) and programs the host->NIC DMA.
   engine_submit(
-      McpEngine::kSdma, "detect+setup", config_.sdma_detect_cycles + config_.sdma_setup_cycles,
+      McpEngine::kSdma, Segment::kSdma, "detect+setup",
+      config_.sdma_detect_cycles + config_.sdma_setup_cycles,
       [this, token = std::move(token)]() mutable { sdma_start(std::move(token)); });
 }
 
@@ -217,9 +175,10 @@ void Nic::sdma_fragment(SendToken token, std::uint16_t index, std::uint16_t frag
       frag_count == 1 ? token.bytes : std::min(config_.mtu_bytes, token.bytes - offset);
   const sim::Duration dma =
       config_.pci_setup + sim::transfer_time(len, config_.pci_bandwidth_mbps);
-  pci_submit("sdma_dma", dma, [this, token = std::move(token), index, frag_count, len]() mutable {
+  pci_submit(Segment::kSdma, "sdma_dma", dma, 0,
+             [this, token = std::move(token), index, frag_count, len]() mutable {
     engine_submit(
-        McpEngine::kSdma, "prepare", config_.sdma_prepare_cycles,
+        McpEngine::kSdma, Segment::kSdma, "prepare", config_.sdma_prepare_cycles,
         [this, token = std::move(token), index, frag_count, len]() mutable {
           Packet p;
           p.type = PacketType::kData;
@@ -246,19 +205,20 @@ void Nic::post_multicast_token(MulticastToken token) {
     throw std::invalid_argument("multicast payload exceeds the MTU");
   }
   engine_submit(
-      McpEngine::kSdma, "detect+setup", config_.sdma_detect_cycles + config_.sdma_setup_cycles,
+      McpEngine::kSdma, Segment::kSdma, "detect+setup",
+      config_.sdma_detect_cycles + config_.sdma_setup_cycles,
       [this, token = std::move(token)]() mutable {
         // The decisive difference from a host-side send loop: ONE PCI
         // crossing regardless of the destination count.
         const sim::Duration dma =
             config_.pci_setup + sim::transfer_time(token.bytes, config_.pci_bandwidth_mbps);
-        pci_submit("mcast_dma", dma, [this, token = std::move(token)]() mutable {
+        pci_submit(Segment::kSdma, "mcast_dma", dma, 0, [this, token = std::move(token)]() mutable {
           ++stats_.multicasts_sent;
           for (const Endpoint& dst : token.destinations) {
             // Per-destination packet preparation, pipelined on the processor.
             auto tok = std::make_shared<MulticastToken>(token);
-            engine_submit(McpEngine::kSdma, "prepare", config_.sdma_prepare_cycles,
-                          [this, tok, dst] {
+            engine_submit(McpEngine::kSdma, Segment::kSdma, "prepare",
+                          config_.sdma_prepare_cycles, [this, tok, dst] {
               Packet p;
               p.type = PacketType::kData;
               p.src_node = node_;
@@ -300,22 +260,16 @@ void Nic::transmit(net::PacketPtr packet, std::int64_t send_cycles_override) {
   // which is after this function returns.
   Packet& p = *packet;
   // Stamp the fabric-unique id here (not at injection) so loopback packets
-  // and the SEND-side trace flow event carry it too.
+  // carry one too.
   if (p.id == 0) p.id = net_.allocate_packet_id(node_);
   const std::int64_t cost =
       send_cycles_override >= 0
           ? send_cycles_override
           : (net::is_barrier_payload(p.type) ? config_.barrier_send_cycles : config_.send_cycles);
-  if (bcoll_ != nullptr && net::is_barrier_payload(p.type)) {
-    // SEND cycles belong to the sender's barrier record; the wire time is on
-    // the *destination's* critical path, so it accrues there (Eq. 1-2's
-    // Network term).
-    bcoll_->add_nic(node_, p.src_port, p.barrier_epoch, proc_.cycles(cost));
-    breakdown_wire(Endpoint{p.dst_node, p.dst_port}, p.barrier_epoch,
-                   net_.path_time(node_, p.dst_node, p.payload_bytes));
-  }
-  const sim::SimTime end = engine_submit(
-      McpEngine::kSend, "tx", cost,
+  // The packet's causal chain now ends at this SEND-engine span; wire and
+  // switch hops extend it in flight.
+  p.causal = engine_submit(
+      McpEngine::kSend, Segment::kSend, "tx", cost,
       [this, packet = std::move(packet)]() mutable {
         if (packet->dst_node == node_) {
           // Same-NIC delivery: skip the fabric, model a short internal turnaround.
@@ -327,16 +281,7 @@ void Nic::transmit(net::PacketPtr packet, std::int64_t send_cycles_override) {
         }
         net_.inject(std::move(packet));
       },
-      p.id);
-  if (causal_ != nullptr) {
-    // The packet's causal chain now ends at this SEND-engine span; wire and
-    // switch hops extend it in flight.
-    p.causal = causal_engine_span(sim::causal::Segment::kSend, "tx", end, cost, p.causal);
-  }
-  if (tsink_ != nullptr && !net::is_control(p.type) && p.id != 0) {
-    tsink_->flow_start(engine_track_[static_cast<std::size_t>(McpEngine::kSend)], "pkt",
-                       end - proc_.cycles(cost), p.id, "nic", sim::TraceCategory::kSend);
-  }
+      p.causal);
 }
 
 void Nic::send_control(const Packet& p) {
@@ -357,8 +302,8 @@ void Nic::rx_packet(net::PacketPtr packet) {
   if (p.corrupted) {
     // The CRC check runs after the whole packet has streamed in, so the
     // RECV engine pays its full occupancy before discarding.
-    engine_submit(McpEngine::kRecv, "rx_crc_drop", config_.recv_cycles,
-                  [this] { ++stats_.crc_drops; });
+    engine_submit(McpEngine::kRecv, Segment::kRecv, "rx_crc_drop", config_.recv_cycles,
+                  [this] { ++stats_.crc_drops; }, p.causal);
     return;
   }
   if (const Connection* c = conns_.find(p.src_node); c != nullptr && c->dead) {
@@ -376,70 +321,40 @@ void Nic::rx_packet(net::PacketPtr packet) {
     case PacketType::kRmaGet:
     case PacketType::kRmaCas:
     case PacketType::kRmaReply:
-    case PacketType::kData: {
-      const sim::SimTime end = engine_submit(
-          McpEngine::kRecv, "rx_data", config_.recv_cycles,
-          [this, packet = std::move(packet)]() mutable { recv_data(std::move(packet)); }, p.id);
-      if (causal_ != nullptr) {
-        p.causal = causal_engine_span(sim::causal::Segment::kRecv, "rx_data", end,
-                                      config_.recv_cycles, p.causal);
-      }
-      if (tsink_ != nullptr && p.id != 0) {
-        tsink_->flow_end(engine_track_[static_cast<std::size_t>(McpEngine::kRecv)], "pkt",
-                         end - proc_.cycles(config_.recv_cycles), p.id, "nic",
-                         sim::TraceCategory::kRecv);
-      }
+    case PacketType::kData:
+      p.causal = engine_submit(
+          McpEngine::kRecv, Segment::kRecv, "rx_data", config_.recv_cycles,
+          [this, packet = std::move(packet)]() mutable { recv_data(std::move(packet)); },
+          p.causal);
       break;
-    }
-    case PacketType::kAck: {
-      const sim::SimTime end = engine_submit(
-          McpEngine::kRecv, "rx_ack", config_.recv_ack_cycles,
-          [this, packet = std::move(packet)] { recv_ack(*packet); }, p.id);
-      if (causal_ != nullptr) {
-        causal_engine_span(sim::causal::Segment::kRecv, "rx_ack", end,
-                           config_.recv_ack_cycles, p.causal);
-      }
+    case PacketType::kAck:
+      engine_submit(McpEngine::kRecv, Segment::kRecv, "rx_ack", config_.recv_ack_cycles,
+                    [this, packet = std::move(packet)] { recv_ack(*packet); }, p.causal);
       break;
-    }
-    case PacketType::kNack: {
-      const sim::SimTime end = engine_submit(
-          McpEngine::kRecv, "rx_nack", config_.recv_ack_cycles,
-          [this, packet = std::move(packet)] { recv_nack(*packet); }, p.id);
-      if (causal_ != nullptr) {
-        causal_engine_span(sim::causal::Segment::kRecv, "rx_nack", end,
-                           config_.recv_ack_cycles, p.causal);
-      }
+    case PacketType::kNack:
+      engine_submit(McpEngine::kRecv, Segment::kRecv, "rx_nack", config_.recv_ack_cycles,
+                    [this, packet = std::move(packet)] { recv_nack(*packet); }, p.causal);
       break;
-    }
     case PacketType::kBarrierPe:
     case PacketType::kBarrierGather:
     case PacketType::kBarrierBcast:
-      // RECV's per-packet cycles are on the barrier's critical path.
-      breakdown_nic(p.dst_port, p.barrier_epoch, config_.recv_cycles);
-      [[fallthrough]];
     case PacketType::kReduceUp:
-    case PacketType::kReduceDown: {
-      const sim::SimTime end = engine_submit(
-          McpEngine::kRecv, "rx_barrier", config_.recv_cycles,
-          [this, packet = std::move(packet)]() mutable { barrier_rx(std::move(packet)); }, p.id);
-      if (causal_ != nullptr) {
-        p.causal = causal_engine_span(sim::causal::Segment::kRecv, "rx_barrier", end,
-                                      config_.recv_cycles, p.causal);
-      }
-      if (tsink_ != nullptr && p.id != 0) {
-        tsink_->flow_end(engine_track_[static_cast<std::size_t>(McpEngine::kRecv)], "pkt",
-                         end - proc_.cycles(config_.recv_cycles), p.id, "nic",
-                         sim::TraceCategory::kRecv);
-      }
+    case PacketType::kReduceDown:
+      p.causal = engine_submit(
+          McpEngine::kRecv, Segment::kRecv, "rx_barrier", config_.recv_cycles,
+          [this, packet = std::move(packet)]() mutable { barrier_rx(std::move(packet)); },
+          p.causal);
       break;
-    }
     case PacketType::kBarrierAck:
-      engine_submit(McpEngine::kRecv, "rx_barrier_ack", config_.recv_ack_cycles,
-                    [this, packet = std::move(packet)] { barrier_recv_barrier_ack(*packet); });
+      engine_submit(McpEngine::kRecv, Segment::kRecv, "rx_barrier_ack", config_.recv_ack_cycles,
+                    [this, packet = std::move(packet)] { barrier_recv_barrier_ack(*packet); },
+                    p.causal);
       break;
     case PacketType::kBarrierNack:
-      engine_submit(McpEngine::kRecv, "rx_barrier_nack", config_.recv_ack_cycles,
-                    [this, packet = std::move(packet)] { barrier_handle_nack(*packet); });
+      engine_submit(McpEngine::kRecv, Segment::kRecv, "rx_barrier_nack",
+                    config_.recv_ack_cycles,
+                    [this, packet = std::move(packet)] { barrier_handle_nack(*packet); },
+                    p.causal);
       break;
   }
 }
@@ -483,15 +398,9 @@ void Nic::accept_in_order(net::PacketPtr packet) {
     // Shared-stream mode: the barrier message passed the ordinary stream
     // check; now run the barrier firmware on it, at the same cost as the
     // other reliability modes.
-    const std::int64_t cost = barrier_rx_cost(p);
-    breakdown_nic(p.dst_port, p.barrier_epoch, cost);
-    const sim::SimTime end = engine_submit(
-        McpEngine::kRdma, "barrier_advance", cost,
-        [this, packet = std::move(packet)] { barrier_rx_in_order(*packet); }, p.id);
-    if (causal_ != nullptr) {
-      p.causal = causal_engine_span(sim::causal::Segment::kFirmware, "barrier_advance", end,
-                                    cost, p.causal);
-    }
+    p.causal = engine_submit(
+        McpEngine::kRdma, Segment::kFirmware, "barrier_advance", barrier_rx_cost(p),
+        [this, packet = std::move(packet)] { barrier_rx_in_order(*packet); }, p.causal);
     return;
   }
   if (net::is_rma_payload(p.type)) {
@@ -639,7 +548,7 @@ void Nic::declare_peer_dead(NodeId remote) {
     c.rel->sent_list.clear();
     c.rel->barrier_sent_list.clear();
   }
-  if (tsink_ != nullptr) tsink_->instant(fault_track_, "peer_dead", sim_.now(), "fault");
+  fault_span("peer_dead");
   GmEvent ev;
   ev.type = GmEventType::kPeerDead;
   ev.peer = Endpoint{remote, 0};
@@ -658,7 +567,7 @@ void Nic::crash() {
   if (crashed_) return;
   crashed_ = true;
   ++stats_.nic_crashes;
-  if (tsink_ != nullptr) tsink_->instant(fault_track_, "crash", sim_.now(), "fault");
+  fault_span("crash");
   // The firmware's timers die with the processor; connection bookkeeping
   // survives in host/NIC SRAM and is replayed by restart().
   conns_.for_each([this](NodeId, Connection& c) {
@@ -672,7 +581,7 @@ void Nic::restart() {
   if (!crashed_) return;
   crashed_ = false;
   ++stats_.nic_restarts;
-  if (tsink_ != nullptr) tsink_->instant(fault_track_, "restart", sim_.now(), "fault");
+  fault_span("restart");
   // Replay everything unacknowledged on both streams; the receiver's
   // duplicate suppression makes this safe.
   conns_.for_each([this](NodeId remote, Connection& c) {
@@ -721,38 +630,28 @@ void Nic::deliver_to_host(net::PacketPtr packet) {
     assert(!ps.recv_tokens.empty());  // guaranteed by the recv_data token check
     ps.recv_tokens.pop_front();
   }
-  const sim::SimTime setup_end = engine_submit(
-      McpEngine::kRdma, "rdma_setup", config_.rdma_setup_cycles,
+  p.causal = engine_submit(
+      McpEngine::kRdma, Segment::kRdma, "rdma_setup", config_.rdma_setup_cycles,
       [this, packet = std::move(packet)]() mutable {
         Packet& pk = *packet;
         const sim::Duration dma =
             config_.pci_setup + sim::transfer_time(pk.payload_bytes, config_.pci_bandwidth_mbps);
-        const sim::SimTime dma_end = pci_submit(
-            "rdma_dma", dma,
-            [this, packet = std::move(packet)] {
-              // The host sees one event per *message*, on the final fragment.
-              if (packet->frag_index + 1 != packet->frag_count) return;
-              GmEvent ev;
-              ev.type = GmEventType::kRecv;
-              ev.peer = Endpoint{packet->src_node, packet->src_port};
-              ev.bytes =
-                  packet->frag_count == 1 ? packet->payload_bytes : packet->message_bytes;
-              ev.tag = packet->tag;
-              ev.value = packet->value;
-              ev.causal = packet->causal;
-              push_event(packet->dst_port, ev);
-            },
-            pk.id);
-        if (causal_ != nullptr) {
-          pk.causal = causal_->record(sim::causal::Segment::kRdma, node_, "rdma_dma",
-                                      dma_end - dma, dma_end, pk.causal);
-        }
+        pci_submit(Segment::kRdma, "rdma_dma", dma, pk.causal,
+                   [this, packet = std::move(packet)](SpanId span) {
+                     // The host sees one event per *message*, on the final fragment.
+                     if (packet->frag_index + 1 != packet->frag_count) return;
+                     GmEvent ev;
+                     ev.type = GmEventType::kRecv;
+                     ev.peer = Endpoint{packet->src_node, packet->src_port};
+                     ev.bytes = packet->frag_count == 1 ? packet->payload_bytes
+                                                        : packet->message_bytes;
+                     ev.tag = packet->tag;
+                     ev.value = packet->value;
+                     ev.causal = span;
+                     push_event(packet->dst_port, ev);
+                   });
       },
-      p.id);
-  if (causal_ != nullptr) {
-    p.causal = causal_engine_span(sim::causal::Segment::kRdma, "rdma_setup", setup_end,
-                                  config_.rdma_setup_cycles, p.causal);
-  }
+      p.causal);
 }
 
 void Nic::push_event(PortId p, GmEvent ev) {

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -45,7 +46,8 @@
 namespace nicbar::nic {
 
 /// The four MCP state machines time-sliced on the LANai processor. Used to
-/// attribute processor cycles per engine for the telemetry layer.
+/// attribute processor cycles per engine for the telemetry layer; a job's
+/// span holds the engine's sim::causal::Resource (kSdma + the engine).
 enum class McpEngine : std::uint8_t { kSdma = 0, kSend, kRecv, kRdma };
 
 constexpr std::size_t kMcpEngineCount = 4;
@@ -237,10 +239,9 @@ class Nic {
   [[nodiscard]] std::size_t reliability_blocks() const { return conns_.reliability_blocks(); }
 
   /// Attaches the cluster's telemetry bundle (nullptr detaches). The NIC
-  /// caches the sink pointers so every hot-path hook is one branch.
-  void set_telemetry(sim::telemetry::Telemetry* telemetry);
-  [[nodiscard]] sim::telemetry::BreakdownCollector* breakdown_collector() const {
-    return bcoll_;
+  /// caches its span record so every hot-path hook is one branch.
+  void set_telemetry(sim::telemetry::Telemetry* telemetry) {
+    causal_ = telemetry != nullptr ? telemetry->causal() : nullptr;
   }
   [[nodiscard]] sim::causal::CausalTracer* causal_tracer() const { return causal_; }
 
@@ -285,24 +286,42 @@ class Nic {
     return slot ? *slot : kUntouched;
   }
 
-  // --- Telemetry helpers -----------------------------------------------------
-  /// Charges `cycles` on the shared processor, attributed to `engine`; emits
-  /// a span named `job` on the engine's trace track when a sink is attached.
-  /// `trace_id` (a packet id or causal span id) is carried on the trace event.
-  sim::SimTime engine_submit(McpEngine engine, const char* job, std::int64_t cycles,
-                             sim::SmallFn on_done = {}, std::uint64_t trace_id = 0);
-  /// Occupies the PCI bus for `service`; emits a span when a sink is attached.
-  sim::SimTime pci_submit(const char* job, sim::Duration service, sim::SmallFn on_done = {},
-                          std::uint64_t trace_id = 0);
-  /// Records a causal span for an engine job that ended at `end` after
-  /// `cycles` of processor time; returns 0 when causal tracing is detached.
-  std::uint64_t causal_engine_span(sim::causal::Segment seg, const char* label,
-                                   sim::SimTime end, std::int64_t cycles,
-                                   std::uint64_t parent, std::uint64_t parent2 = 0);
-  /// Breakdown attribution of barrier-firmware work; no-ops when detached.
-  void breakdown_nic(PortId port, std::uint32_t epoch, std::int64_t cycles);
-  void breakdown_dma(PortId port, std::uint32_t epoch, sim::Duration d);
-  void breakdown_wire(Endpoint dst, std::uint32_t epoch, sim::Duration d);
+  // --- The instrumentation hooks: one span per job ---------------------------
+  using SpanId = sim::causal::SpanId;
+  using Segment = sim::causal::Segment;
+  /// Charges `cycles` on the shared processor, attributed to `engine`, and
+  /// records the job as span `label` in `seg` on the engine; returns the
+  /// span (0 when no record is attached). A job that starts with the SDMA
+  /// poll noticing a host token passes its `detect_cycles`: that head is a
+  /// span of its own, `sdma_detect`, the rest's parent.
+  SpanId engine_submit(McpEngine engine, Segment seg, const char* label, std::int64_t cycles,
+                       sim::SmallFn on_done = {}, SpanId parent = 0, SpanId parent2 = 0,
+                       std::int64_t detect_cycles = 0);
+  /// Occupies the PCI bus for `service` and records the transfer as span
+  /// `label` in `seg`; `done` runs when it completes, given the span id if
+  /// it takes one. Returns the span.
+  template <typename Done>
+  SpanId pci_submit(Segment seg, const char* label, sim::Duration service, SpanId parent,
+                    Done done) {
+    SpanId span = 0;
+    if (causal_ != nullptr) {
+      const sim::SimTime end = pci_.next_completion(service);
+      span = causal_->record({.seg = seg, .res = sim::causal::Resource::kPci, .node = node_,
+                              .label = label, .start = end - service, .end = end,
+                              .busy_end = end},
+                             parent);
+    }
+    pci_.submit(service, [done = std::move(done), span]() mutable {
+      if constexpr (std::is_invocable_v<Done&, SpanId>) {
+        done(span);
+      } else {
+        done();
+      }
+    });
+    return span;
+  }
+  /// Records a fault (crash, restart, peer death) at this instant.
+  void fault_span(const char* label);
 
   // --- SDMA / SEND ------------------------------------------------------------
   void sdma_start(SendToken token);
@@ -404,13 +423,7 @@ class Nic {
   SlotTable slots_;
   bool crashed_ = false;
   EngineStats engines_;
-  // Telemetry (all null/zero when detached; every hook is one branch).
-  sim::telemetry::TraceEventSink* tsink_ = nullptr;
-  sim::telemetry::BreakdownCollector* bcoll_ = nullptr;
-  sim::causal::CausalTracer* causal_ = nullptr;
-  int engine_track_[kMcpEngineCount] = {};
-  int pci_track_ = 0;
-  int fault_track_ = 0;
+  sim::causal::CausalTracer* causal_ = nullptr;  // null when detached
 };
 
 }  // namespace nicbar::nic

@@ -52,22 +52,12 @@ void Nic::post_barrier_token(BarrierToken token) {
         (token.is_root() ? 0 : 1));
     cycles += entries * config_.barrier_hier_init_per_entry_cycles;
   }
-  breakdown_nic(token.src_port, token.epoch, cycles);
   auto tok = std::make_shared<BarrierToken>(std::move(token));
-  const sim::SimTime end =
-      engine_submit(McpEngine::kSdma, "barrier_init", cycles,
-                    [this, tok]() mutable { barrier_start(std::move(*tok)); });
-  if (causal_ != nullptr) {
-    // One engine job covers both the SDMA token detection and the firmware
-    // barrier initiation; attribute each half to its own segment.
-    const std::int64_t init_cycles = cycles - config_.sdma_detect_cycles;
-    const std::uint64_t detect =
-        causal_engine_span(sim::causal::Segment::kSdma, "sdma_detect",
-                           end - proc_.cycles(init_cycles), config_.sdma_detect_cycles,
-                           tok->causal);
-    tok->causal = causal_engine_span(sim::causal::Segment::kFirmware, "barrier_init", end,
-                                     init_cycles, detect);
-  }
+  // One engine job covers both the SDMA token detection and the firmware
+  // barrier initiation; each half is its own span in its own segment.
+  tok->causal = engine_submit(McpEngine::kSdma, Segment::kFirmware, "barrier_init", cycles,
+                              [this, tok]() mutable { barrier_start(std::move(*tok)); },
+                              tok->causal, 0, config_.sdma_detect_cycles);
 }
 
 void Nic::barrier_start(BarrierToken token) {
@@ -121,13 +111,9 @@ void Nic::barrier_rx(net::PacketPtr packet) {
     case BarrierReliability::kUnreliable: {
       // The job takes the handle; `p` stays valid until it runs.
       Packet& p = *packet;
-      const std::int64_t cost = barrier_rx_cost(p);
-      breakdown_nic(p.dst_port, p.barrier_epoch, cost);
-      const sim::SimTime end = engine_submit(
-          McpEngine::kRdma, "barrier_advance", cost,
-          [this, packet = std::move(packet)] { barrier_rx_in_order(*packet); }, p.id);
-      p.causal = causal_engine_span(sim::causal::Segment::kFirmware, "barrier_advance", end,
-                                    cost, p.causal);
+      p.causal = engine_submit(
+          McpEngine::kRdma, Segment::kFirmware, "barrier_advance", barrier_rx_cost(p),
+          [this, packet = std::move(packet)] { barrier_rx_in_order(*packet); }, p.causal);
       break;
     }
     case BarrierReliability::kSharedStream:
@@ -302,7 +288,7 @@ void Nic::barrier_try_advance_pe(PortId local_port) {
         // hand-off costs nothing here, unlike the host-orchestrated
         // composition it replaces.
         if (causal_ != nullptr) {
-          tok->causal = causal_->record(sim::causal::Segment::kRep, node_, "rep_down",
+          tok->causal = causal_->record(Segment::kRep, node_, "rep_down",
                                         sim_.now(), sim_.now(), tok->causal);
         }
         // Multidestination release, issued *before* our own completion DMA:
@@ -332,13 +318,9 @@ void Nic::barrier_try_advance_pe(PortId local_port) {
     // Already received (recorded as unexpected): test-and-clear, advance.
     const std::uint64_t arrival = record_extra(peer.node, peer.port).causal;
     clear_record(c, peer.node, peer.port);
-    breakdown_nic(local_port, tok->epoch, config_.barrier_pe_cycles);
-    const sim::SimTime end =
-        engine_submit(McpEngine::kRdma, "pe_advance", config_.barrier_pe_cycles);  // bookkeeping
-    if (causal_ != nullptr) {
-      tok->causal = causal_engine_span(sim::causal::Segment::kFirmware, "pe_advance", end,
-                                       config_.barrier_pe_cycles, arrival, tok->causal);
-    }
+    tok->causal = engine_submit(McpEngine::kRdma, Segment::kFirmware, "pe_advance",
+                                config_.barrier_pe_cycles, {}, arrival,
+                                tok->causal);  // bookkeeping
     ++tok->node_index;
     ++stats_.barrier_pe_rounds;
     tok->awaiting_recv = false;
@@ -361,7 +343,7 @@ void Nic::barrier_check_gather(PortId local_port) {
     // Zero-duration join: the gather condition depends on every child's
     // arrival chain plus our own initiation; the last-ending parent is the
     // one the critical path walks through.
-    const std::uint64_t join = causal_->record(sim::causal::Segment::kFirmware, node_,
+    const std::uint64_t join = causal_->record(Segment::kFirmware, node_,
                                                "gather_ready", sim_.now(), sim_.now(),
                                                tok->causal);
     for (const Endpoint& child : tok->children) {
@@ -386,7 +368,7 @@ void Nic::barrier_check_gather(PortId local_port) {
   if (pc.bit(tok->parent.port) &&
       pc.bit_info[tok->parent.port].type == PacketType::kBarrierBcast) {
     if (causal_ != nullptr) {
-      tok->causal = causal_->record(sim::causal::Segment::kFirmware, node_, "bcast_seen",
+      tok->causal = causal_->record(Segment::kFirmware, node_, "bcast_seen",
                                     sim_.now(), sim_.now(),
                                     record_extra(tok->parent.node, tok->parent.port).causal,
                                     tok->causal);
@@ -416,7 +398,7 @@ void Nic::barrier_hier_check_gather(PortId local_port) {
     if (!conn(child.node).bit(child.port)) return;  // still waiting on a child
   }
   if (causal_ != nullptr && !tok->children.empty()) {
-    const std::uint64_t join = causal_->record(sim::causal::Segment::kFirmware, node_,
+    const std::uint64_t join = causal_->record(Segment::kFirmware, node_,
                                                "gather_ready", sim_.now(), sim_.now(),
                                                tok->causal);
     for (const Endpoint& child : tok->children) {
@@ -438,7 +420,7 @@ void Nic::barrier_hier_check_gather(PortId local_port) {
           rc.bit_info[tok->release[0].port].type == PacketType::kBarrierBcast) {
         if (causal_ != nullptr) {
           tok->causal = causal_->record(
-              sim::causal::Segment::kFirmware, node_, "bcast_seen", sim_.now(), sim_.now(),
+              Segment::kFirmware, node_, "bcast_seen", sim_.now(), sim_.now(),
               record_extra(tok->release[0].node, tok->release[0].port).causal, tok->causal);
         }
         clear_record(rc, tok->release[0].node, tok->release[0].port);
@@ -451,7 +433,7 @@ void Nic::barrier_hier_check_gather(PortId local_port) {
   tok->hier_gathered = true;
   // Representative hop, upward edge: the block is in, the exchange begins.
   if (causal_ != nullptr) {
-    tok->causal = causal_->record(sim::causal::Segment::kRep, node_, "rep_up", sim_.now(),
+    tok->causal = causal_->record(Segment::kRep, node_, "rep_up", sim_.now(),
                                   sim_.now(), tok->causal);
   }
   ++stats_.barrier_hier_gathers;
@@ -505,12 +487,9 @@ void Nic::barrier_send(PortId local_port, Endpoint dst, PacketType type, std::ui
     ++stats_.barrier_loopback_msgs;
     net::PacketPtr packet = net::make_packet(p);
     Packet& queued = *packet;  // the job takes the handle; valid until it runs
-    breakdown_nic(queued.dst_port, epoch, config_.barrier_pe_cycles);
-    const sim::SimTime end =
-        engine_submit(McpEngine::kRdma, "loopback", config_.barrier_pe_cycles,
-                      [this, packet = std::move(packet)] { barrier_rx_in_order(*packet); });
-    queued.causal = causal_engine_span(sim::causal::Segment::kFirmware, "loopback", end,
-                                       config_.barrier_pe_cycles, queued.causal);
+    queued.causal = engine_submit(
+        McpEngine::kRdma, Segment::kFirmware, "loopback", config_.barrier_pe_cycles,
+        [this, packet = std::move(packet)] { barrier_rx_in_order(*packet); }, queued.causal);
     return;
   }
 
@@ -559,39 +538,27 @@ void Nic::barrier_complete(PortId local_port) {
   // Keep the completed token for §3.2 late-NACK resends.
   ps.last_barrier = std::move(ps.active_barrier);
 
-  // RDMA the completion token to the host.
-  breakdown_nic(local_port, epoch, config_.rdma_setup_cycles);
-  const sim::SimTime setup_end =
-      engine_submit(McpEngine::kRdma, "rdma_setup", config_.rdma_setup_cycles,
-                    [this, local_port, epoch] {
-    const sim::Duration dma =
-        config_.pci_setup + sim::transfer_time(8, config_.pci_bandwidth_mbps);
-    breakdown_dma(local_port, epoch, dma);
-    // The completion event carries the DMA's own span, so record it (at the
-    // end time the job will get) before the job is submitted.
-    std::uint64_t dma_span = 0;
-    if (causal_ != nullptr) {
-      const sim::SimTime dma_end = pci_.next_completion(dma);
-      BarrierToken* t = port(local_port).last_barrier.get();
-      const std::uint64_t parent = t != nullptr && t->epoch == epoch ? t->causal : 0;
-      dma_span = causal_->record(sim::causal::Segment::kRdma, node_, "rdma_dma", dma_end - dma,
-                                 dma_end, parent);
-    }
-    pci_submit("rdma_dma", dma, [this, local_port, epoch, dma_span] {
-      PortState& p = port(local_port);
-      if (p.barrier_buffers > 0) --p.barrier_buffers;
-      GmEvent ev;
-      ev.type = GmEventType::kBarrierComplete;
-      ev.barrier_epoch = epoch;
-      ev.causal = dma_span;
-      push_event(local_port, ev);
-    });
-  });
-  if (causal_ != nullptr) {
-    BarrierToken* t = ps.last_barrier.get();  // tok moved there above
-    t->causal = causal_engine_span(sim::causal::Segment::kRdma, "rdma_setup", setup_end,
-                                   config_.rdma_setup_cycles, t->causal);
-  }
+  // RDMA the completion token to the host; the completion event carries the
+  // DMA's own span.
+  tok->causal = engine_submit(
+      McpEngine::kRdma, Segment::kRdma, "rdma_setup", config_.rdma_setup_cycles,
+      [this, local_port, epoch] {
+        const sim::Duration dma =
+            config_.pci_setup + sim::transfer_time(8, config_.pci_bandwidth_mbps);
+        const BarrierToken* t = port(local_port).last_barrier.get();
+        pci_submit(Segment::kRdma, "rdma_dma", dma,
+                   t != nullptr && t->epoch == epoch ? t->causal : 0,
+                   [this, local_port, epoch](SpanId span) {
+                     PortState& p = port(local_port);
+                     if (p.barrier_buffers > 0) --p.barrier_buffers;
+                     GmEvent ev;
+                     ev.type = GmEventType::kBarrierComplete;
+                     ev.barrier_epoch = epoch;
+                     ev.causal = span;
+                     push_event(local_port, ev);
+                   });
+      },
+      tok->causal);
 }
 
 // --- Closed-port handling (§3.2) -------------------------------------------------------------------
@@ -725,13 +692,9 @@ void Nic::barrier_recv_separate(net::PacketPtr packet) {
     if (c.rel) c.rel->barrier_nack_outstanding = false;
     ack.ack = c.next_expected_barrier_seq - 1;
     send_control(ack);
-    const std::int64_t cost = barrier_rx_cost(p);
-    breakdown_nic(p.dst_port, p.barrier_epoch, cost);
-    const sim::SimTime end = engine_submit(
-        McpEngine::kRdma, "barrier_advance", cost,
-        [this, packet = std::move(packet)] { barrier_rx_in_order(*packet); }, p.id);
-    p.causal = causal_engine_span(sim::causal::Segment::kFirmware, "barrier_advance", end, cost,
-                                  p.causal);
+    p.causal = engine_submit(
+        McpEngine::kRdma, Segment::kFirmware, "barrier_advance", barrier_rx_cost(p),
+        [this, packet = std::move(packet)] { barrier_rx_in_order(*packet); }, p.causal);
   } else if (p.barrier_seq < c.next_expected_barrier_seq) {
     ++stats_.duplicates_dropped;
     ack.ack = c.next_expected_barrier_seq - 1;  // re-ack

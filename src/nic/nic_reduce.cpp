@@ -48,8 +48,9 @@ void Nic::post_reduce_token(ReduceToken token) {
   // Same initiation cost model as a GB barrier plus the combining setup.
   const std::int64_t cycles = config_.sdma_detect_cycles + config_.barrier_init_cycles +
                               config_.barrier_gb_init_cycles;
-  engine_submit(McpEngine::kSdma, "reduce_init", cycles,
-                [this, token = std::move(token)]() mutable { reduce_start(std::move(token)); });
+  engine_submit(McpEngine::kSdma, Segment::kFirmware, "reduce_init", cycles,
+                [this, token = std::move(token)]() mutable { reduce_start(std::move(token)); },
+                0, 0, config_.sdma_detect_cycles);
 }
 
 void Nic::reduce_start(ReduceToken token) {
@@ -114,7 +115,8 @@ void Nic::reduce_check_children(PortId local_port) {
   for (const Endpoint& child : tok->children) {
     tok->acc = apply_reduce_op(tok->op, tok->acc, record_extra(child.node, child.port).value);
     clear_record(conn(child.node), child.node, child.port);
-    engine_submit(McpEngine::kRdma, "combine", config_.barrier_gb_cycles);  // per child
+    engine_submit(McpEngine::kRdma, Segment::kFirmware, "combine",
+                  config_.barrier_gb_cycles);  // per child
   }
 
   if (tok->is_root()) {
@@ -158,7 +160,7 @@ void Nic::reduce_send(PortId local_port, Endpoint dst, PacketType type, std::uin
 
   if (config_.barrier_loopback && dst.node == node_) {
     ++stats_.barrier_loopback_msgs;
-    engine_submit(McpEngine::kRdma, "loopback", config_.barrier_gb_cycles,
+    engine_submit(McpEngine::kRdma, Segment::kFirmware, "loopback", config_.barrier_gb_cycles,
                   [this, packet = net::make_packet(p)] {
                     ++stats_.barrier_packets_received;
                     if (!port(packet->dst_port).open) {
@@ -199,11 +201,11 @@ void Nic::reduce_complete(PortId local_port, std::int64_t result) {
   const std::uint32_t epoch = tok->epoch;
   ps.last_reduce = std::move(ps.active_reduce);
 
-  engine_submit(McpEngine::kRdma, "rdma_setup", config_.rdma_setup_cycles,
+  engine_submit(McpEngine::kRdma, Segment::kRdma, "rdma_setup", config_.rdma_setup_cycles,
                 [this, local_port, epoch, result] {
     const sim::Duration dma =
         config_.pci_setup + sim::transfer_time(16, config_.pci_bandwidth_mbps);
-    pci_submit("rdma_dma", dma, [this, local_port, epoch, result] {
+    pci_submit(Segment::kRdma, "rdma_dma", dma, 0, [this, local_port, epoch, result] {
       PortState& p = port(local_port);
       if (p.barrier_buffers > 0) --p.barrier_buffers;
       GmEvent ev;

@@ -36,11 +36,12 @@ using net::PacketType;
 void Nic::post_rma_token(RmaToken token) {
   ++stats_.rma_ops_posted;
   engine_submit(
-      McpEngine::kSdma, "rma_detect+setup",
+      McpEngine::kSdma, Segment::kSdma, "rma_detect+setup",
       config_.sdma_detect_cycles + config_.sdma_setup_cycles,
       [this, token]() mutable {
         auto prepare = [this, token]() mutable {
-          engine_submit(McpEngine::kSdma, "rma_prepare", config_.rma_prepare_cycles,
+          engine_submit(McpEngine::kSdma, Segment::kSdma, "rma_prepare",
+                        config_.rma_prepare_cycles,
                         [this, token]() mutable {
                           Packet p;
                           switch (token.kind) {
@@ -67,7 +68,7 @@ void Nic::post_rma_token(RmaToken token) {
           const sim::Duration dma =
               config_.pci_setup +
               sim::transfer_time(config_.rma_payload_bytes, config_.pci_bandwidth_mbps);
-          pci_submit("rma_sdma_dma", dma, std::move(prepare));
+          pci_submit(Segment::kSdma, "rma_sdma_dma", dma, 0, std::move(prepare));
         } else {
           prepare();
         }
@@ -93,18 +94,18 @@ void Nic::rma_register(PortId p, std::uint64_t segment, RmaMemory* mem) {
 void Nic::set_rma_sink(PortId p, RmaSink* sink) { port(p).rma_sink = sink; }
 
 void Nic::rma_rx_in_order(net::PacketPtr packet) {
-  const Packet& p = *packet;  // the job takes the handle; valid until it runs
+  Packet& p = *packet;  // the job takes the handle; valid until it runs
   if (p.type == PacketType::kRmaReply) {
-    engine_submit(McpEngine::kRdma, "rma_reply", config_.rma_reply_cycles,
-                  [this, packet = std::move(packet)] { rma_absorb_reply(*packet); }, p.id);
+    engine_submit(McpEngine::kRdma, Segment::kFirmware, "rma_reply", config_.rma_reply_cycles,
+                  [this, packet = std::move(packet)] { rma_absorb_reply(*packet); }, p.causal);
     return;
   }
   std::int64_t cost = config_.rma_put_cycles;
   if (p.type == PacketType::kRmaGet) cost = config_.rma_get_cycles;
   if (p.type == PacketType::kRmaCas) cost = config_.rma_cas_cycles;
-  engine_submit(McpEngine::kRdma, "rma_apply", cost,
-                [this, packet = std::move(packet)]() mutable { rma_apply(std::move(packet)); },
-                p.id);
+  p.causal = engine_submit(
+      McpEngine::kRdma, Segment::kFirmware, "rma_apply", cost,
+      [this, packet = std::move(packet)]() mutable { rma_apply(std::move(packet)); }, p.causal);
 }
 
 void Nic::rma_apply(net::PacketPtr packet) {
@@ -137,11 +138,12 @@ void Nic::rma_apply(net::PacketPtr packet) {
       const sim::Duration dma =
           config_.pci_setup +
           sim::transfer_time(p.payload_bytes, config_.pci_bandwidth_mbps);
-      pci_submit("rma_dma", dma, [this, packet = std::move(packet), mem] {
-        ++stats_.rma_puts_applied;
-        mem->write(packet->rma_index, packet->value);
-        rma_reply(*packet, packet->value, true);
-      }, p.id);
+      pci_submit(Segment::kRdma, "rma_dma", dma, p.causal,
+                 [this, packet = std::move(packet), mem] {
+                   ++stats_.rma_puts_applied;
+                   mem->write(packet->rma_index, packet->value);
+                   rma_reply(*packet, packet->value, true);
+                 });
       break;
     }
     case PacketType::kRmaGet: {
@@ -149,10 +151,11 @@ void Nic::rma_apply(net::PacketPtr packet) {
       const sim::Duration dma =
           config_.pci_setup +
           sim::transfer_time(p.payload_bytes, config_.pci_bandwidth_mbps);
-      pci_submit("rma_dma", dma, [this, packet = std::move(packet), mem] {
-        ++stats_.rma_gets_served;
-        rma_reply(*packet, mem->read(packet->rma_index), true);
-      }, p.id);
+      pci_submit(Segment::kRdma, "rma_dma", dma, p.causal,
+                 [this, packet = std::move(packet), mem] {
+                   ++stats_.rma_gets_served;
+                   rma_reply(*packet, mem->read(packet->rma_index), true);
+                 });
       break;
     }
     case PacketType::kRmaCas: {

@@ -32,6 +32,12 @@ const char* to_string(Segment s) {
   return "?";
 }
 
+const char* to_string(Resource r) {
+  static constexpr const char* kNames[] = {"",     "host", "sdma",  "send", "recv",
+                                           "rdma", "pci",  "fault", "link", "switch"};
+  return kNames[static_cast<std::size_t>(r)];
+}
+
 void CausalTracer::enable_sharding(std::size_t shards) {
   // resize, not assign: shard 0 — where a previous canonicalize() collapsed
   // everything — survives, so sharding can be re-enabled between runs.
@@ -45,19 +51,11 @@ std::size_t CausalTracer::record_shard() const {
   return shard_spans_.size() > 1 ? t_current_shard : 0;
 }
 
-SpanId CausalTracer::record(Segment seg, std::uint32_t node, const char* label,
-                            SimTime start, SimTime end, SpanId parent, SpanId parent2,
-                            std::uint64_t key) {
+SpanId CausalTracer::record(Span s, SpanId parent, SpanId parent2) {
   const std::size_t shard = record_shard();
   std::vector<Span>& arena = shard_spans_[shard];
-  Span s;
   s.id = (static_cast<std::uint64_t>(shard) << kShardShift) | (arena.size() + 1);
-  s.seg = seg;
-  s.node = node;
-  s.label = label;
-  s.start = start;
-  s.end = end;
-  s.key = key;
+  s.parents.clear();
   // Single arena: edges must point to already-recorded spans (smaller ids),
   // which keeps the graph trivially acyclic. With shards, a parent may live
   // in another arena where id order says nothing — canonicalize() restores
@@ -124,6 +122,7 @@ CriticalPath CausalTracer::critical_path(SpanId sink) const {
     PathStep step;
     step.span = cur->id;
     step.seg = cur->seg;
+    step.res = cur->res;
     step.node = cur->node;
     step.label = cur->label;
     step.self = cur->end - cur->start;
@@ -177,6 +176,26 @@ PathProfile CausalTracer::profile(double min_percentile) const {
 PathProfile CausalTracer::profile_of(const std::vector<CompletedBarrier>& barriers) const {
   PathProfile out;
   for (const CompletedBarrier& b : barriers) fold(critical_path(b.sink), out);
+  return out;
+}
+
+Breakdown CausalTracer::breakdown() const {
+  Breakdown out;
+  for (const CompletedBarrier& b : completed()) {
+    const CriticalPath path = critical_path(b.sink);
+    ++out.barriers;
+    out.total += path.total;
+    for (const PathStep& step : path.steps) {
+      out.queue += step.queue;
+      switch (step.res) {
+        case Resource::kHost: out.host += step.self; break;
+        case Resource::kPci: out.dma += step.self; break;
+        case Resource::kLink:
+        case Resource::kSwitch: out.wire += step.self; break;
+        default: out.nic += step.self; break;  // engines, and zero-length joins
+      }
+    }
+  }
   return out;
 }
 

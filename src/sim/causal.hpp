@@ -1,6 +1,7 @@
-// Causal span tracing and critical-path attribution.
+// Causal span tracing and critical-path attribution: the simulator's one
+// instrumentation record.
 //
-// Every packet transmission, DMA transfer, firmware decision, ack, and host
+// Every firmware job, DMA transfer, link and switch hop, fault, and host
 // wakeup records a Span with edges to the spans it causally waited on
 // (packet-id / event-id provenance threaded through net::Packet,
 // nic::BarrierToken, nic::RecordExtra, and nic::GmEvent). Each completed
@@ -22,10 +23,15 @@
 // parent already exists). verify_acyclic() checks it, which proves the
 // graph is a DAG.
 //
-// Same discipline as the rest of sim::telemetry: hardware models cache a
-// raw pointer that is null by default; every hook is one branch; recording
-// never reads or perturbs simulation state, so results are bit-identical
-// with tracing on or off.
+// Each span also notes the Resource it held (an MCP engine, the PCI bus, a
+// link, a switch, the host CPU), so every view is a fold of this one record:
+// `--critical-path` walks it, `--breakdown` groups the walk into the Eq. 1-2
+// rows (breakdown()), and `--trace-json` draws one Perfetto track per
+// resource (telemetry::trace_spans).
+//
+// Hardware models cache a raw pointer that is null by default; every hook is
+// one branch; recording never reads or perturbs simulation state, so results
+// are bit-identical with tracing on or off.
 //
 // Partitioned (PDES) runs: enable_sharding(K) gives each lane a private
 // span arena (selected via a thread-local shard index that the partitioned
@@ -69,6 +75,24 @@ inline constexpr std::size_t kSegmentCount = 9;
 
 [[nodiscard]] const char* to_string(Segment s);
 
+/// The hardware a span held while it ran, which names its Perfetto track.
+/// kNone marks the firmware's zero-length joins and hand-offs.
+enum class Resource : std::uint8_t {
+  kNone = 0,
+  kHost,    // the node's host CPU
+  kSdma,    // kSdma..kRdma: one MCP engine's share of the node's LANai
+  kSend,    //   processor, in nic::McpEngine order
+  kRecv,
+  kRdma,
+  kPci,     // the node's PCI bus
+  kFault,   // the NIC's fault log: crash, restart, peer death (zero-length)
+  kLink,    // a directed link's wire (Span::unit is the link's uid)
+  kSwitch,  // a crossbar's routing pipeline (Span::unit is the switch id)
+};
+
+/// "sdma", "pci", "link", ...; "" for kNone.
+[[nodiscard]] const char* to_string(Resource r);
+
 /// Span ids are 1-based and monotonically increasing; 0 means "no span" and
 /// is the default value of every threaded provenance field.
 using SpanId = std::uint64_t;
@@ -76,22 +100,29 @@ using SpanId = std::uint64_t;
 struct Span {
   SpanId id = 0;
   Segment seg = Segment::kHost;
+  Resource res = Resource::kNone;
   std::uint32_t node = 0;
   const char* label = "";  // static strings only (call sites use literals)
   SimTime start{0};
   SimTime end{0};
+  // `res` is held over [start, busy_end]: the whole span, except that a
+  // delivered wire span runs on through the link's propagation delay and a
+  // switch span holds nothing (routing is pipelined), so busy_end = start.
+  SimTime busy_end{0};
+  std::uint32_t unit = 0;  // the link uid or switch id of a fabric span
   // Content tiebreak for canonical ordering: the fabric-unique packet id for
   // wire/switch spans (two packets can occupy different links over identical
   // windows), 0 for node-local spans (which the (node, shard) pairing
   // already orders deterministically).
   std::uint64_t key = 0;
-  std::vector<SpanId> parents;
+  std::vector<SpanId> parents{};
 };
 
 /// One step of a critical path, origin-first.
 struct PathStep {
   SpanId span = 0;
   Segment seg = Segment::kHost;
+  Resource res = Resource::kNone;
   std::uint32_t node = 0;
   const char* label = "";
   Duration self{0};   // end - start
@@ -139,6 +170,22 @@ struct PathProfile {
   }
 };
 
+/// The fabric the spans run on, named for the trace's track list.
+struct Fabric {
+  std::size_t nodes = 0;
+  std::vector<std::string> links;  // by uid
+  std::size_t switches = 0;
+};
+
+/// Critical paths grouped into the rows of Eq. 1-2, summed over barriers:
+/// host CPU, NIC processing (engine spans), DMA (PCI spans), wire (link and
+/// switch spans), and the queueing between spans. The rows add up to `total`
+/// exactly.
+struct Breakdown {
+  std::uint64_t barriers = 0;
+  Duration host{0}, nic{0}, dma{0}, wire{0}, queue{0}, total{0};
+};
+
 class CausalTracer {
  public:
   CausalTracer() : shard_spans_(1), shard_completed_(1) {}
@@ -164,11 +211,17 @@ class CausalTracer {
   /// partition or worker count.
   void canonicalize();
 
-  /// Records a completed span [start, end] and returns its id. `label` must
-  /// be a string literal. Up to two parents at record time; later joins go
-  /// through add_parent. `key` is the content tiebreak (see Span::key).
+  /// Records `s` and returns its id (which, like its parent list, is
+  /// assigned here). `s.label` must be a string literal. Up to two parents
+  /// at record time; later joins go through add_parent.
+  SpanId record(Span s, SpanId parent = 0, SpanId parent2 = 0);
+  /// The same for a span [start, end] that holds no resource.
   SpanId record(Segment seg, std::uint32_t node, const char* label, SimTime start,
-                SimTime end, SpanId parent = 0, SpanId parent2 = 0, std::uint64_t key = 0);
+                SimTime end, SpanId parent = 0, SpanId parent2 = 0) {
+    return record(Span{.seg = seg, .node = node, .label = label, .start = start, .end = end,
+                       .busy_end = end},
+                  parent, parent2);
+  }
 
   /// Attaches another causal parent to an existing span (a join discovered
   /// after the span was recorded, e.g. the firmware consuming a previously
@@ -210,11 +263,17 @@ class CausalTracer {
   /// Aggregates critical paths over an explicit set of completed barriers.
   [[nodiscard]] PathProfile profile_of(const std::vector<CompletedBarrier>& barriers) const;
 
+  /// Every completed barrier's critical path, grouped into the Eq. 1-2 rows.
+  [[nodiscard]] Breakdown breakdown() const;
+
   /// True when every edge satisfies parent-id < span-id, which proves the
   /// span graph is acyclic.
   [[nodiscard]] bool verify_acyclic() const;
 
   void clear();
+
+  /// Set by net::Network::set_causal.
+  Fabric fabric;
 
  private:
   // Span ids encode (shard, 1-based local index); shard 0 ids are therefore

@@ -1,44 +1,64 @@
 #include "sim/fault.hpp"
 
 #include <istream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "sim/value.hpp"
 
 namespace nicbar::sim::fault {
 
 namespace {
 
-[[noreturn]] void fail(int line_no, const std::string& line, const std::string& why) {
-  throw std::runtime_error("fault plan line " + std::to_string(line_no) + ": " + why + ": \"" +
-                           line + "\"");
-}
+constexpr Real kProbability{0.0, 1.0};
+constexpr Int kId{0, std::numeric_limits<std::uint32_t>::max()};
 
-/// Reads a time operand: microseconds, or `-` for "never".
-SimTime read_time_us(std::istringstream& in, int line_no, const std::string& line,
-                     const char* what) {
-  std::string tok;
-  if (!(in >> tok)) fail(line_no, line, std::string("missing ") + what);
-  if (tok == "-") return SimTime::max();
-  try {
-    return SimTime{0} + microseconds(std::stod(tok));
-  } catch (const std::exception&) {
-    fail(line_no, line, std::string("bad ") + what);
+/// A time in microseconds, or `-` for never.
+struct Time {
+  static std::optional<SimTime> read(std::string_view tok) {
+    if (tok == "-") return SimTime::max();
+    const std::optional<Duration> d = Micros::read(tok);
+    return d ? std::optional(SimTime{0} + *d) : std::nullopt;
   }
-}
+  static std::string refusal() { return Micros::refusal() + " or -"; }
+};
 
-double read_prob(std::istringstream& in, int line_no, const std::string& line, const char* what) {
-  double p = 0.0;
-  if (!(in >> p)) fail(line_no, line, std::string("missing ") + what);
-  if (p < 0.0 || p > 1.0) fail(line_no, line, std::string(what) + " outside [0,1]");
-  return p;
-}
+/// One plan line's operands, read in order, each by its sim/value.hpp kind;
+/// every refusal names the line and the field.
+struct Operands {
+  std::istringstream in;
+  int line_no;
+  const std::string& line;
 
-/// Optional trailing link pattern; `*` and absence both mean "every link".
-std::string read_link(std::istringstream& in) {
-  std::string link;
-  if (in >> link && link != "*") return link;
-  return std::string{};
-}
+  [[noreturn]] void fail(const std::string& why) const {
+    throw std::runtime_error("fault plan line " + std::to_string(line_no) + ": " + why +
+                             ": \"" + line + "\"");
+  }
+  /// The next token; empty when the line has no more.
+  std::string next() {
+    std::string tok;
+    in >> tok;
+    return tok;
+  }
+  bool more() { return !(in >> std::ws).eof(); }
+  /// The next token read as `kind`; `field` names it in a refusal.
+  template <typename Kind>
+  auto read(const Kind& kind, const std::string& field) {
+    const std::string tok = next();
+    if (tok.empty()) fail("missing " + field);
+    const auto v = kind.read(tok);
+    if (!v) fail(field + " " + kind.refusal());
+    return *v;
+  }
+  /// The optional trailing link pattern; `*` and absence mean every link.
+  std::string link() {
+    const std::string tok = next();
+    return tok == "*" ? std::string{} : tok;
+  }
+};
 
 }  // namespace
 
@@ -48,67 +68,57 @@ FaultPlan parse_fault_plan(std::istream& in) {
   int line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    const std::size_t hash = line.find('#');
-    std::istringstream ls(hash == std::string::npos ? line : line.substr(0, hash));
-    std::string verb;
-    if (!(ls >> verb)) continue;  // blank / comment-only line
+    Operands ops{std::istringstream(line.substr(0, line.find('#'))), line_no, line};
+    const std::string verb = ops.next();
+    if (verb.empty()) continue;  // blank / comment-only line
 
     if (verb == "seed") {
-      if (!(ls >> plan.seed)) fail(line_no, line, "missing seed value");
+      plan.seed = ops.read(kSeed, "seed");
     } else if (verb == "loss") {
       UniformLoss l;
-      l.prob = read_prob(ls, line_no, line, "loss probability");
-      l.link = read_link(ls);
+      l.prob = ops.read(kProbability, "loss probability");
+      l.link = ops.link();
       plan.loss.push_back(std::move(l));
     } else if (verb == "burst") {
       BurstLoss b;
-      b.p_enter_bad = read_prob(ls, line_no, line, "p_enter_bad");
-      b.p_exit_bad = read_prob(ls, line_no, line, "p_exit_bad");
-      b.loss_bad = read_prob(ls, line_no, line, "loss_bad");
-      b.link = read_link(ls);
+      b.p_enter_bad = ops.read(kProbability, "p_enter_bad");
+      b.p_exit_bad = ops.read(kProbability, "p_exit_bad");
+      b.loss_bad = ops.read(kProbability, "loss_bad");
+      b.link = ops.link();
       plan.bursts.push_back(std::move(b));
     } else if (verb == "corrupt") {
       Corruption c;
-      c.prob = read_prob(ls, line_no, line, "corruption probability");
-      c.link = read_link(ls);
+      c.prob = ops.read(kProbability, "corruption probability");
+      c.link = ops.link();
       plan.corruption.push_back(std::move(c));
     } else if (verb == "link-down") {
       LinkDownWindow w;
-      w.from = read_time_us(ls, line_no, line, "from time");
-      w.until = read_time_us(ls, line_no, line, "until time");
-      w.link = read_link(ls);
-      if (w.until <= w.from) fail(line_no, line, "window ends before it starts");
+      w.from = ops.read(Time{}, "from time");
+      w.until = ops.read(Time{}, "until time");
+      w.link = ops.link();
+      if (w.until <= w.from) ops.fail("window ends before it starts");
       plan.link_down.push_back(std::move(w));
     } else if (verb == "nic-crash") {
       NicCrash c;
       c.line = line_no;
-      if (!(ls >> c.node)) fail(line_no, line, "missing node id");
-      c.at = read_time_us(ls, line_no, line, "crash time");
-      std::string tok;
-      if (ls >> tok) {
-        if (tok == "-") {
-          c.restart_at = SimTime::max();
-        } else {
-          try {
-            c.restart_at = SimTime{0} + microseconds(std::stod(tok));
-          } catch (const std::exception&) {
-            fail(line_no, line, "bad restart time");
-          }
-        }
-      }
-      if (c.restart_at <= c.at) fail(line_no, line, "restart precedes crash");
+      c.node = static_cast<std::uint32_t>(ops.read(kId, "node id"));
+      c.at = ops.read(Time{}, "crash time");
+      if (ops.more()) c.restart_at = ops.read(Time{}, "restart time");
+      if (c.restart_at <= c.at) ops.fail("restart precedes crash");
       plan.nic_crashes.push_back(c);
     } else if (verb == "switch-port-down") {
       SwitchPortDown s;
       s.line = line_no;
-      if (!(ls >> s.switch_id >> s.port)) fail(line_no, line, "missing switch/port ids");
-      s.from = read_time_us(ls, line_no, line, "from time");
-      s.until = read_time_us(ls, line_no, line, "until time");
-      if (s.until <= s.from) fail(line_no, line, "window ends before it starts");
+      s.switch_id = static_cast<std::size_t>(ops.read(kId, "switch id"));
+      s.port = static_cast<std::size_t>(ops.read(kId, "port"));
+      s.from = ops.read(Time{}, "from time");
+      s.until = ops.read(Time{}, "until time");
+      if (s.until <= s.from) ops.fail("window ends before it starts");
       plan.switch_ports_down.push_back(s);
     } else {
-      fail(line_no, line, "unknown directive '" + verb + "'");
+      ops.fail("unknown directive '" + verb + "'");
     }
+    if (ops.more()) ops.fail("unexpected '" + ops.next() + "' after the last field");
   }
   return plan;
 }

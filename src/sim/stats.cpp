@@ -20,33 +20,44 @@ void Histogram::add(double x) {
     idx = static_cast<std::size_t>(
         std::clamp<std::int64_t>(scaled, 0, static_cast<std::int64_t>(counts_.size()) - 1));
   }
+  if (x >= hi_) {
+    ++above_;
+    above_max_ = std::max(above_max_, x);
+  }
   ++counts_[idx];
   ++total_;
 }
 
 double Histogram::percentile(double p) const {
   if (total_ == 0) return lo_;
+  // The top bin also holds the samples above the range, which rank last.
+  const auto in_range = [this](std::size_t i) {
+    return i + 1 == counts_.size() ? counts_[i] - above_ : counts_[i];
+  };
   const double target = std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(total_);
   if (target <= 0.0) {
     // p = 0: the lower edge of the first occupied bin, not lo_ itself.
     for (std::size_t i = 0; i < counts_.size(); ++i) {
-      if (counts_[i] > 0) return bin_lower(i);
+      if (in_range(i) > 0) return bin_lower(i);
     }
-    return lo_;
+    return above_ > 0 ? hi_ : lo_;
   }
   std::uint64_t running = 0;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;  // empty bins cannot contain the target
-    running += counts_[i];
+    const std::uint64_t n = in_range(i);
+    if (n == 0) continue;  // empty bins cannot contain the target
+    running += n;
     if (static_cast<double>(running) >= target) {
       // Linear interpolation within the bin: the target'th sample sits
       // (target - prev) / count of the way through [bin_lower, bin_upper).
-      const double prev = static_cast<double>(running - counts_[i]);
-      const double frac = (target - prev) / static_cast<double>(counts_[i]);
+      const double prev = static_cast<double>(running - n);
+      const double frac = (target - prev) / static_cast<double>(n);
       return bin_lower(i) + frac * bin_width();
     }
   }
-  return hi_;
+  // The rank falls among the samples above the range: nothing is known of
+  // them but their largest, which bounds the percentile from above.
+  return above_ > 0 ? above_max_ : hi_;
 }
 
 std::string Histogram::ascii(std::size_t width) const {

@@ -62,7 +62,9 @@ class DurationStats {
 };
 
 /// Fixed-width-bin histogram over [lo, hi); out-of-range samples are clamped
-/// into the edge bins so percentile estimates stay defined.
+/// into the edge bins so percentile estimates stay defined. A percentile
+/// whose rank falls among the samples at or above `hi` reads as the largest
+/// of them, never as a value inside the range.
 class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
@@ -72,7 +74,7 @@ class Histogram {
 
   /// Percentile estimate for p in [0, 100], linearly interpolated within the
   /// containing bin. p=0 / p=100 return the lower / upper edge of the first /
-  /// last non-empty bin.
+  /// last non-empty bin, or the largest sample when one lies above the range.
   [[nodiscard]] double percentile(double p) const;
 
   [[nodiscard]] const std::vector<std::uint64_t>& bins() const { return counts_; }
@@ -94,6 +96,8 @@ class Histogram {
   double lo_, hi_;
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
+  std::uint64_t above_ = 0;  // samples >= hi_, counted in the top bin too
+  double above_max_ = std::numeric_limits<double>::lowest();
 };
 
 }  // namespace nicbar::sim

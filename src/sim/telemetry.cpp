@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <ostream>
 
 #include "sim/causal.hpp"
@@ -188,102 +189,101 @@ void TraceEventSink::write_json(std::ostream& os) const {
   os << "\n]}\n";
 }
 
-// --- BreakdownCollector --------------------------------------------------------
+// --- Trace export from the span record ------------------------------------------
 
-void BreakdownCollector::barrier_posted(std::uint32_t node, std::uint16_t port,
-                                        std::uint32_t epoch, SimTime at, Duration host_cost) {
-  Pending& p = pending_[key(node, port, epoch)];
-  p.t0 = at;
-  p.posted = true;
-  p.host += host_cost;
+namespace {
+
+using causal::Resource;
+
+/// The category (for the mask) and the JSON "cat" of each Resource; fault
+/// instants show under any mask.
+struct Style {
+  TraceCategory mask;
+  const char* cat;
+};
+constexpr Style kStyles[] = {
+    {TraceCategory::kAll, ""},     {TraceCategory::kAll, ""},     {TraceCategory::kSdma, "nic"},
+    {TraceCategory::kSend, "nic"}, {TraceCategory::kRecv, "nic"}, {TraceCategory::kRdma, "nic"},
+    {TraceCategory::kRdma, "pci"}, {TraceCategory::kAll, "fault"}, {TraceCategory::kNet, "net"},
+    {TraceCategory::kNet, "net"}};
+static_assert(std::size(kStyles) == static_cast<std::size_t>(Resource::kSwitch) + 1);
+const Style& style(Resource r) { return kStyles[static_cast<std::size_t>(r)]; }
+
+/// "nic3/recv", "node3/pci", "link/t3->sw0", "switch/sw0".
+std::string track_name(const causal::Fabric& fabric, Resource r, std::uint32_t id) {
+  const std::string n = std::to_string(id);
+  switch (r) {
+    case Resource::kPci: return "node" + n + "/pci";
+    case Resource::kLink: return "link/" + (id < fabric.links.size() ? fabric.links[id] : n);
+    case Resource::kSwitch: return "switch/sw" + n;
+    default: return "nic" + n + "/" + causal::to_string(r);
+  }
 }
 
-void BreakdownCollector::add_host(std::uint32_t node, std::uint16_t port, std::uint32_t epoch,
-                                  Duration d) {
-  pending_[key(node, port, epoch)].host += d;
-}
+}  // namespace
 
-void BreakdownCollector::add_nic(std::uint32_t node, std::uint16_t port, std::uint32_t epoch,
-                                 Duration d) {
-  pending_[key(node, port, epoch)].nic += d;
-}
+void trace_spans(causal::CausalTracer& spans, TraceEventSink& sink) {
+  spans.canonicalize();
+  const std::size_t n = spans.span_count();
+  // The described fabric's tracks first, in a fixed order, so track ids
+  // never depend on which resource happened to be used first; anything
+  // else gets a track where it first appears.
+  const causal::Fabric& fabric = spans.fabric;
+  for (std::uint32_t node = 0; node < fabric.nodes; ++node) {
+    for (int r = static_cast<int>(Resource::kSdma); r <= static_cast<int>(Resource::kFault); ++r) {
+      (void)sink.track(track_name(fabric, static_cast<Resource>(r), node));
+    }
+  }
+  for (std::uint32_t l = 0; l < fabric.links.size(); ++l) {
+    (void)sink.track(track_name(fabric, Resource::kLink, l));
+  }
+  for (std::uint32_t sw = 0; sw < fabric.switches; ++sw) {
+    (void)sink.track(track_name(fabric, Resource::kSwitch, sw));
+  }
 
-void BreakdownCollector::add_dma(std::uint32_t node, std::uint16_t port, std::uint32_t epoch,
-                                 Duration d) {
-  pending_[key(node, port, epoch)].dma += d;
-}
-
-void BreakdownCollector::add_wire(std::uint32_t node, std::uint16_t port, std::uint32_t epoch,
-                                  Duration d) {
-  pending_[key(node, port, epoch)].wire += d;
-}
-
-void BreakdownCollector::barrier_completed(std::uint32_t node, std::uint16_t port,
-                                           std::uint32_t epoch, SimTime at,
-                                           Duration host_cost) {
-  const auto it = pending_.find(key(node, port, epoch));
-  if (it == pending_.end() || !it->second.posted) return;  // never saw the post
-  Pending p = it->second;
-  pending_.erase(it);
-  p.host += host_cost;
-
-  CostBreakdown b;
-  b.total_us = (at - p.t0).us();
-  b.host_us = p.host.us();
-  b.nic_us = p.nic.us();
-  b.dma_us = p.dma.us();
-  b.wire_us = p.wire.us();
-  b.wait_us = b.total_us - b.host_us - b.nic_us - b.dma_us - b.wire_us;
-  last_ = b;
-
-  host_.add(b.host_us);
-  nic_.add(b.nic_us);
-  dma_.add(b.dma_us);
-  wire_.add(b.wire_us);
-  wait_.add(b.wait_us);
-  total_.add(b.total_us);
-  ++count_;
-}
-
-CostBreakdown BreakdownCollector::mean() const {
-  CostBreakdown b;
-  if (count_ == 0) return b;
-  b.host_us = host_.mean();
-  b.nic_us = nic_.mean();
-  b.dma_us = dma_.mean();
-  b.wire_us = wire_.mean();
-  b.total_us = total_.mean();
-  // The residual keeps the invariant sum == total exactly, even after the
-  // independent means round differently.
-  b.wait_us = b.total_us - b.host_us - b.nic_us - b.dma_us - b.wire_us;
-  return b;
-}
-
-void BreakdownCollector::snapshot(MetricsRegistry& m) const {
-  const CostBreakdown b = mean();
-  m.counter("breakdown.barriers") = barriers();
-  m.gauge("breakdown.host_us") = b.host_us;
-  m.gauge("breakdown.nic_us") = b.nic_us;
-  m.gauge("breakdown.dma_us") = b.dma_us;
-  m.gauge("breakdown.wire_us") = b.wire_us;
-  m.gauge("breakdown.wait_us") = b.wait_us;
-  m.gauge("breakdown.total_us") = b.total_us;
+  // via[id]: the drawn slices a flow into span `id`'s descendants starts
+  // from — the span itself if it is one, else the nearest ones up its
+  // parent chains (parents precede children in canonical order).
+  std::vector<std::vector<causal::SpanId>> via(n + 1);
+  std::vector<int> track(n + 1, -1);
+  std::uint64_t flow = 0;
+  for (causal::SpanId id = 1; id <= n; ++id) {
+    const causal::Span& s = *spans.span(id);
+    const TraceCategory cat = style(s.res).mask;
+    const bool drawn = s.res >= Resource::kSdma;  // not the host, not a join
+    const bool point = s.res == Resource::kFault || s.res == Resource::kSwitch;
+    if (drawn) {
+      track[id] = sink.track(
+          track_name(fabric, s.res, s.res >= Resource::kLink ? s.unit : s.node));
+    }
+    std::vector<causal::SpanId> from;
+    for (const causal::SpanId p : s.parents) {
+      for (const causal::SpanId a : via[p]) {
+        if (std::find(from.begin(), from.end(), a) == from.end()) from.push_back(a);
+      }
+    }
+    if (!drawn || point || (sink.mask() & static_cast<std::uint32_t>(cat)) == 0) {
+      if (point) sink.instant(track[id], s.label, s.start, style(s.res).cat, cat);
+      via[id] = std::move(from);
+      continue;
+    }
+    for (const causal::SpanId a : from) {
+      if (track[a] == track[id]) continue;
+      const causal::Span& src = *spans.span(a);
+      sink.flow_start(track[a], "causal", src.start, ++flow, style(src.res).cat,
+                      style(src.res).mask);
+      sink.flow_end(track[id], "causal", s.start, flow, style(s.res).cat, cat);
+    }
+    sink.duration(track[id], s.label, s.start, s.busy_end - s.start, style(s.res).cat, cat,
+                  s.key);
+    via[id] = {id};
+  }
 }
 
 // --- Telemetry ------------------------------------------------------------------
 
 Telemetry::Telemetry() = default;
 Telemetry::~Telemetry() = default;
-
-TraceEventSink& Telemetry::enable_trace() {
-  if (!trace_) trace_ = std::make_unique<TraceEventSink>();
-  return *trace_;
-}
-
-BreakdownCollector& Telemetry::enable_breakdown() {
-  if (!breakdown_) breakdown_ = std::make_unique<BreakdownCollector>();
-  return *breakdown_;
-}
 
 causal::CausalTracer& Telemetry::enable_causal() {
   if (!causal_) causal_ = std::make_unique<causal::CausalTracer>();

@@ -1,24 +1,18 @@
-// Simulation telemetry: metrics registry, per-barrier cost breakdown, and
-// Chrome trace-event export.
+// Simulation telemetry: the metrics registry, the causal span record, and
+// the Chrome trace-event export drawn from that record.
 //
-// Three cooperating pieces, all optional and all zero-cost when detached
-// (hardware models hold raw pointers that are null by default; every hook is
-// one branch):
+//   MetricsRegistry — named counters, gauges, and Histogram-backed timers.
+//                     Hardware models register their counters at snapshot
+//                     time; benches and tools serialise it as JSON.
+//   CausalTracer    — (sim/causal.hpp) the one hook the hardware models
+//                     call: a span per job, noting the resource it held.
+//   TraceEventSink  — buffers duration ("X"), instant ("i") and flow events
+//                     in Chrome trace-event format, loadable in Perfetto or
+//                     chrome://tracing. trace_spans() fills it from the span
+//                     record; nothing in the model writes to it.
 //
-//   MetricsRegistry    — named counters, gauges, and Histogram-backed timers.
-//                        Hardware models register their counters at snapshot
-//                        time; benches and tools serialise it as JSON.
-//   TraceEventSink     — buffers duration ("X") and instant ("i") events in
-//                        Chrome trace-event format, one track per host /
-//                        NIC engine / link, loadable in Perfetto or
-//                        chrome://tracing.
-//   BreakdownCollector — attributes each completed barrier's latency to the
-//                        paper's Eq. 1-2 components (host software, NIC
-//                        processing, DMA, wire) plus a wait/overlap residual,
-//                        so the terms always sum to the measured total.
-//
-// Telemetry bundles the three; a Cluster attaches one to every hardware
-// model it builds.
+// Telemetry bundles the registry and the record; a Cluster attaches one to
+// every hardware model it builds.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +33,7 @@ namespace causal {
 class CausalTracer;
 }
 
-/// The classes of event the TraceEventSink emits; `--trace-mask` selects them.
+/// The classes of event trace_spans() draws; `--trace-mask` selects them.
 enum class TraceCategory : std::uint32_t {
   kSdma = 1u << 0,  // SDMA engine (host -> NIC)
   kSend = 1u << 1,  // SEND engine (NIC -> wire)
@@ -178,82 +172,12 @@ class TraceEventSink {
   std::uint32_t mask_ = static_cast<std::uint32_t>(TraceCategory::kAll);
 };
 
-// --- Per-barrier cost breakdown ------------------------------------------------
-
-/// One barrier's latency decomposed into the paper's Eq. 1-2 terms. The five
-/// components sum to total_us exactly: wait_us is defined as the residual
-/// (time the critical path spent blocked on peers, or negative overlap when
-/// wire/NIC activity ran concurrently).
-struct CostBreakdown {
-  double host_us = 0.0;  // Send + HRecv: host library CPU time
-  double nic_us = 0.0;   // LANai firmware cycles (all four MCP engines)
-  double dma_us = 0.0;   // PCI bus transfers (completion RDMA et al.)
-  double wire_us = 0.0;  // links + switch routing for packets we waited on
-  double wait_us = 0.0;  // residual: peer skew minus pipelining overlap
-  double total_us = 0.0;
-
-  [[nodiscard]] double sum_us() const {
-    return host_us + nic_us + dma_us + wire_us + wait_us;
-  }
-};
-
-/// Accumulates per-barrier cost attributions keyed by (node, port, epoch).
-/// The gm layer reports the host-side begin/end; the NIC firmware reports
-/// cycle, DMA, and wire charges as they happen; on completion the record is
-/// folded into component accumulators.
-class BreakdownCollector {
- public:
-  /// Host posted the barrier token (the measurement origin); `host_cost` is
-  /// the library call's CPU charge.
-  void barrier_posted(std::uint32_t node, std::uint16_t port, std::uint32_t epoch,
-                      SimTime at, Duration host_cost);
-
-  void add_host(std::uint32_t node, std::uint16_t port, std::uint32_t epoch, Duration d);
-  void add_nic(std::uint32_t node, std::uint16_t port, std::uint32_t epoch, Duration d);
-  void add_dma(std::uint32_t node, std::uint16_t port, std::uint32_t epoch, Duration d);
-  void add_wire(std::uint32_t node, std::uint16_t port, std::uint32_t epoch, Duration d);
-
-  /// Host consumed the completion event; `host_cost` is the receive-side CPU
-  /// charge. Finalises and folds the record.
-  void barrier_completed(std::uint32_t node, std::uint16_t port, std::uint32_t epoch,
-                         SimTime at, Duration host_cost);
-
-  [[nodiscard]] std::uint64_t barriers() const { return static_cast<std::uint64_t>(count_); }
-
-  /// Mean per-barrier breakdown over every completed barrier; components sum
-  /// to total_us exactly.
-  [[nodiscard]] CostBreakdown mean() const;
-
-  /// The most recently completed barrier's breakdown.
-  [[nodiscard]] const CostBreakdown& last() const { return last_; }
-
-  /// Copies the component means into `m` under "breakdown.*" gauges.
-  void snapshot(MetricsRegistry& m) const;
-
- private:
-  struct Pending {
-    SimTime t0{0};
-    bool posted = false;
-    Duration host{0}, nic{0}, dma{0}, wire{0};
-  };
-  static std::uint64_t key(std::uint32_t node, std::uint16_t port, std::uint32_t epoch) {
-    return (static_cast<std::uint64_t>(node) << 48) |
-           (static_cast<std::uint64_t>(port) << 32) | epoch;
-  }
-
-  std::map<std::uint64_t, Pending> pending_;
-  Accumulator host_, nic_, dma_, wire_, wait_, total_;
-  std::int64_t count_ = 0;
-  CostBreakdown last_;
-};
-
 // --- Bundle ---------------------------------------------------------------------
 
 /// What a Cluster hands to its hardware models. The metrics registry is
 /// always present (filling it is a snapshot-time operation, not a hot-path
-/// one); the trace sink and breakdown collector are created on demand so
-/// models can cache the raw pointers and keep the disabled path to one
-/// branch.
+/// one); the span record is created on demand so models can cache the raw
+/// pointer and keep the disabled path to one branch.
 class Telemetry {
  public:
   Telemetry();
@@ -264,20 +188,23 @@ class Telemetry {
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
 
-  TraceEventSink& enable_trace();
-  BreakdownCollector& enable_breakdown();
   causal::CausalTracer& enable_causal();
-
-  [[nodiscard]] TraceEventSink* trace() const { return trace_.get(); }
-  [[nodiscard]] BreakdownCollector* breakdown() const { return breakdown_.get(); }
   [[nodiscard]] causal::CausalTracer* causal() const { return causal_.get(); }
 
  private:
   MetricsRegistry metrics_;
-  std::unique_ptr<TraceEventSink> trace_;
-  std::unique_ptr<BreakdownCollector> breakdown_;
   std::unique_ptr<causal::CausalTracer> causal_;
 };
+
+/// Draws the span record into `sink`, after canonicalizing it so a serial
+/// and a partitioned run draw the same file. Tracks follow the fabric: for
+/// each NIC its four MCP engines, its PCI bus and its fault log, then every
+/// link, then every switch. A span that held an engine, the bus or a link is
+/// one slice over the time it held it; switch and fault spans are instants;
+/// host spans and firmware joins are not drawn. Each slice gets a flow from
+/// the nearest drawn slice on every parent chain that ends on another track.
+/// The sink's mask filters by category (switches count as `net`).
+void trace_spans(causal::CausalTracer& spans, TraceEventSink& sink);
 
 /// Escapes `s` for inclusion in a JSON string literal (quotes, backslashes,
 /// and control characters).

@@ -8,7 +8,8 @@
 # output is kept as WORK/stdout. Every file left in WORK must then equal the
 # file of the same name in GOLDEN, and GOLDEN may hold no file that WORK
 # lacks. A command that exits non-zero fails the case before any diff.
-# WORK is left in place; tests/golden/regen.cmake copies it over GOLDEN.
+# WORK is left in place, and WORK.ok names GOLDEN once the command succeeds;
+# tests/golden/regen.cmake copies WORK over that directory.
 cmake_minimum_required(VERSION 3.16)
 
 foreach(var NAME GOLDEN WORK CMD)
@@ -41,7 +42,7 @@ endif()
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "golden ${NAME}: command exited with ${rc}\n${err}")
 endif()
-file(WRITE "${WORK}.ok" "")
+file(WRITE "${WORK}.ok" "${GOLDEN}")
 
 file(GLOB got RELATIVE "${WORK}" "${WORK}/*")
 file(GLOB want RELATIVE "${GOLDEN}" "${GOLDEN}/*")

@@ -4,7 +4,8 @@
 #
 # Runs `ctest -L tier1_golden` in BUILD_DIR (mismatches are expected here and
 # ignored), then copies each case whose command succeeded from
-# BUILD_DIR/tests/golden/<case>/ over tests/golden/<case>/. Review the
+# BUILD_DIR/tests/golden/<case>/ over the golden directory its marker names
+# (tests/golden/<case>/ unless the case shares one). Review the
 # resulting `git diff tests/golden` before committing: a golden moves only
 # with a change that means to move it.
 cmake_minimum_required(VERSION 3.16)
@@ -29,7 +30,11 @@ if(NOT markers)
 endif()
 foreach(marker IN LISTS markers)
   get_filename_component(name "${marker}" NAME_WE)
-  file(REMOVE_RECURSE "${here}/${name}")
-  file(COPY "${build}/tests/golden/${name}/" DESTINATION "${here}/${name}")
-  message(STATUS "golden ${name} regenerated")
+  file(READ "${marker}" golden)
+  if(golden STREQUAL "")
+    set(golden "${here}/${name}")
+  endif()
+  file(REMOVE_RECURSE "${golden}")
+  file(COPY "${build}/tests/golden/${name}/" DESTINATION "${golden}")
+  message(STATUS "golden ${name} regenerated into ${golden}")
 endforeach()

@@ -124,8 +124,8 @@ namespace {
 // state lives behind pointers. A field added to one of these must earn its
 // bytes here.
 static_assert(sizeof(nic::Connection) <= 96);
-static_assert(sizeof(net::Link) <= 248);
-static_assert(sizeof(nic::Nic) <= 792);
+static_assert(sizeof(net::Link) <= 232);
+static_assert(sizeof(nic::Nic) <= 744);
 static_assert(sizeof(gm::Port) <= 144);
 static_assert(sizeof(sim::Mailbox<nic::GmEvent>) <= 48);
 

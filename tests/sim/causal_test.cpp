@@ -111,6 +111,39 @@ TEST(CausalTracerTest, ProfileAggregatesCompletedBarriers) {
   EXPECT_EQ(tail.total, sim::microseconds(6.0));
 }
 
+TEST(CausalTracerTest, BreakdownGroupsTheCriticalPathByResource) {
+  // host post -> engine job -> (1us queue) link hop -> PCI transfer -> host
+  // wakeup, plus a zero-length firmware join: each step's self lands in its
+  // resource's row, every queue in the queue row, and the rows tile the
+  // path exactly.
+  using sim::causal::Resource;
+  using sim::causal::Span;
+  CausalTracer c;
+  const auto span = [&](Segment seg, Resource res, double from, double to, SpanId parent,
+                        double busy_to = -1) {
+    return c.record(Span{.seg = seg, .res = res, .label = "s", .start = at_us(from),
+                         .end = at_us(to), .busy_end = at_us(busy_to < 0 ? to : busy_to)},
+                    parent);
+  };
+  const SpanId post = span(Segment::kHost, Resource::kHost, 0, 2, 0);
+  const SpanId job = span(Segment::kSdma, Resource::kSdma, 2, 5, post);
+  const SpanId hop = span(Segment::kWire, Resource::kLink, 6, 8, job, 7.5);
+  const SpanId join = c.record(Segment::kFirmware, 0, "join", at_us(8), at_us(8), hop);
+  const SpanId dma = span(Segment::kRdma, Resource::kPci, 8, 8.5, join);
+  const SpanId wake = span(Segment::kHost, Resource::kHost, 8.5, 10.5, dma);
+  c.complete_barrier(0, 2, 0, wake);
+
+  const sim::causal::Breakdown b = c.breakdown();
+  EXPECT_EQ(b.barriers, 1u);
+  EXPECT_EQ(b.host, sim::microseconds(4.0));
+  EXPECT_EQ(b.nic, sim::microseconds(3.0));
+  EXPECT_EQ(b.wire, sim::microseconds(2.0));  // the hop's propagation too
+  EXPECT_EQ(b.dma, sim::microseconds(0.5));
+  EXPECT_EQ(b.queue, sim::microseconds(1.0));
+  EXPECT_EQ(b.total, sim::microseconds(10.5));
+  EXPECT_EQ(b.host + b.nic + b.wire + b.dma + b.queue, b.total);
+}
+
 TEST(CausalTracerTest, ClearResetsEverything) {
   CausalTracer c;
   const SpanId s = c.record(Segment::kHost, 0, "x", at_us(0), at_us(1));
@@ -186,6 +219,21 @@ TEST(CausalIntegrationTest, GatherBroadcastAlsoCompletesItsDag) {
     const CriticalPath path = c.critical_path(cb.sink);
     EXPECT_EQ(path.attributed(), path.total);
   }
+
+  // The breakdown regroups the same walks: host and wire rows are segment
+  // sums, the queue row every segment's queue, and NIC + DMA the rest.
+  const sim::causal::Breakdown b = c.breakdown();
+  const PathProfile prof = c.profile();
+  const auto self = [&](Segment s) { return prof.self[static_cast<std::size_t>(s)]; };
+  Duration queue{0};
+  for (const Duration q : prof.queue) queue += q;
+  EXPECT_EQ(b.barriers, prof.barriers);
+  EXPECT_EQ(b.total, prof.total);
+  EXPECT_EQ(b.host, self(Segment::kHost));
+  EXPECT_EQ(b.wire, self(Segment::kWire) + self(Segment::kSwitch));
+  EXPECT_EQ(b.queue, queue);
+  EXPECT_GT(b.dma.ps(), 0);
+  EXPECT_EQ(b.nic + b.dma, prof.total - b.host - b.wire - b.queue);
 }
 
 }  // namespace

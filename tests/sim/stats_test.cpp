@@ -87,6 +87,24 @@ TEST(HistogramTest, OutOfRangeClampsToEdges) {
   EXPECT_EQ(h.bins().back(), 1u);
 }
 
+TEST(HistogramTest, PercentilesAboveTheRangeReadTheLargestSample) {
+  // Eight samples in range, two far above it: they share the top bin, but a
+  // rank among them reads their largest, not a value inside the range.
+  Histogram h(0.0, 10.0, 10);
+  for (int i = 0; i < 8; ++i) h.add(9.5);
+  h.add(5000.0);
+  h.add(70.0);
+  EXPECT_EQ(h.bins().back(), 10u);
+  EXPECT_DOUBLE_EQ(h.percentile(50), 9.625);  // in range: interpolates the 8
+  EXPECT_DOUBLE_EQ(h.percentile(80), 10.0);
+  EXPECT_DOUBLE_EQ(h.percentile(90), 5000.0);
+  EXPECT_DOUBLE_EQ(h.percentile(100), 5000.0);
+  Histogram all_above(0.0, 10.0, 10);
+  all_above.add(20.0);
+  EXPECT_DOUBLE_EQ(all_above.percentile(0), 10.0);
+  EXPECT_DOUBLE_EQ(all_above.percentile(50), 20.0);
+}
+
 TEST(HistogramTest, PercentilesOfUniformFill) {
   Histogram h(0.0, 100.0, 100);
   for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i) + 0.5);

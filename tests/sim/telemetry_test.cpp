@@ -1,22 +1,29 @@
-// Telemetry layer: metrics registry, trace-event sink, cost breakdown, and
-// the end-to-end wiring through a real NIC-barrier experiment.
+// Telemetry layer: metrics registry, trace-event sink, and the end-to-end
+// wiring through a real NIC-barrier experiment: the span record's breakdown
+// and the Perfetto trace drawn from it.
 #include "sim/telemetry.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "coll/family.hpp"
 #include "coll/runner.hpp"
 #include "host/cluster.hpp"
+#include "sim/causal.hpp"
 
 namespace nicbar {
 namespace {
 
-using sim::telemetry::BreakdownCollector;
-using sim::telemetry::CostBreakdown;
+using sim::causal::Breakdown;
+using sim::causal::Resource;
 using sim::telemetry::MetricsRegistry;
 using sim::telemetry::Telemetry;
 using sim::telemetry::TraceEventSink;
@@ -252,66 +259,6 @@ TEST(TraceEventSinkTest, GoldenJsonPinsFlowEventsAndCausalIds) {
             "]}\n");
 }
 
-// --- BreakdownCollector ---------------------------------------------------------
-
-TEST(BreakdownCollectorTest, ComponentsSumToTotalExactly) {
-  BreakdownCollector c;
-  const sim::SimTime t0{0};
-  c.barrier_posted(0, 2, 0, t0, sim::microseconds(2.0));
-  c.add_nic(0, 2, 0, sim::microseconds(10.0));
-  c.add_dma(0, 2, 0, sim::microseconds(0.5));
-  c.add_wire(0, 2, 0, sim::microseconds(1.0));
-  c.barrier_completed(0, 2, 0, t0 + sim::microseconds(20.0), sim::microseconds(6.0));
-
-  ASSERT_EQ(c.barriers(), 1u);
-  const CostBreakdown& b = c.last();
-  EXPECT_DOUBLE_EQ(b.total_us, 20.0);
-  EXPECT_DOUBLE_EQ(b.host_us, 8.0);
-  EXPECT_DOUBLE_EQ(b.nic_us, 10.0);
-  EXPECT_DOUBLE_EQ(b.dma_us, 0.5);
-  EXPECT_DOUBLE_EQ(b.wire_us, 1.0);
-  EXPECT_DOUBLE_EQ(b.wait_us, 0.5);
-  // The acceptance bound: the terms sum to the total within 1 ns.
-  EXPECT_NEAR(b.sum_us(), b.total_us, 1e-3);
-}
-
-TEST(BreakdownCollectorTest, CompletionWithoutPostIsIgnored) {
-  BreakdownCollector c;
-  c.add_nic(3, 2, 7, sim::microseconds(5.0));  // charges before any post
-  c.barrier_completed(3, 2, 7, sim::SimTime{0} + sim::microseconds(1.0),
-                      sim::microseconds(1.0));
-  EXPECT_EQ(c.barriers(), 0u);
-}
-
-TEST(BreakdownCollectorTest, MeanPreservesSumInvariant) {
-  BreakdownCollector c;
-  const sim::SimTime t0{0};
-  for (std::uint32_t e = 0; e < 3; ++e) {
-    c.barrier_posted(1, 2, e, t0 + sim::microseconds(100.0 * e), sim::microseconds(2.0));
-    c.add_nic(1, 2, e, sim::microseconds(3.0 + e));
-    c.barrier_completed(1, 2, e, t0 + sim::microseconds(100.0 * e + 11.0 + 2.0 * e),
-                        sim::microseconds(6.0));
-  }
-  const CostBreakdown m = c.mean();
-  EXPECT_EQ(c.barriers(), 3u);
-  EXPECT_NEAR(m.sum_us(), m.total_us, 1e-3);
-  EXPECT_DOUBLE_EQ(m.total_us, 13.0);
-  EXPECT_DOUBLE_EQ(m.nic_us, 4.0);
-}
-
-TEST(BreakdownCollectorTest, SnapshotExportsGauges) {
-  BreakdownCollector c;
-  c.barrier_posted(0, 2, 0, sim::SimTime{0}, sim::microseconds(1.0));
-  c.barrier_completed(0, 2, 0, sim::SimTime{0} + sim::microseconds(4.0),
-                      sim::microseconds(1.0));
-  MetricsRegistry m;
-  c.snapshot(m);
-  ASSERT_NE(m.find_counter("breakdown.barriers"), nullptr);
-  EXPECT_EQ(*m.find_counter("breakdown.barriers"), 1u);
-  ASSERT_NE(m.find_gauge("breakdown.total_us"), nullptr);
-  EXPECT_DOUBLE_EQ(*m.find_gauge("breakdown.total_us"), 4.0);
-}
-
 // --- End-to-end: a real NIC barrier with the bundle attached ---------------------
 
 coll::ExperimentParams instrumented_params(Telemetry& telemetry, int reps) {
@@ -371,47 +318,57 @@ TEST(TelemetryIntegrationTest, EngineCyclesCoverProcessorBusyTime) {
 
 TEST(TelemetryIntegrationTest, BreakdownTermsSumWithinOneNanosecond) {
   Telemetry t;
-  t.enable_breakdown();
+  t.enable_causal();
   const int reps = 4;
   coll::ExperimentParams p = instrumented_params(t, reps);
   const coll::ExperimentResult r = coll::run_barrier_experiment(p);
 
-  const BreakdownCollector* bc = t.breakdown();
-  ASSERT_NE(bc, nullptr);
-  EXPECT_EQ(bc->barriers(), p.nodes * static_cast<std::uint64_t>(reps));
-  const CostBreakdown m = bc->mean();
-  EXPECT_GT(m.total_us, 0.0);
-  EXPECT_GT(m.host_us, 0.0);
-  EXPECT_GT(m.nic_us, 0.0);
-  EXPECT_GT(m.dma_us, 0.0);
-  EXPECT_GT(m.wire_us, 0.0);
-  EXPECT_NEAR(m.sum_us(), m.total_us, 1e-3);  // within 1 ns
-  EXPECT_NEAR(m.sum_us() - m.wait_us + m.wait_us, m.total_us, 1e-3);
-  // The per-member barrier latency must be in the same regime as the
+  const Breakdown b = t.causal()->breakdown();
+  EXPECT_EQ(b.barriers, p.nodes * static_cast<std::uint64_t>(reps));
+  EXPECT_GT(b.host.ps(), 0);
+  EXPECT_GT(b.nic.ps(), 0);
+  EXPECT_GT(b.dma.ps(), 0);
+  EXPECT_GT(b.wire.ps(), 0);
+  // The rows tile each critical path, so they sum to the total exactly.
+  EXPECT_EQ((b.host + b.nic + b.dma + b.wire + b.queue).ps(), b.total.ps());
+  // The per-member critical path must be in the same regime as the
   // experiment's reported mean (they measure slightly different intervals).
-  EXPECT_NEAR(m.total_us, r.mean_us, 0.25 * r.mean_us);
+  const double mean_us = b.total.us() / static_cast<double>(b.barriers);
+  EXPECT_NEAR(mean_us, r.mean_us, 0.25 * r.mean_us);
 }
 
 TEST(TelemetryIntegrationTest, ContentionFreeNicPeBarrierHasNoWaitTerm) {
-  // Lockstep NIC-PE on one switch: no packet queues, so once the wire term
-  // charges what the links charge the residual wait is exactly zero.
+  // Lockstep NIC-PE on one switch: no span waits for its resource, so the
+  // queue row (the old wait residual) is exactly zero.
   Telemetry t;
-  t.enable_breakdown();
+  t.enable_causal();
   coll::ExperimentParams p = instrumented_params(t, 20);
   p.nodes = 16;
   (void)coll::run_barrier_experiment(p);
-  const CostBreakdown m = t.breakdown()->mean();
+  const Breakdown b = t.causal()->breakdown();
+  const double n = static_cast<double>(b.barriers);
   // log2(16) = 4 rounds, each one single-switch path of 812.5 ns.
-  EXPECT_NEAR(m.wire_us, 3.25, 1e-6);
-  EXPECT_NEAR(m.wait_us, 0.0, 1e-6);
-  EXPECT_NEAR(m.sum_us(), m.total_us, 1e-6);
+  EXPECT_NEAR(b.wire.us() / n, 3.25, 1e-6);
+  EXPECT_EQ(b.queue.ps(), 0);
+  EXPECT_EQ((b.host + b.nic + b.dma + b.wire).ps(), b.total.ps());
 }
+
+/// The trace of a finished run, drawn under `mask`.
+sim::telemetry::TraceEventSink draw(Telemetry& t, std::uint32_t mask) {
+  sim::telemetry::TraceEventSink sink;
+  sink.set_mask(mask);
+  sim::telemetry::trace_spans(*t.causal(), sink);
+  return sink;
+}
+
+constexpr std::uint32_t kAllMask = static_cast<std::uint32_t>(sim::TraceCategory::kAll);
 
 TEST(TelemetryIntegrationTest, TraceHasSpansPerEnginePerBarrierRound) {
   Telemetry t;
-  TraceEventSink& sink = t.enable_trace();
+  t.enable_causal();
   const int reps = 3;
   (void)coll::run_barrier_experiment(instrumented_params(t, reps));
+  sim::telemetry::TraceEventSink sink = draw(t, kAllMask);
 
   // One track per NIC engine, each with at least one span per barrier round.
   for (int n = 0; n < 4; ++n) {
@@ -421,12 +378,14 @@ TEST(TelemetryIntegrationTest, TraceHasSpansPerEnginePerBarrierRound) {
       EXPECT_GE(sink.events_on(id), static_cast<std::size_t>(reps)) << name;
     }
   }
-  // Links got their own tracks too (4 terminals on one switch = 8 links).
+  // Links got their own tracks too (4 terminals on one switch = 8 links),
+  // and the switch one.
   std::size_t link_tracks = 0;
   for (const std::string& name : sink.track_names()) {
     if (name.rfind("link/", 0) == 0) ++link_tracks;
   }
   EXPECT_EQ(link_tracks, 8u);
+  EXPECT_GT(sink.events_on(sink.track("switch/sw0")), 0u);
 
   std::ostringstream os;
   sink.write_json(os);
@@ -434,52 +393,92 @@ TEST(TelemetryIntegrationTest, TraceHasSpansPerEnginePerBarrierRound) {
 }
 
 TEST(TelemetryIntegrationTest, TraceMaskFiltersEndToEnd) {
-  // The same experiment traced twice: unfiltered, and restricted to the
-  // receive-engine category. The mask must thin the event stream at the sink
-  // (no call-site changes), and the full stream must carry the paired flow
-  // events that follow each packet across tracks.
+  // One experiment drawn three times: unfiltered, restricted to the receive-
+  // engine category, and under a mask no category uses. The mask must thin
+  // the drawn events, and the full trace must carry the paired flow events
+  // that follow each dependency across tracks.
   coll::ExperimentParams p;
   p.nodes = 4;
   p.reps = 3;
   p.spec.location = coll::Location::kNic;
-
-  Telemetry full;
-  full.enable_trace();
-  p.cluster.telemetry = &full;
+  Telemetry t;
+  t.enable_causal();
+  p.cluster.telemetry = &t;
   (void)coll::run_barrier_experiment(p);
 
-  Telemetry masked;
-  masked.enable_trace().set_mask(static_cast<std::uint32_t>(sim::TraceCategory::kRecv));
-  coll::ExperimentParams p2 = p;
-  p2.cluster.telemetry = &masked;
-  (void)coll::run_barrier_experiment(p2);
-
-  EXPECT_GT(masked.trace()->event_count(), 0u);
-  EXPECT_LT(masked.trace()->event_count(), full.trace()->event_count());
+  const sim::telemetry::TraceEventSink full = draw(t, kAllMask);
+  const sim::telemetry::TraceEventSink masked =
+      draw(t, static_cast<std::uint32_t>(sim::TraceCategory::kRecv));
+  EXPECT_GT(masked.event_count(), 0u);
+  EXPECT_LT(masked.event_count(), full.event_count());
 
   // A mask of only the bits no category uses keeps the stream empty; an
-  // event emitted without a real category (the kAll default) would pass it.
+  // event drawn without a real category (the kAll default) would pass it.
   std::uint32_t named = 0;
   for (const sim::TraceCategoryName& c : sim::kTraceCategoryNames) {
     if (c.category != sim::TraceCategory::kAll) named |= static_cast<std::uint32_t>(c.category);
   }
-  Telemetry none;
-  none.enable_trace().set_mask(~named);
-  coll::ExperimentParams p3 = p;
-  p3.cluster.telemetry = &none;
-  (void)coll::run_barrier_experiment(p3);
-  EXPECT_EQ(none.trace()->event_count(), 0u);
+  EXPECT_EQ(draw(t, ~named).event_count(), 0u);
 
   std::ostringstream os;
-  full.trace()->write_json(os);
+  full.write_json(os);
   const std::string json = os.str();
   EXPECT_NE(json.find("\"ph\": \"s\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"f\""), std::string::npos);
   EXPECT_NE(json.find("\"args\": {\"id\": "), std::string::npos);
 
   std::ostringstream os2;
-  masked.trace()->write_json(os2);
+  masked.write_json(os2);
   EXPECT_TRUE(valid_json(os2.str()));
+}
+
+TEST(TelemetryIntegrationTest, SlicesOnOneTrackNestOrDoNotOverlap) {
+  // Every span that holds an engine, a PCI bus or a link is one slice on
+  // that resource's track; the resources serve one job at a time, so two
+  // slices on a track are disjoint (or nest, as Perfetto would draw them).
+  // A contended, lossy, multi-switch run exercises queues and retransmits.
+  coll::ExperimentParams p;
+  p.nodes = 32;
+  p.reps = 10;
+  p.spec = coll::family_spec({coll::Family::kHier, 2}, p.spec);
+  p.cluster.topology = host::Topology::kFatTree;
+  p.cluster.fabric_radix = 8;
+  p.cluster.nic.barrier_reliability = nic::BarrierReliability::kSharedStream;
+  p.cluster.faults.loss.push_back({"", 0.01});
+  Telemetry t;
+  t.enable_causal();
+  p.cluster.telemetry = &t;
+  (void)coll::run_barrier_experiment(p);
+
+  const sim::causal::CausalTracer& spans = *t.causal();
+  std::map<std::pair<Resource, std::uint32_t>, std::vector<std::pair<std::int64_t, std::int64_t>>>
+      tracks;
+  for (sim::causal::SpanId id = 1; id <= spans.span_count(); ++id) {
+    const sim::causal::Span& s = *spans.span(id);
+    if (s.res < Resource::kSdma || s.res == Resource::kFault || s.res == Resource::kSwitch) {
+      continue;  // not a slice
+    }
+    EXPECT_LE(s.busy_end, s.end) << s.label;
+    const std::uint32_t unit = s.res == Resource::kLink ? s.unit : s.node;
+    tracks[{s.res, unit}].emplace_back(s.start.ps(), s.busy_end.ps());
+  }
+  EXPECT_GT(tracks.size(), 32u * 5u);
+  std::size_t slices = 0;
+  for (auto& [track, v] : tracks) {
+    std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first < b.first : a.second > b.second;
+    });
+    std::vector<std::int64_t> open;  // ends of the enclosing slices
+    for (const auto& [start, end] : v) {
+      while (!open.empty() && open.back() <= start) open.pop_back();
+      ASSERT_TRUE(open.empty() || end <= open.back())
+          << sim::causal::to_string(track.first) << track.second << ": [" << start << ", "
+          << end << "] overlaps a slice ending at " << open.back();
+      open.push_back(end);
+      ++slices;
+    }
+  }
+  EXPECT_GT(slices, 1000u);
 }
 
 TEST(TelemetryIntegrationTest, DetachedTelemetryKeepsTimelineIdentical) {
@@ -492,8 +491,7 @@ TEST(TelemetryIntegrationTest, DetachedTelemetryKeepsTimelineIdentical) {
   const double bare_us = coll::run_barrier_experiment(plain).mean_us;
 
   Telemetry t;
-  t.enable_trace();
-  t.enable_breakdown();
+  t.enable_causal();
   coll::ExperimentParams wired = plain;
   wired.cluster.telemetry = &t;
   const double wired_us = coll::run_barrier_experiment(wired).mean_us;

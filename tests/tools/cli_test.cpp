@@ -408,15 +408,20 @@ TEST(CliTest, PdesWorkersRejectsZeroAndGarbage) {
   EXPECT_FALSE(parse_args({"--pdes-workers"}, err).has_value());
 }
 
-TEST(CliTest, PdesWorkersExcludesSingleLaneCollectors) {
+TEST(CliTest, PdesWorkersComposesWithEveryView) {
+  // --breakdown, --trace-json and --critical-path all read the sharded span
+  // record, so they work on the partitioned engine as on the serial one.
   std::string err;
-  EXPECT_FALSE(parse_args({"--pdes-workers", "4", "--breakdown"}, err).has_value());
-  EXPECT_NE(err.find("--pdes-workers"), std::string::npos);
-  EXPECT_FALSE(parse_args({"--pdes-workers", "4", "--trace-json", "t.json"}, err).has_value());
-  // --pdes-workers 1 keeps the serial engine, so the collectors stay legal.
-  EXPECT_TRUE(parse_args({"--pdes-workers", "1", "--breakdown"}, err).has_value()) << err;
-  // The sharded causal tracer works under PDES.
-  EXPECT_TRUE(parse_args({"--pdes-workers", "4", "--critical-path"}, err).has_value()) << err;
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--pdes-workers", "4", "--breakdown"},
+        {"--pdes-workers", "4", "--trace-json", "t.json", "--trace-mask", "send,net"},
+        {"--pdes-workers", "4", "--critical-path"},
+        {"--pdes-workers", "1", "--breakdown"}}) {
+    EXPECT_TRUE(parse_args(args, err).has_value()) << err;
+  }
+  // A seed sweep still has no single run to draw.
+  EXPECT_FALSE(parse_args({"--seeds", "2", "--pdes-workers", "4", "--breakdown"}, err).has_value());
+  EXPECT_NE(err.find("--breakdown"), std::string::npos);
 }
 
 TEST(CliTest, PdesWorkersIsExperimentOnly) {

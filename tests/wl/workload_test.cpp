@@ -692,6 +692,33 @@ TEST(WorkloadDriverTest, SameSeedReplaysByteIdenticalReports) {
   EXPECT_NE(first.find("\"makespan_us\""), std::string::npos);
 }
 
+TEST(WorkloadDriverTest, PercentilesAboveTheHistogramRangeNeverReadInsideIt) {
+  // Start skews of up to an hour push most latencies past hist-max-us
+  // (20000 us by default), where the histogram keeps no bins. The top
+  // percentiles rank among those samples, so they read at least the range's
+  // top and at most the largest sample, never just under the range's top.
+  const WorkloadSpec s = parse_workload_spec(R"(
+cluster-nodes 8
+arrival fixed 10
+job a
+  count 2
+  nodes 4
+  iters 3
+  mix barrier=1 allreduce=1
+  skew-us 3600000000
+)");
+  const Report r = run_workload(s);
+  const TailStats& barrier = r.per_kind[static_cast<std::size_t>(CollectiveKind::kBarrier)];
+  EXPECT_EQ(barrier.count, 12u);
+  for (const TailStats& t : {barrier, r.overall}) {
+    EXPECT_GT(t.max_us, s.hist_max_us);
+    EXPECT_LT(t.p50_us, s.hist_max_us);
+    EXPECT_GE(t.p95_us, s.hist_max_us);
+    EXPECT_GE(t.p99_us, t.p95_us);
+    EXPECT_LE(t.p99_us, t.max_us);
+  }
+}
+
 TEST(WorkloadDriverTest, SeedChangesTheTimelineForStochasticSpecs) {
   WorkloadSpec s = parse_workload_spec(mixed_workload_text());
   const std::string base = run_workload(s).json();

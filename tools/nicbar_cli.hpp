@@ -57,8 +57,10 @@ inline std::string modes_text(Modes modes) {
   return sim::join(names, ", ", names.size() == 2 ? " or " : ", or ");
 }
 
+/// One barrier experiment, on the serial or the partitioned engine.
+inline constexpr Modes kOneRun = bit(Mode::kSingle) | bit(Mode::kPdes);
 /// A barrier experiment: one run, one run on the partitioned engine, or a seed sweep.
-inline constexpr Modes kExperiment = bit(Mode::kSingle) | bit(Mode::kPdes) | bit(Mode::kSeeds);
+inline constexpr Modes kExperiment = kOneRun | bit(Mode::kSeeds);
 /// Anything that builds a fabric: an experiment or a workload.
 inline constexpr Modes kFabric = kExperiment | bit(Mode::kWorkload);
 
@@ -271,20 +273,21 @@ inline constexpr Flag kFlags[] = {
         "--case-seed", "S", bit(Mode::kReplay),
         "replay a single fuzz case by its seed (printed with\nevery fuzz failure)"),
     flag<detail::Switch{}, NICBAR_FIELD(o.predict)>(
-        "--predict", "", bit(Mode::kSingle) | bit(Mode::kPdes),
+        "--predict", "", kOneRun,
         "also print the family's Eq. 1-2 closed form, by term", "--nodes >= 2",
         [](const detail::Parse& p) { return p.o.params.nodes >= 2; }),
     flag<detail::Switch{}, NICBAR_FIELD(o.breakdown)>(
-        "--breakdown", "", bit(Mode::kSingle), "print the per-barrier Eq. 1-2 cost breakdown"),
+        "--breakdown", "", kOneRun,
+        "print the critical path grouped into the Eq. 1-2 rows"),
     flag<detail::Switch{}, NICBAR_FIELD(o.critical_path)>(
-        "--critical-path", "", bit(Mode::kSingle) | bit(Mode::kPdes),
+        "--critical-path", "", kOneRun,
         "print the exact critical path and its attribution;\n"
         "fails if the causal DAG is cyclic or unattributed"),
     flag<detail::Path{}, NICBAR_FIELD(o.metrics_path)>(
         "--metrics-json", "F", kFabric, "write hardware counters/gauges as JSON to F"),
     flag<detail::Path{}, NICBAR_FIELD(o.trace_path)>(
-        "--trace-json", "F", bit(Mode::kSingle), "write a Chrome trace-event file (Perfetto) to F"),
-    {"--trace-mask", "LIST", bit(Mode::kSingle),
+        "--trace-json", "F", kOneRun, "write a Chrome trace-event file (Perfetto) to F"),
+    {"--trace-mask", "LIST", kOneRun,
      "restrict --trace-json to a comma-separated list of\nsdma,send,recv,rdma,net,all",
      detail::set_trace_mask, nullptr, "--trace-json",
      [](const detail::Parse& p) { return !p.o.trace_path.empty(); }},

@@ -453,9 +453,8 @@ int main(int argc, char** argv) {
   const bool want_telemetry =
       o.breakdown || !o.metrics_path.empty() || !o.trace_path.empty() || o.critical_path;
   if (want_telemetry) {
-    if (!o.trace_path.empty()) telemetry.enable_trace().set_mask(o.trace_mask);
-    if (o.breakdown) telemetry.enable_breakdown();
-    if (o.critical_path) telemetry.enable_causal();
+    // --breakdown, --trace-json and --critical-path are views of one record.
+    if (o.breakdown || !o.trace_path.empty() || o.critical_path) telemetry.enable_causal();
     p.cluster.telemetry = &telemetry;
   }
 
@@ -511,22 +510,22 @@ int main(int argc, char** argv) {
   if (o.predict) std::printf("%s", cli::prediction(p, mean_us).c_str());
 
   if (o.breakdown) {
-    const auto* bc = telemetry.breakdown();
-    const sim::telemetry::CostBreakdown b = bc->mean();
-    if (bc->barriers() == 0) {
+    const sim::causal::Breakdown b = telemetry.causal()->breakdown();
+    if (b.barriers == 0) {
       std::printf(
-          "\nno cost breakdown: --breakdown instruments the NIC barrier token "
-          "path;\nhost-based barriers are ordinary message loops with no "
-          "post/complete hook.\n");
+          "\nno cost breakdown: --breakdown groups the critical path of each NIC barrier "
+          "completion;\nhost-based barriers are ordinary message loops with no completion "
+          "to trace.\n");
     } else {
+      const double n = static_cast<double>(b.barriers);
       std::printf("\ncost breakdown (mean over %llu member-barriers, Eq. 1-2 terms):\n",
-                  static_cast<unsigned long long>(bc->barriers()));
-      std::printf("  host software      : %10.3f us\n", b.host_us);
-      std::printf("  NIC processing     : %10.3f us\n", b.nic_us);
-      std::printf("  DMA (PCI)          : %10.3f us\n", b.dma_us);
-      std::printf("  wire (network)     : %10.3f us\n", b.wire_us);
-      std::printf("  wait (peer skew)   : %10.3f us\n", b.wait_us);
-      std::printf("  total              : %10.3f us\n", b.total_us);
+                  static_cast<unsigned long long>(b.barriers));
+      std::printf("  host software      : %10.3f us\n", b.host.us() / n);
+      std::printf("  NIC processing     : %10.3f us\n", b.nic.us() / n);
+      std::printf("  DMA (PCI)          : %10.3f us\n", b.dma.us() / n);
+      std::printf("  wire (network)     : %10.3f us\n", b.wire.us() / n);
+      std::printf("  queue (contention) : %10.3f us\n", b.queue.us() / n);
+      std::printf("  total              : %10.3f us\n", b.total.us() / n);
     }
   }
   int rc = 0;
@@ -539,10 +538,10 @@ int main(int argc, char** argv) {
     std::printf("metrics written to %s\n", o.metrics_path.c_str());
   }
   if (!o.trace_path.empty()) {
-    if (!write_file(o.trace_path,
-                    [&](std::ostream& os) { telemetry.trace()->write_json(os); })) {
-      return 1;
-    }
+    sim::telemetry::TraceEventSink sink;
+    sink.set_mask(o.trace_mask);
+    sim::telemetry::trace_spans(*telemetry.causal(), sink);
+    if (!write_file(o.trace_path, [&](std::ostream& os) { sink.write_json(os); })) return 1;
     std::printf("trace written to %s (open in https://ui.perfetto.dev)\n", o.trace_path.c_str());
   }
   return rc;
