@@ -72,7 +72,8 @@ BENCHMARK(BM_QueueScheduleCancelChurn)->Arg(100000);
 // cluster, posted straight to the firmware (no host processes, and a port
 // with no event queue, so the completion DMA is the last stage). Each side
 // sends one barrier packet SEND -> link -> switch -> link -> RECV ->
-// firmware; items are packets.
+// firmware; items are packets, and `events_per_packet` is the engine's work
+// per packet.
 void BM_PacketPath(benchmark::State& state) {
   host::ClusterParams cp;
   cp.nodes = 2;
@@ -92,7 +93,10 @@ void BM_PacketPath(benchmark::State& state) {
     ++epoch;
   }
   benchmark::DoNotOptimize(cluster.nic(1).stats().barrier_packets_received);
+  const auto packets = static_cast<double>(state.iterations() * 2);
   state.SetItemsProcessed(state.iterations() * 2);
+  state.counters["events_per_packet"] =
+      packets > 0 ? static_cast<double>(cluster.sim().events_executed()) / packets : 0.0;
 }
 BENCHMARK(BM_PacketPath);
 
