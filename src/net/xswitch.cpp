@@ -16,26 +16,22 @@ void Switch::accept(PacketPtr p) {
     ++misrouted_;
     return;
   }
-  if (port_down_[port]) {
+  if (port_outages_[port] > 0) {
     ++port_down_drops_;
     return;
   }
   ++forwarded_;
-  Link* link = out_[port];
+  const sim::SimTime now = sim_->now();
+  const sim::SimTime ready = now + params_.routing_latency;
   if (causal_ != nullptr) {
     // Routing is pipelined: the span spans the latency but holds nothing.
     p->causal = causal_->record(
         {.seg = sim::causal::Segment::kSwitch, .res = sim::causal::Resource::kSwitch,
-         .node = p->dst_node, .label = "route", .start = sim_->now(),
-         .end = sim_->now() + params_.routing_latency, .busy_end = sim_->now(),
+         .node = p->dst_node, .label = "route", .start = now, .end = ready, .busy_end = now,
          .unit = static_cast<std::uint32_t>(id_), .key = p->id},
         p->causal);
   }
-  ++in_pipeline_;
-  sim_->schedule_in(params_.routing_latency, [this, link, p = std::move(p)]() mutable {
-    --in_pipeline_;
-    link->transmit(std::move(p));
-  });
+  out_[port]->transmit(std::move(p), ready);
 }
 
 void Switch::verify_conservation() const {
@@ -46,9 +42,6 @@ void Switch::verify_conservation() const {
                static_cast<unsigned long long>(forwarded_),
                static_cast<unsigned long long>(misrouted_),
                static_cast<unsigned long long>(port_down_drops_));
-  NICBAR_CHECK(in_pipeline_ == 0, "net.switch", now,
-               "switch %d: %llu packet(s) still in the routing pipeline at quiescence", id_,
-               static_cast<unsigned long long>(in_pipeline_));
 }
 
 }  // namespace nicbar::net

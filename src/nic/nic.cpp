@@ -256,8 +256,8 @@ void Nic::transmit(net::PacketPtr packet, std::int64_t send_cycles_override) {
     ++stats_.tx_dropped_crashed;
     return;
   }
-  // The job below takes the handle; `p` stays valid until the job runs,
-  // which is after this function returns.
+  // The loopback job below takes the handle; `p` stays valid until the job
+  // runs, which is after this function returns.
   Packet& p = *packet;
   // Stamp the fabric-unique id here (not at injection) so loopback packets
   // carry one too.
@@ -268,20 +268,23 @@ void Nic::transmit(net::PacketPtr packet, std::int64_t send_cycles_override) {
           : (net::is_barrier_payload(p.type) ? config_.barrier_send_cycles : config_.send_cycles);
   // The packet's causal chain now ends at this SEND-engine span; wire and
   // switch hops extend it in flight.
-  p.causal = engine_submit(
-      McpEngine::kSend, Segment::kSend, "tx", cost,
-      [this, packet = std::move(packet)]() mutable {
-        if (packet->dst_node == node_) {
-          // Same-NIC delivery: skip the fabric, model a short internal turnaround.
+  if (p.dst_node == node_) {
+    // Same-NIC delivery: skip the fabric, model a short internal turnaround.
+    p.causal = engine_submit(
+        McpEngine::kSend, Segment::kSend, "tx", cost,
+        [this, packet = std::move(packet)]() mutable {
           sim_.schedule_in(proc_.cycles(config_.send_cycles),
                            [this, pkt = std::move(packet)]() mutable {
                              rx_packet(std::move(pkt));
                            });
-          return;
-        }
-        net_.inject(std::move(packet));
-      },
-      p.causal);
+        },
+        p.causal);
+    return;
+  }
+  // Only this NIC's SEND jobs feed its uplink, so the packet is queued there
+  // now, ready when the job ends; the job itself needs no completion event.
+  p.causal = engine_submit(McpEngine::kSend, Segment::kSend, "tx", cost, {}, p.causal);
+  net_.inject(std::move(packet), proc_.free_at());
 }
 
 void Nic::send_control(const Packet& p) {

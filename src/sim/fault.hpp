@@ -6,10 +6,11 @@
 // corruption (delivered, then caught by the receiver's CRC check). The plan
 // itself knows nothing about the network or NIC types — `host::Cluster` arms
 // it at construction by translating each entry into hooks on `net::Link`,
-// `net::Switch` and `nic::Nic`, plus scheduled simulator events for the
-// timed windows. Keeping the plan declarative makes fault scenarios
-// serialisable (see parse_fault_plan), diffable, and — because every random
-// draw comes from a seeded PCG stream per link — bit-reproducible.
+// `net::Switch` and `nic::Nic`: link outages become data on the link, the
+// other timed entries scheduled simulator events. Keeping the plan
+// declarative makes fault scenarios serialisable (see parse_fault_plan),
+// diffable, and — because every random draw comes from a seeded PCG stream
+// per link — bit-reproducible.
 //
 // Links are matched by substring on their directed name ("t0->sw0",
 // "sw0->t3", "sw0->sw1"); an empty pattern matches every link.
@@ -24,9 +25,13 @@
 
 namespace nicbar::sim::fault {
 
-/// Both directions named by `link` are dead in [from, until): packets are
-/// discarded instantly (the cable is unplugged — nothing is even
-/// serialised). `until` == SimTime::max() means the link never comes back.
+/// Every link whose name contains `link` is dead in [from, until): a packet
+/// ready for the wire in that span is discarded instantly (the cable is
+/// unplugged — nothing is even serialised). `until` == SimTime::max() means
+/// the link never comes back. A link reads its windows at the instant each
+/// packet is ready for it (the end of the sender's SEND job, or of the
+/// switch's routing latency). A window is data, not an event: it does not
+/// keep a run going after its last packet.
 struct LinkDownWindow {
   std::string link;  // substring match on the link name; empty = every link
   SimTime from{0};
@@ -48,8 +53,8 @@ struct NicCrash {
   int line = 0;
 };
 
-/// Output port `port` of switch `switch_id` eats every packet routed to it
-/// during [from, until).
+/// Output port `port` of switch `switch_id` eats every packet whose head
+/// reaches the switch during [from, until).
 struct SwitchPortDown {
   std::size_t switch_id = 0;
   std::size_t port = 0;
@@ -114,6 +119,10 @@ struct FaultPlan {
 ///   link-down <from_us> <until_us|-> [link]
 ///   nic-crash <node> <at_us> [restart_us|-]
 ///   switch-port-down <switch> <port> <from_us> <until_us|->
+///
+/// Windows may be listed in any order and may overlap: a link (or a switch
+/// port) is down at t iff some `link-down` (`switch-port-down`) window
+/// covers t, so overlapping windows unite.
 ///
 /// Throws std::runtime_error naming the offending line on malformed input.
 [[nodiscard]] FaultPlan parse_fault_plan(std::istream& in);

@@ -12,7 +12,8 @@
 //
 // A lossy + fault-plan case pins RNG substream partition-independence: drop
 // and corruption draws are per-link streams keyed by arming order, so the
-// partition layout must not perturb a single draw.
+// partition layout must not perturb a single draw. A link-down case pins the
+// down windows, which each link reads on its own lane.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -241,6 +242,31 @@ TEST(PdesBitIdentity, LossyWithFaultPlan) {
                      std::string("lossy [P=") + std::to_string(e.partitions) +
                          " W=" + std::to_string(e.workers) + "]");
   }
+}
+
+TEST(PdesBitIdentity, LinkDownWindowsOnPartitionCrossingLinks) {
+  // Down windows are data on a link, read on its transmitting lane at each
+  // packet's ready instant. A radix-8 fat-tree of 16 nodes has 4 leaves
+  // (sw0-sw3) and 4 spines (sw4-sw7); sw0->sw5 and sw2->sw4 cross a
+  // partition boundary at 2 and at 4 partitions. sw0->sw5 carries two
+  // overlapping windows, sw2->sw4 a window listed after a later one.
+  CaseSpec c = base_case(16, 10);
+  c.params.cluster.topology = host::Topology::kFatTree;
+  c.params.cluster.fabric_radix = 8;
+  c.params.cluster.nic.barrier_reliability = nic::BarrierReliability::kSharedStream;
+  c.params.spec.location = coll::Location::kNic;
+  c.params.spec.algorithm = nic::BarrierAlgorithm::kPairwiseExchange;
+  c.params.cluster.faults = sim::fault::parse_fault_plan(
+      "link-down 50 60 sw0->sw5\n"
+      "link-down 55 85 sw0->sw5\n"
+      "link-down 410 420 sw2->sw4\n"
+      "link-down 10 20 sw2->sw4\n");
+  c.causal = true;
+
+  const Observed serial = run_case(c, EngineConfig{1, 1});
+  ASSERT_GT(serial.counters.at("link.sw0->sw5.down_drops"), 0u);
+  ASSERT_GT(serial.counters.at("link.sw2->sw4.down_drops"), 0u);
+  check_case(c, "link-down-fat-tree-n16");
 }
 
 TEST(PdesBitIdentity, StartSkewAndPermutedPlacement) {
