@@ -409,6 +409,7 @@ class Nic {
   sim::Simulator& sim_;
   net::Network& net_;
   NodeId node_;
+  bool crashed_ = false;  // beside node_, in what would be padding
   const NicConfig& config_;
   sim::CycleServer proc_;
   sim::BusyServer& pci_;
@@ -421,7 +422,6 @@ class Nic {
   std::vector<std::pair<std::uint32_t, RecordExtra>> record_extra_;
   NicStats stats_;
   SlotTable slots_;
-  bool crashed_ = false;
   EngineStats engines_;
   sim::causal::CausalTracer* causal_ = nullptr;  // null when detached
 };

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/check.hpp"
+
 #include <vector>
 
 namespace nicbar::sim {
@@ -65,6 +67,36 @@ TEST(BusyServerTest, ZeroDurationJob) {
   sim.run();
   EXPECT_TRUE(ran);
   EXPECT_EQ(sim.now().ps(), 0);
+}
+
+TEST(BusyServerTest, JobQueuedAheadStartsAtItsReadyInstant) {
+  Simulator sim;
+  BusyServer srv(sim);
+  EXPECT_EQ(srv.submit_at(SimTime{0} + 3_us, 2_us).ps(), (5_us).ps());
+  // Ready at 4 us, behind a job that ends at 5 us: one stall of 1 us.
+  EXPECT_EQ(srv.submit_at(SimTime{0} + 4_us, 2_us).ps(), (7_us).ps());
+  EXPECT_EQ(srv.stalls(), 1u);
+  EXPECT_EQ(srv.queue_delay_total().ps(), (1_us).ps());
+}
+
+TEST(BusyServerTest, ReadyInstantsMayNotDecrease) {
+  Simulator sim;
+  BusyServer srv(sim, "wire");
+  srv.submit_at(SimTime{0} + 5_us, 1_us);
+  // Either would take the FIFO slot of the job ready at 5 us.
+  EXPECT_THROW(srv.submit_at(SimTime{0} + 4_us, 1_us), check::InvariantViolation);
+  EXPECT_THROW(srv.submit(1_us), check::InvariantViolation);
+  EXPECT_EQ(srv.submit_at(SimTime{0} + 5_us, 1_us).ps(), (7_us).ps());
+}
+
+TEST(BusyServerTest, JobMayNotBeReadyBeforeNow) {
+  Simulator sim;
+  BusyServer srv(sim);
+  sim.schedule_in(10_us, [&] {
+    EXPECT_THROW(srv.submit_at(SimTime{0} + 5_us, 1_us), check::InvariantViolation);
+  });
+  sim.run();
+  EXPECT_EQ(srv.jobs(), 0u);
 }
 
 TEST(CycleServerTest, CyclesScaleWithClock) {
